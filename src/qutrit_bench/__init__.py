@@ -2,7 +2,7 @@
 
 Submodules:
     core      -- qutrit/two-qutrit linear algebra, the 3x3 coupler, Born rule
-    source    -- analytic interferometer model: peak states and fringe laws
+    source    -- interferometer model: one amplitude kernel, peak states, fringe laws
     timetags  -- seeded Monte Carlo time-tag streams, coincidences, histograms
     analysis  -- visibility extraction, fringe fits, Bell-threshold inference
     protocols -- heralded-qutrit key distribution and coin tossing
@@ -33,6 +33,7 @@ from .source import (
     effective_phases,
     fringe_probability,
     joint_distribution,
+    pair_amplitudes,
     peak_weights,
     satellite_state,
 )

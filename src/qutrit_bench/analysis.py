@@ -6,7 +6,9 @@ from the central fringe law's extrema), least-squares fitting of the
 two-phase central fringe, satellite phase-rate tracking, the d = 3
 two-party Bell functional evaluated through phase-plus-coupler
 measurements, and the visibility threshold above which the Bell bound is
-violated.
+violated.  The Bell maximum of the maximally entangled pair and its
+settings are taken in closed form (Collins, Gisin, Linden, Massar, Popescu,
+PRL 88, 040404 (2002)); no optimizer runs.
 """
 
 from __future__ import annotations
@@ -164,7 +166,7 @@ def periodogram(setpoints: np.ndarray, counts: np.ndarray, freqs: np.ndarray = N
         f_min = 2.0 * np.pi * 0.25 / span
         f_max = np.pi * (u.size - 1) / span  # Nyquist-like bound for ~uniform scans
         freqs = np.linspace(f_min, f_max, 4000)
-    power = signal.lombscargle(u, c - c.mean(), freqs, precenter=False)
+    power = signal.lombscargle(u, c - c.mean(), freqs)
     return freqs, power
 
 
@@ -356,17 +358,13 @@ def cglmp_probability_table(rho: DensityOperator, settings: CglmpSettings) -> np
     """P[a, b, alice_trit, bob_trit] for the four setting combinations."""
     if rho.dim != 9:
         raise ValueError("Bell functional needs a two-qutrit (9-dimensional) state")
-    table = np.zeros((2, 2, 3, 3))
-    mats_a = [_outcome_matrix(settings.alice[a]) for a in range(2)]
-    mats_b = [_outcome_matrix(settings.bob[b]) for b in range(2)]
-    for a in range(2):
-        for b in range(2):
-            for j in range(3):
-                ket_a = mats_a[a][j].conj()
-                for k in range(3):
-                    ket = np.kron(ket_a, mats_b[b][k].conj())
-                    p = float(np.real(np.vdot(ket, rho.matrix @ ket)))
-                    table[a, b, j, _BOB_RELABEL[k]] = p
+    mats_a = np.array([_outcome_matrix(phases) for phases in settings.alice])
+    mats_b = np.array([_outcome_matrix(phases) for phases in settings.bob])
+    # Outcome amplitude rows <j_a, k_b| as 9-vectors, indexed [a, b, j, k].
+    rows = np.einsum("ajp,bkq->abjkpq", mats_a, mats_b).reshape(2, 2, 3, 3, 9)
+    probs = np.einsum("abjkx,xy,abjky->abjk", rows, rho.matrix, rows.conj()).real
+    table = np.empty((2, 2, 3, 3))
+    table[..., _BOB_RELABEL] = probs
     return table
 
 
@@ -384,20 +382,6 @@ def i3_from_probability_table(table: np.ndarray) -> float:
 def cglmp_value(rho: DensityOperator, settings: CglmpSettings) -> float:
     """Bell value I3 of `rho` at the given measurement settings."""
     return i3_from_probability_table(cglmp_probability_table(rho, settings))
-
-
-def _i3_pure_maxent(settings_vector: np.ndarray) -> float:
-    """Fast I3 of the maximally entangled pair; settings as a flat 12-vector."""
-    a1, a2, b1, b2 = settings_vector.reshape(4, 3)
-    psi = np.eye(3) / np.sqrt(3.0)  # matrix form of the maximally entangled pair
-    table = np.zeros((2, 2, 3, 3))
-    mats_a = (_outcome_matrix(a1), _outcome_matrix(a2))
-    mats_b = (_outcome_matrix(b1), _outcome_matrix(b2))
-    for a in range(2):
-        for b in range(2):
-            amp = mats_a[a] @ psi @ mats_b[b].T
-            table[a, b][:, _BOB_RELABEL] = np.abs(amp) ** 2
-    return i3_from_probability_table(table)
 
 
 def local_deterministic_values() -> np.ndarray:
@@ -424,48 +408,22 @@ class CglmpOptimum:
     settings: CglmpSettings
 
 
-_OPTIMUM_CACHE = {}
+def optimize_cglmp() -> CglmpOptimum:
+    """The maximum of I3 for the maximally entangled pair, in closed form.
 
-
-def optimize_cglmp(n_starts: int = 20, tol: float = 1e-6, seed: int = 1905) -> CglmpOptimum:
-    """Maximize I3 over settings for the maximally entangled pair.
-
-    Cyclic coordinate ascent over the four phase-triples from a fixed list
-    of seeded random starts; deterministic for given arguments and cached.
+    I3max = 4 / (6*sqrt(3) - 9) = 2.8729..., reached by the linear phase
+    triples (0, t, 2t) with t = 0 and pi/3 for Alice, +pi/6 and -pi/6 for
+    Bob (Collins, Gisin, Linden, Massar, Popescu, PRL 88, 040404 (2002)).
     """
-    key = (n_starts, tol, seed)
-    if key in _OPTIMUM_CACHE:
-        return _OPTIMUM_CACHE[key]
-    rng = np.random.default_rng(seed)
-    starts = rng.uniform(0.0, 2.0 * np.pi, size=(n_starts, 12))
-    best_val, best_x = -np.inf, None
-    for x0 in starts:
-        x = x0.copy()
-        prev = _i3_pure_maxent(x)
-        for _ in range(60):
-            for block in range(4):
-                sl = slice(3 * block, 3 * block + 3)
 
-                def neg(block_phases, sl=sl, x=x):
-                    trial = x.copy()
-                    trial[sl] = block_phases
-                    return -_i3_pure_maxent(trial)
+    def linear(t):
+        return [0.0, t, 2.0 * t]
 
-                res = optimize.minimize(
-                    neg, x[sl], method="Nelder-Mead", options={"xatol": 1e-9, "fatol": 1e-12}
-                )
-                x[sl] = res.x
-            current = _i3_pure_maxent(x)
-            if current - prev < tol:
-                break
-            prev = current
-        value = _i3_pure_maxent(x)
-        if value > best_val:
-            best_val, best_x = value, x.copy()
-    settings = CglmpSettings(alice=best_x.reshape(4, 3)[:2], bob=best_x.reshape(4, 3)[2:])
-    optimum = CglmpOptimum(float(best_val), settings)
-    _OPTIMUM_CACHE[key] = optimum
-    return optimum
+    settings = CglmpSettings(
+        alice=[linear(0.0), linear(np.pi / 3.0)],
+        bob=[linear(np.pi / 6.0), linear(-np.pi / 6.0)],
+    )
+    return CglmpOptimum(float(4.0 / (6.0 * np.sqrt(3.0) - 9.0)), settings)
 
 
 def bell_threshold_visibility() -> tuple:

@@ -423,9 +423,8 @@ def _run_scan(config: dict, out_dir: str, write_files: bool = True):
         coincidences = find_coincidences(stream, max_delta_ps=3 * unit_ps)
         flat = off_peak_background(coincidences, half_width, unit_ps)
         for peak, j, k in channels:
-            table = post_select(
-                coincidences, peak, half_width, unit_ps, step_itf.left_peak_delta_sign
-            )
+            # simulate_run always puts the left subspace at dt = +1 unit delay.
+            table = post_select(coincidences, peak, half_width, unit_ps)
             counts[(peak, j, k)][i] = table[j, k]
             background[(peak, j, k)][i] = flat[j, k]
 
@@ -572,19 +571,6 @@ _COMMANDS = {
 }
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("QUTRIT_BENCH_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"QUTRIT_BENCH_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ConfigurationError(f"QUTRIT_BENCH_THREADS must be >= 1, got {cap}")
-    return cap
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="qutrit-bench",
@@ -605,7 +591,6 @@ def main(argv=None) -> int:
 
     started = time.monotonic()
     try:
-        _thread_cap()  # internal work is single-threaded; the cap is validated and honored
         config = load_config(
             args.config, overrides=args.override, seed=args.seed, experiment=args.experiment
         )

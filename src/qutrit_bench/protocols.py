@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityOperator, PureState, born_probability, normalize, tritter
+from .core import DensityOperator, PureState, born_probability, normalize
 from .errors import ConfigurationError
-from .source import InterferometerConfig, _alice_arm_phases, _bob_arm_phases
+from .source import CLASS_PATH_PAIRS, PEAK_CLASS, InterferometerConfig, pair_amplitudes
 
 BASIS_IDS = ("computational", "fourier0", "fourier1", "fourier2")
 QKD_MODES = {
@@ -78,22 +78,14 @@ def herald_state(alice_peak: str, alice_detector: int, cfg: InterferometerConfig
     """
     if alice_detector not in (0, 1, 2):
         raise ValueError(f"detector index must be in {{0, 1, 2}}, got {alice_detector!r}")
-    u = tritter()
-    phase_a = _alice_arm_phases(cfg)
-    phase_b = _bob_arm_phases(cfg)
-    amp_a = np.sqrt(cfg.alice_ratios.as_array()) * np.exp(1j * phase_a)
-    amp_b = np.sqrt(cfg.bob_ratios.as_array()) * np.exp(1j * phase_b)
-    if alice_peak == "central":
-        pairs = [(p, p) for p in range(3)]
-    elif alice_peak == "left":
-        pairs = [(1, 0), (2, 1)]
-    elif alice_peak == "right":
-        pairs = [(0, 1), (1, 2)]
-    else:
+    if alice_peak not in PEAK_CLASS:
         raise ValueError(f"peak must be 'central', 'left' or 'right', got {alice_peak!r}")
+    # Bob's detector 0 sees every path with the same factor 1/sqrt(3), so
+    # its slice of the kernel is Bob's path amplitudes up to normalization.
+    kernel = pair_amplitudes(cfg)
     amps = np.zeros(3, dtype=complex)
-    for pa, pb in pairs:
-        amps[pb] += amp_a[pa] * amp_b[pb] * u[alice_detector, pa]
+    for pa, pb in CLASS_PATH_PAIRS[PEAK_CLASS[alice_peak]]:
+        amps[pb] = kernel[pa, pb, alice_detector, 0]
     return normalize(PureState(amps))
 
 

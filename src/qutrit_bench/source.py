@@ -14,7 +14,14 @@ splits the coincidences into five classes:
       +2       (l,s)               no interference
 
 Path pairs within one class are indistinguishable and interfere; classes do
-not.  Because the output couplers are discrete-Fourier unitaries, the medium
+not.  The whole model is one kernel, `pair_amplitudes`: the amplitude of
+each path pair at each detector pair.  The outcome distribution, the peak
+states and the heralded states are sums of its terms over the path pairs
+of one class (`CLASS_PATH_PAIRS`).  The closed-form fringe laws below
+(`coincidence_prob_*`, `fringe_probability`) are the symmetric-coupler
+solutions of the same model.
+
+Because the output couplers are discrete-Fourier unitaries, the medium
 and long two-photon terms acquire detector-dependent offsets
 2*pi*(j+k)/3 and 4*pi*(j+k)/3 relative to the short term, so every central
 coincidence probability depends on the detector pair (j, k) only through
@@ -30,9 +37,10 @@ Convention notes
   joint long-long phase is unchanged) but shift the left/right satellite
   fringes by -2*pi/3 and +2*pi/3, fixing which detector pair sits on a
   fringe maximum at zero dial phases.
-* "left" names the {ms, lm} subspace; whether its histogram bin is drawn at
-  +1 or -1 unit delay is a labeling convention recorded in the
-  interferometer configuration (default +1, matching dt = t_A - t_B).
+* "left" names the {ms, lm} subspace.  Simulated streams always carry it at
+  dt = +1 unit delay (dt = t_A - t_B); `left_peak_delta_sign` in the
+  interferometer configuration only records the axis convention of
+  ingested external records.
 """
 
 from __future__ import annotations
@@ -42,10 +50,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PureState, joint_index, normalize, tritter, wrap_phase
-from .errors import DegenerateStateError, UnsupportedConfigurationError
+from .errors import UnsupportedConfigurationError
 
 PATH_INDEX = {"s": 0, "m": 1, "l": 2}
 PEAK_SIDES = ("left", "right")
+
+# Path pairs (alice_path, bob_path) of each dt class, index 0..4 for
+# dt = -2..+2 unit delays, in ascending Alice path: the first pair is the
+# reference term of a satellite state.
+CLASS_PATH_PAIRS = (
+    ((0, 2),),  # sl
+    ((0, 1), (1, 2)),  # sm, ml: "right"
+    ((0, 0), (1, 1), (2, 2)),  # ss, mm, ll: central
+    ((1, 0), (2, 1)),  # ms, lm: "left"
+    ((2, 0),),  # ls
+)
+PEAK_CLASS = {"right": 1, "central": 2, "left": 3}
 
 # Fixed long-arm trim phases (radians); see the module docstring.
 ALICE_LONG_ARM_TRIM = -2.0 * np.pi / 3.0
@@ -96,8 +116,9 @@ class CouplerRatios:
 class InterferometerConfig:
     """Arm phases, coupler ratios and the unit arm delay for both parties.
 
-    `left_peak_delta_sign` records on which side of the histogram the
-    {ms, lm} subspace is drawn: +1 puts it at dt = +unit_delay.
+    `left_peak_delta_sign` records on which side of the dt axis ingested
+    records carry the {ms, lm} subspace (+1: dt = +unit_delay).  Simulated
+    streams always use +1.
     """
 
     alice: ArmPhases = ArmPhases()
@@ -172,32 +193,39 @@ def detector_pair_phase_offsets(j: int, k: int) -> tuple:
     return chi_m, chi_l
 
 
-@dataclass(frozen=True)
-class DetectorPhaseTable:
-    """Full 3x3 tables of the medium- and long-term coupler offsets."""
-
-    chi_m: np.ndarray
-    chi_l: np.ndarray
-
-
-def detector_phase_table() -> DetectorPhaseTable:
-    chi_m = np.zeros((3, 3))
-    chi_l = np.zeros((3, 3))
-    for j in range(3):
-        for k in range(3):
-            chi_m[j, k], chi_l[j, k] = detector_pair_phase_offsets(j, k)
-    chi_m.setflags(write=False)
-    chi_l.setflags(write=False)
-    return DetectorPhaseTable(chi_m, chi_l)
+def _arm_amplitudes(cfg: InterferometerConfig) -> tuple:
+    """Per-arm amplitudes sqrt(p) e^{i phase} of Alice and Bob (dial + long-arm trim)."""
+    phase_a = np.array([0.0, cfg.alice.phi_m, cfg.alice.phi_l + ALICE_LONG_ARM_TRIM])
+    phase_b = np.array([0.0, cfg.bob.phi_m, cfg.bob.phi_l + BOB_LONG_ARM_TRIM])
+    amp_a = np.sqrt(cfg.alice_ratios.as_array()) * np.exp(1j * phase_a)
+    amp_b = np.sqrt(cfg.bob_ratios.as_array()) * np.exp(1j * phase_b)
+    return amp_a, amp_b
 
 
-def _alice_arm_phases(cfg: InterferometerConfig) -> np.ndarray:
-    """Total per-arm phases on Alice's side (dial + long-arm trim)."""
-    return np.array([0.0, cfg.alice.phi_m, cfg.alice.phi_l + ALICE_LONG_ARM_TRIM])
+def pair_amplitudes(cfg: InterferometerConfig) -> np.ndarray:
+    """Two-photon amplitudes A[alice_path, bob_path, j, k] at detectors (j, k).
+
+    Each path pair carries its coupler weights and arm phases and passes
+    through both output couplers.  Every state and distribution below is a
+    sum of these terms over one dt class of CLASS_PATH_PAIRS.
+    """
+    u = tritter()
+    amp_a, amp_b = _arm_amplitudes(cfg)
+    amps = np.empty((3, 3, 3, 3), dtype=complex)
+    for pa in range(3):
+        for pb in range(3):
+            amps[pa, pb] = amp_a[pa] * amp_b[pb] * np.outer(u[:, pa], u[:, pb])
+    return amps
 
 
-def _bob_arm_phases(cfg: InterferometerConfig) -> np.ndarray:
-    return np.array([0.0, cfg.bob.phi_m, cfg.bob.phi_l + BOB_LONG_ARM_TRIM])
+def _class_state(cls: int, cfg: InterferometerConfig, j: int, k: int) -> np.ndarray:
+    """9-vector of one dt class's path-pair amplitudes at detectors (j, k)."""
+    _check_detector_indices(j, k)
+    amps = pair_amplitudes(cfg)
+    state = np.zeros((3, 3), dtype=complex)
+    for pa, pb in CLASS_PATH_PAIRS[cls]:
+        state[pa, pb] = amps[pa, pb, j, k]
+    return state.reshape(9)
 
 
 def central_state(cfg: InterferometerConfig, j: int, k: int) -> PureState:
@@ -211,22 +239,7 @@ def central_state(cfg: InterferometerConfig, j: int, k: int) -> PureState:
 
     normalized.  The long-arm trims cancel between the parties here.
     """
-    _check_detector_indices(j, k)
-    chi_m, chi_l = detector_pair_phase_offsets(j, k)
-    weights = np.sqrt(cfg.alice_ratios.as_array() * cfg.bob_ratios.as_array())
-    if np.max(weights) == 0.0:
-        raise DegenerateStateError("all joint path weights vanish")
-    phases = np.array(
-        [
-            0.0,
-            cfg.alice.phi_m + cfg.bob.phi_m + chi_m,
-            cfg.alice.phi_l + cfg.bob.phi_l + chi_l,
-        ]
-    )
-    amps = np.zeros(9, dtype=complex)
-    for p in range(3):
-        amps[joint_index(p, p)] = weights[p] * np.exp(1j * phases[p])
-    return normalize(PureState(amps))
+    return normalize(PureState(_class_state(PEAK_CLASS["central"], cfg, j, k)))
 
 
 def satellite_phase(side: str, cfg: InterferometerConfig, j: int, k: int) -> float:
@@ -248,32 +261,20 @@ def satellite_phase(side: str, cfg: InterferometerConfig, j: int, k: int) -> flo
     return a.phi_m + (b.phi_l - b.phi_m) + chi_m + BOB_LONG_ARM_TRIM
 
 
-_SATELLITE_PAIRS = {
-    # (alice_path, bob_path) index pairs: reference term first.
-    "left": ((1, 0), (2, 1)),  # {ms, lm}
-    "right": ((0, 1), (1, 2)),  # {sm, ml}
-}
-
-
 def satellite_state(side: str, cfg: InterferometerConfig, j: int, k: int) -> PureState:
     """Post-selected two-photon state of a satellite peak at detectors (j, k).
 
     A two-term superposition on the side's path pairs, e.g. for the left
     peak (|ms> + e^{i theta} |lm>) / sqrt(2) at symmetric couplers, with
-    theta = satellite_phase(side, cfg, j, k).
+    theta = satellite_phase(side, cfg, j, k).  The global phase makes the
+    reference term (ms or sm) real and positive.
     """
-    theta = satellite_phase(side, cfg, j, k)
-    (a0, b0), (a1, b1) = _SATELLITE_PAIRS[side]
-    pa = cfg.alice_ratios.as_array()
-    pb = cfg.bob_ratios.as_array()
-    w0 = np.sqrt(pa[a0] * pb[b0])
-    w1 = np.sqrt(pa[a1] * pb[b1])
-    if max(w0, w1) == 0.0:
-        raise DegenerateStateError("both satellite path weights vanish")
-    amps = np.zeros(9, dtype=complex)
-    amps[joint_index(a0, b0)] = w0
-    amps[joint_index(a1, b1)] = w1 * np.exp(1j * theta)
-    return normalize(PureState(amps))
+    if side not in PEAK_SIDES:
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    cls = PEAK_CLASS[side]
+    amps = _class_state(cls, cfg, j, k)
+    ref = amps[joint_index(*CLASS_PATH_PAIRS[cls][0])]
+    return normalize(PureState(amps * np.exp(-1j * np.angle(ref))))
 
 
 def effective_phases(cfg: InterferometerConfig, j: int, k: int) -> EffectivePhasePair:
@@ -360,23 +361,13 @@ def joint_distribution(cfg: InterferometerConfig, lam: float) -> np.ndarray:
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {lam!r}")
-    u = tritter()
-    phase_a = _alice_arm_phases(cfg)
-    phase_b = _bob_arm_phases(cfg)
-    amp_a = np.sqrt(cfg.alice_ratios.as_array()) * np.exp(1j * phase_a)
-    amp_b = np.sqrt(cfg.bob_ratios.as_array()) * np.exp(1j * phase_b)
-
-    pure = np.zeros((5, 3, 3))
-    class_weight = np.zeros(5)
-    for cls in range(5):
-        m = cls - 2
-        pairs = [(pa, pa - m) for pa in range(3) if 0 <= pa - m <= 2]
-        # Coherent sum over indistinguishable path pairs of this dt class.
-        amp_jk = np.zeros((3, 3), dtype=complex)
-        for pa, pb in pairs:
-            amp_jk += amp_a[pa] * amp_b[pb] * np.outer(u[:, pa], u[:, pb])
-            class_weight[cls] += (abs(amp_a[pa]) * abs(amp_b[pb])) ** 2
-        pure[cls] = np.abs(amp_jk) ** 2
+    amps = pair_amplitudes(cfg)
+    amp_a, amp_b = _arm_amplitudes(cfg)
+    # Coherent sum over the indistinguishable path pairs of each dt class.
+    pure = np.array([np.abs(sum(amps[pair] for pair in pairs)) ** 2 for pairs in CLASS_PATH_PAIRS])
+    class_weight = np.array(
+        [sum((abs(amp_a[pa]) * abs(amp_b[pb])) ** 2 for pa, pb in pairs) for pairs in CLASS_PATH_PAIRS]
+    )
 
     noise = class_weight[:, None, None] * np.ones((1, 3, 3)) / 9.0
     dist = lam * pure + (1.0 - lam) * noise

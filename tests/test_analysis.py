@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from qutrit_bench.analysis import (
     lambda_from_visibility,
     local_deterministic_values,
     optimize_cglmp,
+    periodogram,
     phase_ratio,
     sigma_violation,
     visibility,
@@ -190,6 +193,13 @@ class TestPhaseRatio:
         f = dominant_frequency(u, counts)
         assert f / (2 * np.pi) == pytest.approx(5.25, rel=0.01)
 
+    def test_periodogram_uses_no_deprecated_scipy_argument(self):
+        u = np.linspace(0.0, 1.0, 300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            _, power = periodogram(u, 10.0 + 4.0 * np.cos(2 * np.pi * 5.0 * u))
+        assert np.all(np.isfinite(power))
+
 
 MAXENT_I3 = 4.0 / (6.0 * np.sqrt(3.0) - 9.0)  # closed form of the qutrit maximum
 
@@ -206,6 +216,11 @@ class TestBellFunctional:
         optimum = optimize_cglmp()
         assert optimum.value == pytest.approx(2.8729, abs=1e-3)
         assert optimum.value == pytest.approx(MAXENT_I3, abs=1e-6)
+
+    def test_optimum_settings_reach_optimum_value(self):
+        optimum = optimize_cglmp()
+        rho = add_white_noise(maximally_entangled_pair(), 1.0)
+        assert cglmp_value(rho, optimum.settings) == pytest.approx(optimum.value, abs=1e-12)
 
     def test_known_linear_settings_reach_maximum(self):
         # the equally-spaced phase settings are optimal for the maximally

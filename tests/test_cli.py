@@ -83,11 +83,6 @@ class TestExitCodes:
         assert run_cli(["bell", "--config", cfg, "--out", tmp_path / "out"]) == 3
         assert "error_code=runtime_error" in capsys.readouterr().err
 
-    def test_thread_cap_env_validated(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("QUTRIT_BENCH_THREADS", "zero")
-        cfg = write_config(tmp_path, {"experiment": "histogram", "run": BASE_RUN})
-        assert run_cli(["histogram", "--config", cfg, "--out", tmp_path / "out"]) == 2
-
 
 class TestScanOutputs:
     def scan_config(self, seed=5):
@@ -149,6 +144,23 @@ class TestScanOutputs:
         for name in ("central_00", "left_00", "right_00"):
             assert fits[name]["visibility"] < 0.3  # Poisson-noise floor only
         assert fits["central_00"]["lambda_hat"] < 0.05
+
+    def test_left_peak_sign_does_not_swap_satellite_channels(self, tmp_path):
+        # simulated streams carry the left subspace at dt = +1 whatever the sign
+        config = self.scan_config(seed=11)
+        config["scan_spec"]["channels"] = [
+            {"peak": "left", "j": 0, "k": 0},
+            {"peak": "right", "j": 0, "k": 0},
+        ]
+        outputs = {}
+        for sign in (1, -1):
+            config["run"]["interferometer"] = {"left_peak_delta_sign": sign}
+            cfg = write_config(tmp_path, config, name=f"sign{sign}.json")
+            out = tmp_path / f"sign{sign}"
+            assert run_cli(["scan", "--config", cfg, "--out", out]) == 0
+            outputs[sign] = out
+        for name in ("scan_left_00.csv", "scan_right_00.csv"):
+            assert (outputs[1] / name).read_bytes() == (outputs[-1] / name).read_bytes(), name
 
     def test_manifest_lists_outputs(self, tmp_path):
         cfg = write_config(tmp_path, self.scan_config())

@@ -20,7 +20,6 @@ from qutrit_bench.source import (
     coincidence_prob_satellite,
     delta_t,
     detector_pair_phase_offsets,
-    detector_phase_table,
     effective_phases,
     fringe_probability,
     joint_distribution,
@@ -55,10 +54,10 @@ class TestPhaseOffsets:
         assert chi_l == pytest.approx(2 * TWO_PI_THIRD, abs=1e-12)
 
     def test_all_entries_are_two_pi_third_multiples(self):
-        table = detector_phase_table()
-        for arr in (table.chi_m, table.chi_l):
-            remainder = np.abs(wrap_phase(arr * 3.0))  # 3*chi = 0 mod 2*pi
-            assert np.max(remainder) < 1e-12
+        for j in range(3):
+            for k in range(3):
+                for chi in detector_pair_phase_offsets(j, k):
+                    assert abs(wrap_phase(chi * 3.0)) < 1e-12  # 3*chi = 0 mod 2*pi
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
@@ -130,6 +129,12 @@ class TestSatelliteState:
     def test_bad_side_rejected(self):
         with pytest.raises(ValueError):
             satellite_state("up", InterferometerConfig(), 0, 0)
+
+    def test_all_weights_zero_rejected(self):
+        # the left pairs ms and lm both need Alice's medium or long arm
+        cfg = InterferometerConfig(alice_ratios=CouplerRatios(1.0, 0.0, 0.0))
+        with pytest.raises(DegenerateStateError):
+            satellite_state("left", cfg, 0, 0)
 
 
 class TestEffectivePhases:
