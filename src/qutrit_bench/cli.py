@@ -108,7 +108,6 @@ CONFIG_SCHEMA = {
                             "minItems": 3,
                             "maxItems": 3,
                         },
-                        "left_peak_delta_sign": {"enum": [-1, 1]},
                     },
                 },
                 "detectors": {
@@ -188,7 +187,6 @@ DEFAULT_CONFIG = {
             "bob_phases_rad": [0.0, 0.0],
             "alice_ratios": [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
             "bob_ratios": [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
-            "left_peak_delta_sign": 1,
         },
         "detectors": {
             "alice": {"efficiency": 1.0, "dark_rate_hz": 0.0, "jitter_sigma_ps": 0.0},
@@ -210,6 +208,10 @@ DEFAULT_CONFIG = {
     },
     "protocol_spec": {"rounds": 100000, "mode": "four_basis", "eve": {"kind": "none"}, "trace": False},
 }
+
+# Built once: jsonschema.validate would check CONFIG_SCHEMA against its
+# metaschema on every call.  tests/test_cli.py runs that check.
+_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 _REQUIRED_SECTIONS = {
     "histogram": ("run",),
@@ -250,11 +252,10 @@ def load_config(path: str, overrides=(), seed=None, experiment=None) -> dict:
         config.setdefault("run", {})["seed"] = int(seed)
     if experiment is not None:
         config["experiment"] = experiment
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        where = "$." + ".".join(str(p) for p in exc.absolute_path) if exc.absolute_path else "$"
-        raise ConfigurationError(f"config {where}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(config))
+    if error is not None:
+        where = "$." + ".".join(str(p) for p in error.absolute_path) if error.absolute_path else "$"
+        raise ConfigurationError(f"config {where}: {error.message}") from error
     for section in _REQUIRED_SECTIONS[config["experiment"]]:
         if section not in config:
             raise ConfigurationError(f"experiment {config['experiment']!r} requires section {section!r}")
@@ -295,7 +296,6 @@ def build_run_config(config: dict) -> RunConfig:
                 alice_ratios=CouplerRatios(*itf["alice_ratios"]),
                 bob_ratios=CouplerRatios(*itf["bob_ratios"]),
                 unit_delay_ns=float(itf["unit_delay_ns"]),
-                left_peak_delta_sign=int(itf["left_peak_delta_sign"]),
             ),
             alice_detectors=DetectorModel(**run["detectors"]["alice"]),
             bob_detectors=DetectorModel(**run["detectors"]["bob"]),
@@ -407,7 +407,6 @@ def _run_scan(config: dict, out_dir: str, write_files: bool = True):
             alice_ratios=CouplerRatios(*base["alice_ratios"]),
             bob_ratios=CouplerRatios(*base["bob_ratios"]),
             unit_delay_ns=float(base["unit_delay_ns"]),
-            left_peak_delta_sign=int(base["left_peak_delta_sign"]),
         )
         step_cfg = RunConfig(
             pair_rate_hz=run_cfg.pair_rate_hz,
@@ -597,7 +596,7 @@ def main(argv=None) -> int:
         os.makedirs(args.out, exist_ok=True)
         outputs = _COMMANDS[args.experiment](config, args.out)
         _write_manifest(args.out, config, outputs, time.monotonic() - started)
-    except (ConfigurationError, jsonschema.SchemaError, FileNotFoundError) as exc:
+    except (ConfigurationError, FileNotFoundError) as exc:
         print("error_code=config_error", file=sys.stderr)
         print(f"qutrit-bench: {exc}", file=sys.stderr)
         return 2

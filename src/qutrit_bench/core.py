@@ -98,14 +98,18 @@ class DensityOperator:
         return self.matrix.shape[0]
 
 
+_TRITTER = np.exp(2j * np.pi * np.outer(np.arange(3), np.arange(3)) / 3.0) / np.sqrt(3.0)
+_TRITTER.setflags(write=False)
+
+
 def tritter() -> np.ndarray:
     """The symmetric 3x3 coupler unitary (discrete Fourier convention).
 
     Entry (j, p) = exp(i 2*pi j p / 3) / sqrt(3); all magnitudes 1/sqrt(3),
-    relative phases are integer multiples of 2*pi/3.
+    relative phases are integer multiples of 2*pi/3.  The matrix is built
+    once at import and returned read-only.
     """
-    j, p = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")
-    return np.exp(2j * np.pi * j * p / 3.0) / np.sqrt(3.0)
+    return _TRITTER
 
 
 def basis_state(dim: int, index: int) -> PureState:

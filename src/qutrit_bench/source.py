@@ -38,9 +38,8 @@ Convention notes
   fringes by -2*pi/3 and +2*pi/3, fixing which detector pair sits on a
   fringe maximum at zero dial phases.
 * "left" names the {ms, lm} subspace.  Simulated streams always carry it at
-  dt = +1 unit delay (dt = t_A - t_B); `left_peak_delta_sign` in the
-  interferometer configuration only records the axis convention of
-  ingested external records.
+  dt = +1 unit delay (dt = t_A - t_B); `timetags.post_select` takes the
+  axis convention of ingested external records.
 """
 
 from __future__ import annotations
@@ -114,25 +113,17 @@ class CouplerRatios:
 
 @dataclass(frozen=True)
 class InterferometerConfig:
-    """Arm phases, coupler ratios and the unit arm delay for both parties.
-
-    `left_peak_delta_sign` records on which side of the dt axis ingested
-    records carry the {ms, lm} subspace (+1: dt = +unit_delay).  Simulated
-    streams always use +1.
-    """
+    """Arm phases, coupler ratios and the unit arm delay for both parties."""
 
     alice: ArmPhases = ArmPhases()
     bob: ArmPhases = ArmPhases()
     alice_ratios: CouplerRatios = CouplerRatios.symmetric()
     bob_ratios: CouplerRatios = CouplerRatios.symmetric()
     unit_delay_ns: float = 1.2
-    left_peak_delta_sign: int = +1
 
     def __post_init__(self):
         if not self.unit_delay_ns > 0.0:
             raise ValueError(f"unit delay must be positive, got {self.unit_delay_ns!r}")
-        if self.left_peak_delta_sign not in (-1, +1):
-            raise ValueError("left_peak_delta_sign must be +1 or -1")
 
     def has_symmetric_ratios(self) -> bool:
         return self.alice_ratios.is_symmetric() and self.bob_ratios.is_symmetric()

@@ -211,8 +211,18 @@ def find_coincidences(stream: TimeTagStream, max_delta_ps: int) -> CoincidenceSe
     """Pair Alice and Bob tags with |t_A - t_B| <= max_delta_ps.
 
     Raw pairing, no peak-center logic: candidate pairs are matched greedily
-    nearest-first (ties broken by time), each tag consumed at most once.
-    Input must be time-sorted.
+    nearest-first (ties broken by Alice time, then Bob time, then stream
+    order), each tag consumed at most once.  Input must be time-sorted.
+
+    The greedy pass splits along the connected components of the candidate
+    graph.  A candidate whose Alice and Bob tags have no other candidate is
+    a component of its own and is always matched, so all of these 1:1 pairs
+    are taken at once.  Only the contested candidates (those sharing a tag
+    with another candidate) go through the nearest-first loop, in the same
+    global order; components share no tags, so the result equals the
+    greedy pass over all candidates.  Records are ordered by Alice time,
+    ties in greedy order: Alice tags at equal times share one window, so
+    they always fall in the same contested component.
     """
     if not stream.is_sorted():
         raise OrderingError("time-tag stream must be sorted by time")
@@ -233,22 +243,23 @@ def find_coincidences(stream: TimeTagStream, max_delta_ps: int) -> CoincidenceSe
         )
     ai = np.repeat(np.arange(t_a.size), counts)
     bi = np.repeat(lo, counts) + (np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts))
-    dist = np.abs(t_a[ai] - t_b[bi])
-    order = np.lexsort((t_b[bi], t_a[ai], dist))
-
-    used_a = np.zeros(t_a.size, dtype=bool)
-    used_b = np.zeros(t_b.size, dtype=bool)
+    single = (counts[ai] == 1) & (np.bincount(bi, minlength=t_b.size)[bi] == 1)
+    ai_c = ai[~single]
+    bi_c = bi[~single]
+    # lexsort is stable, so sorting the contested subset keeps its global order.
+    order = np.lexsort((t_b[bi_c], t_a[ai_c], np.abs(t_a[ai_c] - t_b[bi_c])))
+    used_a = set()
+    used_b = set()
     picked = []
-    for idx in order:
-        a, b = ai[idx], bi[idx]
-        if used_a[a] or used_b[b]:
+    for idx, a, b in zip(order.tolist(), ai_c[order].tolist(), bi_c[order].tolist()):
+        if a in used_a or b in used_b:
             continue
-        used_a[a] = True
-        used_b[b] = True
+        used_a.add(a)
+        used_b.add(b)
         picked.append(idx)
     picked = np.asarray(picked, dtype=np.int64)
-    a_sel = ai[picked]
-    b_sel = bi[picked]
+    a_sel = np.concatenate([ai[single], ai_c[picked]])
+    b_sel = np.concatenate([bi[single], bi_c[picked]])
     time_order = np.argsort(t_a[a_sel], kind="stable")
     a_sel = a_sel[time_order]
     b_sel = b_sel[time_order]

@@ -40,6 +40,10 @@ class TestTritter:
         u = tritter()
         assert np.max(np.abs(u @ u.conj().T - np.eye(3))) < 1e-12
 
+    def test_built_once_and_read_only(self):
+        assert tritter() is tritter()
+        assert not tritter().flags.writeable
+
 
 class TestNormalize:
     def test_two_component_vector(self):

@@ -1,10 +1,12 @@
-"""The amplitude kernel and the closed-form Bell maximum against references.
+"""The amplitude kernel, the closed-form Bell maximum and the coincidence
+matcher against references.
 
-The reference functions below are frozen copies of the implementations the
-kernel replaced: the hand-written amplitude sums of `joint_distribution`,
+The reference functions below are frozen copies of the implementations
+these replaced: the hand-written amplitude sums of `joint_distribution`,
 the peak-state and herald constructors, the per-element CGLMP probability
-loop, and the multi-start search for the CGLMP maximum.  They stay here as
-test oracles only.
+loop, the multi-start search for the CGLMP maximum, and the greedy
+matching loop over every candidate pair of `find_coincidences`.  They stay
+here as test oracles only.
 """
 
 import numpy as np
@@ -23,6 +25,7 @@ from qutrit_bench.core import (
     normalize,
     tritter,
 )
+from qutrit_bench.errors import OrderingError
 from qutrit_bench.protocols import herald_state
 from qutrit_bench.source import (
     ALICE_LONG_ARM_TRIM,
@@ -35,6 +38,14 @@ from qutrit_bench.source import (
     joint_distribution,
     satellite_phase,
     satellite_state,
+)
+from qutrit_bench.timetags import (
+    CoincidenceSet,
+    DetectorModel,
+    RunConfig,
+    TimeTagStream,
+    find_coincidences,
+    simulate_run,
 )
 
 U = tritter()
@@ -183,6 +194,54 @@ def reference_cglmp_search(n_starts, tol=1e-6, seed=1905):
     return np.array(values)
 
 
+def reference_find_coincidences(stream, max_delta_ps):
+    """Greedy nearest-first matching, one Python step per candidate pair."""
+    if not stream.is_sorted():
+        raise OrderingError("time-tag stream must be sorted by time")
+    is_a = stream.party == 0
+    t_a = stream.time_ps[is_a]
+    t_b = stream.time_ps[~is_a]
+    d_a = stream.detector[is_a]
+    d_b = stream.detector[~is_a]
+
+    lo = np.searchsorted(t_b, t_a - max_delta_ps, side="left")
+    hi = np.searchsorted(t_b, t_a + max_delta_ps, side="right")
+    counts = hi - lo
+    total = int(counts.sum())
+    if total == 0:
+        empty_i = np.empty(0, dtype=np.int64)
+        return CoincidenceSet(
+            np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.uint8), empty_i, empty_i.copy()
+        )
+    ai = np.repeat(np.arange(t_a.size), counts)
+    bi = np.repeat(lo, counts) + (np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts))
+    dist = np.abs(t_a[ai] - t_b[bi])
+    order = np.lexsort((t_b[bi], t_a[ai], dist))
+
+    used_a = np.zeros(t_a.size, dtype=bool)
+    used_b = np.zeros(t_b.size, dtype=bool)
+    picked = []
+    for idx in order:
+        a, b = ai[idx], bi[idx]
+        if used_a[a] or used_b[b]:
+            continue
+        used_a[a] = True
+        used_b[b] = True
+        picked.append(idx)
+    picked = np.asarray(picked, dtype=np.int64)
+    a_sel = ai[picked]
+    b_sel = bi[picked]
+    time_order = np.argsort(t_a[a_sel], kind="stable")
+    a_sel = a_sel[time_order]
+    b_sel = b_sel[time_order]
+    return CoincidenceSet(
+        d_a[a_sel],
+        d_b[b_sel],
+        (t_a[a_sel] - t_b[b_sel]).astype(np.int64),
+        t_a[a_sel].astype(np.int64),
+    )
+
+
 # --------------------------------------------------------------------------
 # Strategies
 # --------------------------------------------------------------------------
@@ -211,6 +270,56 @@ detectors = st.integers(0, 2)
 
 def assert_same_state(state, reference):
     assert np.max(np.abs(state.amplitudes - reference.amplitudes)) < 1e-12
+
+
+# A tag stream is built from segments placed at random offsets, so one
+# stream mixes isolated 1:1 pairs with contested components.  Small time
+# spans give equal timestamps across parties and within one party (same
+# time, different detectors) and dense bursts; chains alternate the
+# parties at a fixed spacing (A-B-A-B...).
+tag = st.tuples(st.integers(0, 1), st.integers(0, 2))
+
+
+@st.composite
+def scattered_segment(draw):
+    span = draw(st.sampled_from([0, 2, 8, 40, 1000]))
+    return [(draw(st.integers(0, span)), *draw(tag)) for _ in range(draw(st.integers(0, 12)))]
+
+
+@st.composite
+def chain_segment(draw):
+    spacing = draw(st.integers(0, 6))
+    first = draw(st.integers(0, 1))
+    n = draw(st.integers(2, 10))
+    return [(i * spacing, (first + i) % 2, draw(st.integers(0, 2))) for i in range(n)]
+
+
+@st.composite
+def burst_segment(draw):
+    party = draw(st.integers(0, 1))
+    others = draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(0, 2)), min_size=2, max_size=10))
+    return [(6, party, draw(st.integers(0, 2)))] + [(6 + dt, 1 - party, det) for dt, det in others]
+
+
+@st.composite
+def tag_streams(draw):
+    segments = draw(
+        st.lists(st.one_of(scattered_segment(), chain_segment(), burst_segment()), max_size=6)
+    )
+    tags = []
+    for segment in segments:
+        offset = draw(st.integers(0, 300))
+        tags.extend((offset + t, party, det) for t, party, det in segment)
+    parties = draw(st.sampled_from(["both", "alice", "bob"]))
+    if parties != "both":
+        tags = [(t, 0 if parties == "alice" else 1, det) for t, _, det in tags]
+    tags.sort(key=lambda item: item[0])  # time only: equal times keep the drawn order
+    time_ps, party, detector = (list(col) for col in zip(*tags)) if tags else ([], [], [])
+    return TimeTagStream(
+        np.array(party, dtype=np.uint8),
+        np.array(detector, dtype=np.uint8),
+        np.array(time_ps, dtype=np.int64),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -273,3 +382,47 @@ def test_search_objective_agrees_with_table_path():
     flat = np.concatenate([optimum.settings.alice, optimum.settings.bob]).ravel()
     table = cglmp_probability_table(rho, optimum.settings)
     assert _i3_pure_maxent(flat) == pytest.approx(_i3_from_table(table), abs=1e-12)
+
+
+# --------------------------------------------------------------------------
+# Coincidence matching
+# --------------------------------------------------------------------------
+
+
+def assert_same_coincidences(found, reference):
+    for name in ("alice_detector", "bob_detector", "delta_t_ps", "abs_time_ps"):
+        got, want = getattr(found, name), getattr(reference, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+@settings(max_examples=500, deadline=None)
+@given(tag_streams(), st.integers(0, 12))
+def test_find_coincidences_matches_reference_loop(stream, max_delta_ps):
+    assert_same_coincidences(
+        find_coincidences(stream, max_delta_ps), reference_find_coincidences(stream, max_delta_ps)
+    )
+
+
+def test_find_coincidences_matches_reference_with_darks_and_jitter():
+    # demos/configs/histogram_realistic.json at a tenth of its duration
+    detectors = DetectorModel(efficiency=0.85, dark_rate_hz=500.0, jitter_sigma_ps=60.0)
+    cfg = RunConfig(
+        pair_rate_hz=2.0e5,
+        duration_s=0.5,
+        seed=42,
+        lam=0.9688,
+        alice_detectors=detectors,
+        bob_detectors=detectors,
+    )
+    stream = simulate_run(cfg)
+    max_delta_ps = 3 * cfg.unit_delay_ps
+    t_a = stream.time_ps[stream.party == 0]
+    t_b = stream.time_ps[stream.party == 1]
+    candidates = np.searchsorted(t_b, t_a + max_delta_ps, side="right") - np.searchsorted(
+        t_b, t_a - max_delta_ps, side="left"
+    )
+    assert np.count_nonzero(candidates > 1) > 20  # the contested path is exercised
+    assert_same_coincidences(
+        find_coincidences(stream, max_delta_ps), reference_find_coincidences(stream, max_delta_ps)
+    )
