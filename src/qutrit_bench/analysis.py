@@ -8,7 +8,8 @@ two-party Bell functional evaluated through phase-plus-coupler
 measurements, and the visibility threshold above which the Bell bound is
 violated.  The Bell maximum of the maximally entangled pair and its
 settings are taken in closed form (Collins, Gisin, Linden, Massar, Popescu,
-PRL 88, 040404 (2002)); no optimizer runs.
+PRL 88, 040404 (2002)); no optimizer runs.  The periodogram and the median
+smoothing are plain numpy; scipy is imported only by `fit_central_fringe`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage, optimize, signal
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import DensityOperator, tritter
 from .errors import DegenerateStateError, FitError, NoFringeError
@@ -97,6 +98,15 @@ def save_scan(scan: FringeScan, path):
             writer.writerow([f"{u:.9g}", f"{c:.9g}"])
 
 
+def _median_smooth(counts: np.ndarray) -> np.ndarray:
+    """Running median over _SMOOTH_WINDOW bins, edges repeated outward.
+
+    An odd window's median is one of its inputs, so no rounding enters.
+    """
+    padded = np.pad(counts, _SMOOTH_WINDOW // 2, mode="edge")
+    return np.median(sliding_window_view(padded, _SMOOTH_WINDOW), axis=1)
+
+
 def visibility(scan: FringeScan) -> FringeFit:
     """Fringe contrast V = (I_max - I_min) / (I_max + I_min) of one scan.
 
@@ -107,7 +117,7 @@ def visibility(scan: FringeScan) -> FringeFit:
     counts = np.asarray(scan.counts, dtype=float)
     if counts.size == 0 or np.all(counts == 0.0):
         raise DegenerateStateError("scan has no counts")
-    smoothed = ndimage.median_filter(counts, size=_SMOOTH_WINDOW, mode="nearest")
+    smoothed = _median_smooth(counts)
     k = max(1, int(round(_EXTREME_FRACTION * counts.size)))
     ordered = np.sort(smoothed)
     i_min = float(np.mean(ordered[:k]))
@@ -152,7 +162,7 @@ def lambda_from_visibility(v: float) -> float:
 
 
 def periodogram(setpoints: np.ndarray, counts: np.ndarray, freqs: np.ndarray = None):
-    """Power of mean-subtracted counts on an explicit angular-frequency grid.
+    """Lomb-Scargle power of mean-subtracted counts on an angular-frequency grid.
 
     A direct frequency scan (not FFT-length-locked) so short or ragged
     scans resolve peaks; returns (freqs, power).
@@ -166,7 +176,26 @@ def periodogram(setpoints: np.ndarray, counts: np.ndarray, freqs: np.ndarray = N
         f_min = 2.0 * np.pi * 0.25 / span
         f_max = np.pi * (u.size - 1) / span  # Nyquist-like bound for ~uniform scans
         freqs = np.linspace(f_min, f_max, 4000)
-    power = signal.lombscargle(u, c - c.mean(), freqs)
+    freqs = np.asarray(freqs, dtype=float)
+    # Lomb-Scargle power with uniform weights and a fixed zero mean, in the
+    # operation order of scipy.signal.lombscargle(normalize="power"), so the
+    # two agree bit for bit (tests/test_references.py).
+    x = u.reshape(-1, 1)
+    weights = np.ones_like(x) * (1.0 / x.size)
+    weights_y = weights * (c - c.mean()).reshape(-1, 1)
+    wt = freqs.reshape(1, -1) * x
+    cos_wt, sin_wt = np.cos(wt), np.sin(wt)
+    cc = np.dot(weights.T, cos_wt * cos_wt)
+    cs = np.dot(weights.T, cos_wt * sin_wt)
+    tau = 0.5 * np.arctan2(2.0 * cs, cc - (1.0 - cc))  # phase that decouples cos and sin
+    wt_tau = wt - tau
+    cos_tau, sin_tau = np.cos(wt_tau), np.sin(wt_tau)
+    yc = np.dot(weights_y.T, cos_tau)
+    ys = np.dot(weights_y.T, sin_tau)
+    cc = np.dot(weights.T, cos_tau * cos_tau)
+    epsneg = np.finfo(float).epsneg  # keeps the divisions finite where cc or ss round to ~0
+    cc, ss = np.maximum(cc, epsneg), np.maximum(1.0 - cc, epsneg)
+    power = np.squeeze(2.0 * ((yc / cc) * yc + (ys / ss) * ys)) * (x.size / 4.0)
     return freqs, power
 
 
@@ -270,6 +299,8 @@ def fit_central_fringe(scan: FringeScan) -> FringeFit:
     slower phase.  Raises FitError on non-convergence or when the relative
     RMS residual exceeds 0.2.
     """
+    from scipy import optimize  # the only scipy use; kept off the import path
+
     u = np.asarray(scan.setpoints, dtype=float)
     counts = np.asarray(scan.counts, dtype=float)
     mean = counts.mean()

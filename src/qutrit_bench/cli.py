@@ -8,12 +8,15 @@ Every run emits its data files (CSV/JSON, plot-ready, no rendering) plus a
 the same config reproduces the data files byte-identically.
 
 Exit codes: 0 success, 2 invalid configuration, 3 runtime/fit failure.
-Errors print a machine-parsable `error_code=` line on stderr.
+Errors print a machine-parsable `error_code=` line on stderr; a runtime
+failure also leaves a `manifest.json` with `error_code`, `message` and an
+empty output list.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import hashlib
 import json
@@ -326,13 +329,15 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _write_manifest(out_dir: str, config: dict, outputs, wall_time_s: float):
+def _write_manifest(out_dir: str, config: dict, outputs, wall_time_s: float, error: dict = None):
+    """Write manifest.json; `error` (error_code, message) marks a failed run."""
     manifest = {
         "config_sha256": _config_hash(config),
         "seed": config["run"]["seed"],
         "tool_version": __version__,
         "outputs": sorted(os.path.basename(p) for p in outputs),
         "wall_time_s": round(wall_time_s, 3),
+        **(error or {}),
     }
     _write_json(manifest, os.path.join(out_dir, "manifest.json"))
 
@@ -589,6 +594,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     started = time.monotonic()
+    config = None
     try:
         config = load_config(
             args.config, overrides=args.override, seed=args.seed, experiment=args.experiment
@@ -601,8 +607,13 @@ def main(argv=None) -> int:
         print(f"qutrit-bench: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime/fit failures map to exit 3
+        message = f"{type(exc).__name__}: {exc}"
         print("error_code=runtime_error", file=sys.stderr)
-        print(f"qutrit-bench: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"qutrit-bench: {message}", file=sys.stderr)
+        if config is not None and os.path.isdir(args.out):
+            error = {"error_code": "runtime_error", "message": message}
+            with contextlib.suppress(OSError):  # the exit code still reports the failure
+                _write_manifest(args.out, config, [], time.monotonic() - started, error)
         return 3
     return 0
 

@@ -76,24 +76,35 @@ class TestExitCodes:
         assert run_cli(["histogram", "--config", missing, "--out", tmp_path / "out"]) == 2
         assert "error_code=config_error" in capsys.readouterr().err
 
+    WEAK_FRINGE_BELL = {
+        "experiment": "bell",
+        "run": dict(BASE_RUN, **{"lambda": 0.05}),
+        "scan_spec": {
+            "phase_drive": {
+                "rate_r_rad_per_s": 4 * np.pi,
+                "rate_l_rad_per_s": 4 * np.pi,
+                "steps": 80,
+                "dwell_s": 0.01,
+            }
+        },
+    }
+
     def test_no_fringe_exits_3(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path,
-            {
-                "experiment": "bell",
-                "run": dict(BASE_RUN, **{"lambda": 0.05}),
-                "scan_spec": {
-                    "phase_drive": {
-                        "rate_r_rad_per_s": 4 * np.pi,
-                        "rate_l_rad_per_s": 4 * np.pi,
-                        "steps": 80,
-                        "dwell_s": 0.01,
-                    }
-                },
-            },
-        )
+        cfg = write_config(tmp_path, self.WEAK_FRINGE_BELL)
         assert run_cli(["bell", "--config", cfg, "--out", tmp_path / "out"]) == 3
         assert "error_code=runtime_error" in capsys.readouterr().err
+
+    def test_runtime_failure_leaves_manifest(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.WEAK_FRINGE_BELL)
+        out = tmp_path / "out"
+        assert run_cli(["bell", "--config", cfg, "--out", out, "--seed", 17]) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error_code"] == "runtime_error"
+        assert "no usable fringe" in manifest["message"]
+        assert manifest["message"] in capsys.readouterr().err
+        assert manifest["outputs"] == []
+        assert manifest["seed"] == 17
+        assert len(manifest["config_sha256"]) == 64
 
 
 class TestScanOutputs:
@@ -166,6 +177,7 @@ class TestScanOutputs:
         assert manifest["seed"] == 5
         assert manifest["tool_version"]
         assert len(manifest["config_sha256"]) == 64
+        assert "error_code" not in manifest
 
 
 class TestDeterminism:

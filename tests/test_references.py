@@ -1,21 +1,28 @@
-"""The amplitude kernel, the closed-form Bell maximum and the coincidence
-matcher against references.
+"""The amplitude kernel, the closed-form Bell maximum, the coincidence
+matcher, the periodogram and the median smoothing against references.
 
 The reference functions below are frozen copies of the implementations
 these replaced: the hand-written amplitude sums of `joint_distribution`,
 the peak-state and herald constructors, the per-element CGLMP probability
 loop, the multi-start search for the CGLMP maximum, and the greedy
 matching loop over every candidate pair of `find_coincidences`.  They stay
-here as test oracles only.
+here as test oracles only.  The numpy periodogram and median smoothing are
+checked for exact equality against the scipy functions they replaced.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy import optimize
+from scipy import ndimage, optimize, signal
 
-from qutrit_bench.analysis import CglmpSettings, cglmp_probability_table, optimize_cglmp
+from qutrit_bench.analysis import (
+    CglmpSettings,
+    _median_smooth,
+    cglmp_probability_table,
+    optimize_cglmp,
+    periodogram,
+)
 from qutrit_bench.core import (
     DensityOperator,
     PureState,
@@ -426,3 +433,46 @@ def test_find_coincidences_matches_reference_with_darks_and_jitter():
     assert_same_coincidences(
         find_coincidences(stream, max_delta_ps), reference_find_coincidences(stream, max_delta_ps)
     )
+
+
+# --------------------------------------------------------------------------
+# Periodogram and median smoothing
+# --------------------------------------------------------------------------
+
+
+@st.composite
+def scans(draw):
+    n = draw(st.integers(2, 120))
+    if draw(st.booleans()):
+        setpoints = np.linspace(0.0, draw(st.floats(0.01, 100.0)), n)
+    else:
+        points = st.floats(0.0, 100.0, allow_nan=False)
+        setpoints = np.sort(draw(st.lists(points, min_size=n, max_size=n)))
+        assume(setpoints[-1] > setpoints[0])
+    if draw(st.booleans()):
+        counts = np.full(n, float(draw(st.integers(0, 1000))))
+    else:
+        counts = np.array(draw(st.lists(st.integers(0, 1000), min_size=n, max_size=n)), dtype=float)
+    return setpoints, counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(scans(), st.none() | st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=50))
+def test_periodogram_is_bit_identical_to_scipy_lombscargle(scan, freqs):
+    u, c = scan
+    freqs, power = periodogram(u, c, None if freqs is None else np.array(freqs))
+    assert np.array_equal(power, signal.lombscargle(u, c - c.mean(), freqs))
+
+
+count_values = st.sampled_from([0.0, 1.0, 2.0, 7.0]) | st.floats(0.0, 1e6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(count_values, min_size=1, max_size=60).map(np.array))
+@example(np.array([5.0]))
+@example(np.array([3.0, 0.0]))
+@example(np.array([0.0, 4.0, 4.0]))
+@example(np.array([0.0, 0.0, 9.0, 0.0]))
+@example(np.array([0.0, 0.0, 0.0, 12.0, 0.0, 0.0, 0.0, 3.0, 3.0, 0.0]))
+def test_median_smoothing_equals_ndimage_median_filter(counts):
+    assert np.array_equal(_median_smooth(counts), ndimage.median_filter(counts, size=5, mode="nearest"))

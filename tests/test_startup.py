@@ -1,0 +1,78 @@
+"""The command-line runner starts without scipy.
+
+Each case runs in a fresh interpreter, so modules imported by the test
+session do not hide what `qutrit_bench` itself loads.
+"""
+
+import json
+import math
+import os
+import subprocess
+import sys
+import textwrap
+
+import qutrit_bench
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(qutrit_bench.__file__)))
+
+SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+RUN = {"pair_rate_hz": 4.0e5, "duration_s": 0.2, "seed": 99, "lambda": 0.9688}
+DRIVE = {"rate_r_rad_per_s": 4 * math.pi, "steps": 60, "dwell_s": 0.005}
+CONFIGS = {
+    "histogram": {"experiment": "histogram", "run": RUN},
+    "qkd": {"experiment": "qkd", "run": RUN, "protocol_spec": {"rounds": 5000, "trace": True}},
+    "bell": {"experiment": "bell", "run": RUN, "scan_spec": {"phase_drive": DRIVE}},
+}
+
+
+def run_fresh(code, *args):
+    """Run `code` in a new interpreter; its last stdout line is a JSON report."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_runs_without_loading_scipy(tmp_path):
+    for name, config in CONFIGS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
+    report = run_fresh(
+        f"""
+        import json, os, sys
+        import qutrit_bench
+        from qutrit_bench import cli
+        root = sys.argv[1]
+        codes = {{
+            name: cli.main([name, "--config", os.path.join(root, name + ".json"), "--out", os.path.join(root, name)])
+            for name in {sorted(CONFIGS)!r}
+        }}
+        print(json.dumps({{"codes": codes, "scipy": {SCIPY_LOADED}}}))
+        """,
+        str(tmp_path),
+    )
+    assert report["codes"] == {name: 0 for name in CONFIGS}
+    assert report["scipy"] == []
+
+
+def test_central_fit_loads_scipy_optimize_on_demand():
+    report = run_fresh(
+        f"""
+        import json, sys
+        import numpy as np
+        from qutrit_bench.analysis import FringeScan, central_fringe_model, fit_central_fringe
+        before = {SCIPY_LOADED}
+        u = np.linspace(0.0, 4.0, 400)
+        fit = fit_central_fringe(FringeScan(u, central_fringe_model(u, 50.0, 0.9, 2 * np.pi, 1.0, 0.3, -0.4)))
+        print(json.dumps({{"before": before, "after": {SCIPY_LOADED}, "lam": fit.lambda_hat}}))
+        """
+    )
+    assert report["before"] == []
+    assert "scipy.optimize" in report["after"]
+    assert abs(report["lam"] - 0.9) < 1e-6
