@@ -41,7 +41,7 @@ from .analysis import (
     visibility_error,
 )
 from .errors import ConfigurationError, FitError
-from .protocols import EveModel, run_coin_toss, run_qkd
+from .protocols import BASIS_IDS, EveModel, run_coin_toss, run_qkd
 from .source import ArmPhases, CouplerRatios, InterferometerConfig
 from .timetags import (
     DetectorModel,
@@ -533,7 +533,7 @@ def cmd_qkd(config: dict, out_dir: str) -> list:
     spec = config["protocol_spec"]
     eve_spec = spec.get("eve", {"kind": "none"})
     eve = (
-        EveModel.intercept_resend(tuple(eve_spec.get("basis_pool", [])))
+        EveModel.intercept_resend(eve_spec.get("basis_pool", BASIS_IDS))
         if eve_spec.get("kind") == "intercept_resend"
         else EveModel.none()
     )

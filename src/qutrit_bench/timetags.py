@@ -21,7 +21,6 @@ import numpy as np
 from .errors import ConfigurationError, OrderingError
 from .source import InterferometerConfig, joint_distribution
 
-PARTY_NAMES = ("alice", "bob")
 _PEAK_MULTIPLIER = {"outer_right": -2, "right": -1, "central": 0, "left": +1, "outer_left": +2}
 
 # Named RNG substreams derived from the master seed; vectorized draws from
@@ -287,6 +286,13 @@ def window_counts(coincidences: CoincidenceSet, center_ps: float, half_width_ps:
     return np.bincount(cells, minlength=9).reshape(3, 3)
 
 
+def _check_peak_half_width(half_width_ps: float, unit_delay_ps: int):
+    if not 0.0 < half_width_ps < unit_delay_ps / 2.0:
+        raise ConfigurationError(
+            f"half width must lie in (0, {unit_delay_ps / 2:.0f}) ps so windows cannot overlap"
+        )
+
+
 def post_select(
     coincidences: CoincidenceSet,
     peak: str,
@@ -304,10 +310,7 @@ def post_select(
         raise ConfigurationError(f"unknown peak {peak!r}; expected one of {sorted(_PEAK_MULTIPLIER)}")
     if left_delta_sign not in (-1, +1):
         raise ConfigurationError("left_delta_sign must be +1 or -1")
-    if not 0.0 < half_width_ps < unit_delay_ps / 2.0:
-        raise ConfigurationError(
-            f"half width must lie in (0, {unit_delay_ps / 2:.0f}) ps so windows cannot overlap"
-        )
+    _check_peak_half_width(half_width_ps, unit_delay_ps)
     center = left_delta_sign * _PEAK_MULTIPLIER[peak] * unit_delay_ps
     return window_counts(coincidences, center, half_width_ps)
 
@@ -331,32 +334,19 @@ def off_peak_background(
 def peak_areas(
     coincidences: CoincidenceSet, half_width_ps: float, unit_delay_ps: int
 ) -> dict:
-    """Total counts inside each of the five peak windows."""
-    return {
-        peak: int(post_select(coincidences, peak, half_width_ps, unit_delay_ps).sum())
-        for peak in _PEAK_MULTIPLIER
-    }
+    """Total counts inside each of the five peak windows.
 
-
-def write_timetags_csv(stream: TimeTagStream, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["party", "detector", "time_ps"])
-        for p, d, t in zip(stream.party, stream.detector, stream.time_ps):
-            writer.writerow([PARTY_NAMES[p], int(d), int(t)])
-
-
-def write_coincidences_csv(coincidences: CoincidenceSet, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["jA", "kB", "delta_t_ps", "abs_time_ps"])
-        for j, k, dt, t in zip(
-            coincidences.alice_detector,
-            coincidences.bob_detector,
-            coincidences.delta_t_ps,
-            coincidences.abs_time_ps,
-        ):
-            writer.writerow([int(j), int(k), int(dt), int(t)])
+    One pass: each record takes its nearest peak index by integer rounding
+    and counts if it lies within `half_width_ps` of that peak.  Windows
+    narrower than half the unit delay are disjoint, so this equals
+    `post_select(...).sum()` for each peak.
+    """
+    _check_peak_half_width(half_width_ps, unit_delay_ps)
+    dt = coincidences.delta_t_ps
+    nearest = (dt + unit_delay_ps // 2) // unit_delay_ps
+    inside = (np.abs(nearest) <= 2) & (np.abs(dt - nearest * unit_delay_ps) <= half_width_ps)
+    counts = np.bincount(nearest[inside] + 2, minlength=5)
+    return {peak: int(counts[m + 2]) for peak, m in _PEAK_MULTIPLIER.items()}
 
 
 def write_histogram_csv(histogram: Histogram, path):

@@ -261,6 +261,34 @@ class TestProtocolCommands:
         trace = (out / "qkd_rounds.csv").read_text().splitlines()
         assert trace[0] == "round,alice_basis,bob_basis,alice_trit,bob_trit,sifted"
 
+    def qkd_eve_config(self, tmp_path, eve, name):
+        config = {
+            "experiment": "qkd",
+            "run": BASE_RUN,
+            "protocol_spec": {"rounds": 30000, "mode": "four_basis", "eve": eve},
+        }
+        return write_config(tmp_path, config, name)
+
+    def test_intercept_resend_without_pool_uses_all_four_bases(self, tmp_path):
+        implicit = self.qkd_eve_config(tmp_path, {"kind": "intercept_resend"}, "implicit.json")
+        explicit = self.qkd_eve_config(
+            tmp_path,
+            {"kind": "intercept_resend", "basis_pool": ["computational", "fourier0", "fourier1", "fourier2"]},
+            "explicit.json",
+        )
+        assert run_cli(["qkd", "--config", implicit, "--out", tmp_path / "implicit"]) == 0
+        assert run_cli(["qkd", "--config", explicit, "--out", tmp_path / "explicit"]) == 0
+        summary = (tmp_path / "implicit" / "qkd_summary.json").read_bytes()
+        assert summary == (tmp_path / "explicit" / "qkd_summary.json").read_bytes()
+        assert json.loads(summary)["qber"] > 0.2  # the attacker is active at lambda = 1
+
+    def test_intercept_resend_with_empty_pool_exits_2(self, tmp_path, capsys):
+        cfg = self.qkd_eve_config(tmp_path, {"kind": "intercept_resend", "basis_pool": []}, "empty.json")
+        assert run_cli(["qkd", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert "error_code=config_error" in err
+        assert "non-empty basis pool" in err
+
     def test_toss_outputs(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ import pytest
 from qutrit_bench.core import DensityOperator, PureState, born_probability, normalize
 from qutrit_bench.errors import ConfigurationError
 from qutrit_bench.protocols import (
+    BASIS_IDS,
     BOB_TRIT_OF_PATH,
     EveModel,
+    _write_qkd_trace,
     coin_toss_prepared_state,
     herald_state,
     mub_bases,
@@ -160,6 +163,26 @@ class TestQkd:
         assert lines[0] == "round,alice_basis,bob_basis,alice_trit,bob_trit,sifted"
         n_kept = len(lines) - 1
         assert n_kept == round(summary.postselect_ratio * summary.rounds)
+
+    def test_trace_writer_memory_is_bounded(self, tmp_path):
+        # A million four-basis rounds keep about 333k: an 11.4 MB file, of
+        # which the writer may hold only blocks, next to the 2.7 MB of
+        # kept-round indices.
+        rng = np.random.default_rng(17)
+        kept = rng.random(1_000_000) < 1.0 / 3.0
+        n_kept = int(kept.sum())
+        alice_basis, bob_basis = rng.integers(0, 4, size=(2, n_kept))
+        alice_trit, bob_trit = rng.integers(0, 3, size=(2, n_kept))
+        sifted = alice_basis == bob_basis
+        path = tmp_path / "rounds.csv"
+        tracemalloc.start()
+        try:
+            _write_qkd_trace(path, kept, BASIS_IDS, alice_basis, bob_basis, alice_trit, bob_trit, sifted)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 11_000_000
+        assert peak < 6_000_000
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -1,14 +1,21 @@
 """The amplitude kernel, the closed-form Bell maximum, the coincidence
-matcher, the periodogram and the median smoothing against references.
+matcher, the peak areas, the QKD trace writer, the periodogram and the
+median smoothing against references.
 
 The reference functions below are frozen copies of the implementations
 these replaced: the hand-written amplitude sums of `joint_distribution`,
 the peak-state and herald constructors, the per-element CGLMP probability
-loop, the multi-start search for the CGLMP maximum, and the greedy
-matching loop over every candidate pair of `find_coincidences`.  They stay
-here as test oracles only.  The numpy periodogram and median smoothing are
+loop, the multi-start search for the CGLMP maximum, the greedy matching
+loop over every candidate pair of `find_coincidences`, the five-window
+`peak_areas` and the row-by-row `csv.writer` QKD trace.  They stay here
+as test oracles only.  The numpy periodogram and median smoothing are
 checked for exact equality against the scipy functions they replaced.
 """
+
+import csv
+import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +40,8 @@ from qutrit_bench.core import (
     tritter,
 )
 from qutrit_bench.errors import OrderingError
-from qutrit_bench.protocols import herald_state
+from qutrit_bench import protocols
+from qutrit_bench.protocols import BASIS_IDS, QKD_MODES, EveModel, herald_state, run_qkd
 from qutrit_bench.source import (
     ALICE_LONG_ARM_TRIM,
     BOB_LONG_ARM_TRIM,
@@ -52,6 +60,8 @@ from qutrit_bench.timetags import (
     RunConfig,
     TimeTagStream,
     find_coincidences,
+    peak_areas,
+    post_select,
     simulate_run,
 )
 
@@ -249,6 +259,33 @@ def reference_find_coincidences(stream, max_delta_ps):
     )
 
 
+def reference_peak_areas(coincidences, half_width_ps, unit_delay_ps):
+    """One window scan per peak."""
+    return {
+        peak: int(post_select(coincidences, peak, half_width_ps, unit_delay_ps).sum())
+        for peak in ("outer_right", "right", "central", "left", "outer_left")
+    }
+
+
+def reference_write_qkd_trace(path, kept, pool, alice_basis, bob_basis, alice_trit, bob_trit, sifted):
+    """One `csv.writer.writerow` per post-selected round."""
+    kept_rounds = np.flatnonzero(kept)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["round", "alice_basis", "bob_basis", "alice_trit", "bob_trit", "sifted"])
+        for i, rnd in enumerate(kept_rounds):
+            writer.writerow(
+                [
+                    int(rnd),
+                    pool[alice_basis[i]],
+                    pool[bob_basis[i]],
+                    int(alice_trit[i]),
+                    int(bob_trit[i]),
+                    int(sifted[i]),
+                ]
+            )
+
+
 # --------------------------------------------------------------------------
 # Strategies
 # --------------------------------------------------------------------------
@@ -433,6 +470,94 @@ def test_find_coincidences_matches_reference_with_darks_and_jitter():
     assert_same_coincidences(
         find_coincidences(stream, max_delta_ps), reference_find_coincidences(stream, max_delta_ps)
     )
+
+
+# --------------------------------------------------------------------------
+# Peak areas
+# --------------------------------------------------------------------------
+
+
+@st.composite
+def peak_window_records(draw):
+    """dt values around the five peaks, many exactly on a window edge."""
+    unit = draw(st.integers(4, 2400))
+    if draw(st.booleans()):
+        half_width = float(draw(st.integers(1, (unit - 1) // 2)))
+    else:
+        half_width = draw(st.floats(0.0, unit / 2.0, exclude_min=True, exclude_max=True))
+    offsets = {int(np.floor(half_width)), int(np.ceil(half_width)), int(np.floor(half_width)) + 1}
+    offsets |= {unit // 2, unit // 2 + 1, (unit + 1) // 2}
+    edges = [m * unit + sign * off for m in range(-3, 4) for sign in (-1, 1) for off in offsets]
+    dt = draw(st.lists(st.sampled_from(edges) | st.integers(-4 * unit, 4 * unit), max_size=300))
+    n = len(dt)
+    coincidences = CoincidenceSet(
+        (np.arange(n) % 3).astype(np.uint8),
+        (np.arange(n) // 3 % 3).astype(np.uint8),
+        np.array(dt, dtype=np.int64),
+        np.arange(n, dtype=np.int64),
+    )
+    return coincidences, half_width, unit
+
+
+@settings(max_examples=500, deadline=None)
+@given(peak_window_records())
+def test_peak_areas_match_five_window_reference(records):
+    coincidences, half_width, unit = records
+    got = peak_areas(coincidences, half_width, unit)
+    assert list(got.items()) == list(reference_peak_areas(coincidences, half_width, unit).items())
+
+
+# --------------------------------------------------------------------------
+# QKD round trace
+# --------------------------------------------------------------------------
+
+
+def rounds_keeping(seed, n_kept):
+    """The fewest rounds for which `run_qkd` post-selects exactly `n_kept`.
+
+    Repeats run_qkd's first draw, one uniform per round kept below the
+    central share; rounds are drawn in order, so a shorter run keeps a
+    prefix of a longer one.  For `n_kept` 0 this is the number of rounds
+    before the first kept one, which is 0 when the very first is kept.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 101)))
+    kept_at = np.flatnonzero(rng.random(3 * n_kept + 2000) < protocols._CENTRAL_SHARE)
+    return int(kept_at[0]) if n_kept == 0 else int(kept_at[n_kept - 1]) + 1
+
+
+@st.composite
+def qkd_round_counts(draw):
+    """(seed, rounds, expected kept rounds or None)."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    size = draw(st.sampled_from(["any", "none kept", "block edge"]))
+    if size == "any":
+        return seed, draw(st.integers(1, 5000)), None
+    block = protocols._TRACE_BLOCK_ROWS
+    n_kept = 0 if size == "none kept" else draw(st.integers(1, 3)) * block + draw(st.integers(-1, 1))
+    rounds = rounds_keeping(seed, n_kept)
+    assume(rounds > 0)
+    return seed, rounds, n_kept
+
+
+eve_models = st.just(EveModel.none()) | st.lists(
+    st.sampled_from(BASIS_IDS), min_size=1, max_size=len(BASIS_IDS), unique=True
+).map(EveModel.intercept_resend)
+
+
+@settings(max_examples=200, deadline=None)
+@given(qkd_round_counts(), st.sampled_from(sorted(QKD_MODES)), st.floats(0.0, 1.0), eve_models)
+def test_qkd_trace_is_byte_identical_to_csv_writer(counts, mode, lam, eve):
+    seed, rounds, n_kept = counts
+    with tempfile.TemporaryDirectory() as tmp:
+        fast, slow = os.path.join(tmp, "fast.csv"), os.path.join(tmp, "reference.csv")
+        summary = run_qkd(rounds, mode, lam, eve, seed, trace_path=fast)
+        with mock.patch.object(protocols, "_write_qkd_trace", reference_write_qkd_trace):
+            assert run_qkd(rounds, mode, lam, eve, seed, trace_path=slow) == summary
+        with open(fast, "rb") as fh_fast, open(slow, "rb") as fh_slow:
+            data = fh_fast.read()
+            assert data == fh_slow.read()
+    if n_kept is not None:
+        assert data.count(b"\r\n") == n_kept + 1  # header plus one row per kept round
 
 
 # --------------------------------------------------------------------------
