@@ -175,6 +175,8 @@ def periodogram(setpoints: np.ndarray, counts: np.ndarray, freqs: np.ndarray = N
     if freqs is None:
         f_min = 2.0 * np.pi * 0.25 / span
         f_max = np.pi * (u.size - 1) / span  # Nyquist-like bound for ~uniform scans
+        if not np.isfinite(f_max):  # f_max >= f_min, so the whole grid is finite past here
+            raise ValueError(f"setpoint span {span!r} is too small for a finite frequency grid")
         freqs = np.linspace(f_min, f_max, 4000)
     freqs = np.asarray(freqs, dtype=float)
     # Lomb-Scargle power with uniform weights and a fixed zero mean, in the
