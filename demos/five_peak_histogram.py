@@ -47,7 +47,7 @@ for peak, multiplier in (
         f"   fraction {area / total:.4f}"
     )
 
-hist = build_histogram(coincidences, bin_width_ps=100.0)
+hist = build_histogram(coincidences, unit_delay_ps=unit_ps)  # 12 bins of 100 ps per unit
 print("\nhistogram bins around the central peak:")
 for i in sorted(hist.bins):
     center = hist.bin_center_ps(i)

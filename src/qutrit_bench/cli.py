@@ -259,6 +259,11 @@ def load_config(path: str, overrides=(), seed=None, experiment=None) -> dict:
     if error is not None:
         where = "$." + ".".join(str(p) for p in error.absolute_path) if error.absolute_path else "$"
         raise ConfigurationError(f"config {where}: {error.message}") from error
+    eve = config.get("protocol_spec", {}).get("eve", {})
+    if "basis_pool" in eve and eve.get("kind") != "intercept_resend":
+        raise ConfigurationError(
+            "config $.protocol_spec.eve: basis_pool applies only to kind 'intercept_resend'"
+        )
     for section in _REQUIRED_SECTIONS[config["experiment"]]:
         if section not in config:
             raise ConfigurationError(f"experiment {config['experiment']!r} requires section {section!r}")
@@ -353,7 +358,7 @@ def cmd_histogram(config: dict, out_dir: str) -> list:
     stream = simulate_run(run_cfg)
     unit_ps = run_cfg.unit_delay_ps
     coincidences = find_coincidences(stream, max_delta_ps=3 * unit_ps)
-    histogram = build_histogram(coincidences, bin_width_ps=unit_ps / 12.0)
+    histogram = build_histogram(coincidences, unit_ps)
     half_width = run_cfg.coincidence_window_ps / 2.0
     areas = peak_areas(coincidences, half_width, unit_ps)
 
@@ -386,12 +391,15 @@ def _run_scan(config: dict, out_dir: str, write_files: bool = True):
 
     The drive replaces Alice's dial trajectory (alpha_m = rate_r * t,
     alpha_l = (rate_r + rate_l) * t, so the two effective phases advance at
-    rate_r and rate_l); Bob's dials stay at their configured values.
+    rate_r and rate_l); Bob's dials stay at their configured values.  Step i
+    simulates under a 64-bit seed drawn from SeedSequence((seed, i)), so
+    different scan seeds share no step stream.
     """
     run_cfg = build_run_config(config)
     spec = config["scan_spec"]
     drive = spec["phase_drive"]
     channels = [(c["peak"], c["j"], c["k"]) for c in spec["channels"]]
+    peaks = dict.fromkeys(peak for peak, _, _ in channels)
     steps = int(drive["steps"])
     dwell = float(drive["dwell_s"])
     rate_r = float(drive["rate_r_rad_per_s"])
@@ -416,7 +424,7 @@ def _run_scan(config: dict, out_dir: str, write_files: bool = True):
         step_cfg = RunConfig(
             pair_rate_hz=run_cfg.pair_rate_hz,
             duration_s=dwell,
-            seed=run_cfg.seed + i,
+            seed=int(np.random.SeedSequence((run_cfg.seed, i)).generate_state(1, np.uint64)[0]),
             coincidence_window_ps=run_cfg.coincidence_window_ps,
             interferometer=step_itf,
             lam=run_cfg.lam,
@@ -426,10 +434,10 @@ def _run_scan(config: dict, out_dir: str, write_files: bool = True):
         stream = simulate_run(step_cfg)
         coincidences = find_coincidences(stream, max_delta_ps=3 * unit_ps)
         flat = off_peak_background(coincidences, half_width, unit_ps)
+        # simulate_run always puts the left subspace at dt = +1 unit delay.
+        tables = {peak: post_select(coincidences, peak, half_width, unit_ps) for peak in peaks}
         for peak, j, k in channels:
-            # simulate_run always puts the left subspace at dt = +1 unit delay.
-            table = post_select(coincidences, peak, half_width, unit_ps)
-            counts[(peak, j, k)][i] = table[j, k]
+            counts[(peak, j, k)][i] = tables[peak][j, k]
             background[(peak, j, k)][i] = flat[j, k]
 
     scans = {ch: FringeScan(setpoints, counts[ch]) for ch in channels}

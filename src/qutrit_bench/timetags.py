@@ -9,6 +9,14 @@ binning and per-peak post-selection operate on such streams.
 All times are integer picoseconds: comparisons are exact, binning is
 reproducible, and long runs accumulate no float drift.  Identical
 configurations (including the seed) produce byte-identical streams.
+
+`simulate_run` packs each tag into one int64 key, time_ps * 8 + party * 4 +
+detector, sorts the keys once and decodes the arrays from them: time_ps =
+key >> 3 (an arithmetic shift, exact for negative times), party = bit 2 and
+detector = bits 0-1.  Equal keys are identical tags, so any sort gives the
+same stream, ordered by (time, party, detector).  The key fits an int64
+while every tag time lies within +-2**60 ps (about 13 days), so `RunConfig`
+rejects a duration, unit delay and jitter that could leave that range.
 """
 
 from __future__ import annotations
@@ -30,6 +38,18 @@ _STREAM_OUTCOME = 1
 _STREAM_JITTER = 2
 _STREAM_EFFICIENCY = 3
 _STREAM_DARK = 4
+
+# Outcome o = 9 * dt class + 3 * detector_A + detector_B (the flattened joint
+# distribution), dt class 0..4 for -2..+2 unit delays; key parts per outcome.
+_OUTCOME = np.arange(45)
+_OUTCOME_DT_UNITS = _OUTCOME // 9 - 2
+_OUTCOME_KEY_A = _OUTCOME % 9 // 3
+_OUTCOME_KEY_B = 4 + _OUTCOME % 3
+
+BINS_PER_UNIT = 12  # histogram bins per unit delay
+
+# Tag times must stay inside +-2**60 ps so the packed key fits an int64.
+_TIME_LIMIT_PS = 2**60
 
 
 @dataclass(frozen=True)
@@ -77,6 +97,14 @@ class RunConfig:
                 "coincidence window must be positive and below half the unit delay "
                 f"({unit_ps / 2:.0f} ps) so peaks cannot merge; got {self.coincidence_window_ps!r}"
             )
+        # Emissions lie in [0, duration), Bob's tags shift by up to two unit
+        # delays, and numpy's normal sampler stays well inside 64 sigma.
+        sigma_ps = max(self.alice_detectors.jitter_sigma_ps, self.bob_detectors.jitter_sigma_ps)
+        if not self.duration_s * 1e12 + 2.0 * unit_ps + 64.0 * sigma_ps < _TIME_LIMIT_PS:
+            raise ConfigurationError(
+                "duration, unit delay and jitter let tag times leave +-2**60 ps "
+                f"(about {_TIME_LIMIT_PS / 1e12 / 86400:.1f} days)"
+            )
 
     @property
     def unit_delay_ps(self) -> int:
@@ -103,7 +131,8 @@ class TimeTagStream:
         return self.time_ps.size
 
     def is_sorted(self) -> bool:
-        return bool(np.all(np.diff(self.time_ps) >= 0))
+        t = self.time_ps
+        return bool(np.all(t[1:] >= t[:-1]))
 
 
 @dataclass(frozen=True)
@@ -153,57 +182,55 @@ def simulate_run(cfg: RunConfig) -> TimeTagStream:
     detector pair follow the source model's joint distribution at mixing
     weight `lam`; each detection survives independently with the party's
     efficiency and is smeared by Gaussian jitter; dark counts are injected
-    per detector.  Output is sorted by (time, party, detector).
+    per detector.  Output is sorted by (time, party, detector): one sort of
+    the packed tag keys (see the module docstring).
     """
     unit_ps = cfg.unit_delay_ps
     duration_ps = int(round(cfg.duration_s * 1e12))
 
     rng = _substream(cfg.seed, _STREAM_EMISSION)
     n_pairs = int(rng.poisson(cfg.pair_rate_hz * cfg.duration_s))
-    emit_ps = np.sort(rng.integers(0, duration_ps, size=n_pairs, dtype=np.int64))
+    emit_key = np.sort(rng.integers(0, duration_ps, size=n_pairs, dtype=np.int64)) * 8
 
     dist = joint_distribution(cfg.interferometer, cfg.lam).reshape(45)
     rng = _substream(cfg.seed, _STREAM_OUTCOME)
     outcome = rng.choice(45, size=n_pairs, p=dist / dist.sum())
-    dt_units = outcome // 9 - 2
-    det_a = (outcome % 9) // 3
-    det_b = outcome % 3
 
     # Only the path-delay difference is physical for a CW-pumped pair; the
     # emission time itself is undefined, so Alice carries the full offset.
-    t_a = emit_ps.copy()
-    t_b = emit_ps - dt_units.astype(np.int64) * unit_ps
+    key_a = emit_key + _OUTCOME_KEY_A[outcome]
+    key_b = emit_key + (_OUTCOME_KEY_B - 8 * unit_ps * _OUTCOME_DT_UNITS)[outcome]
 
-    rng = _substream(cfg.seed, _STREAM_JITTER)
-    if cfg.alice_detectors.jitter_sigma_ps > 0.0:
-        t_a = t_a + np.rint(rng.normal(0.0, cfg.alice_detectors.jitter_sigma_ps, n_pairs)).astype(np.int64)
-    if cfg.bob_detectors.jitter_sigma_ps > 0.0:
-        t_b = t_b + np.rint(rng.normal(0.0, cfg.bob_detectors.jitter_sigma_ps, n_pairs)).astype(np.int64)
+    alice, bob = cfg.alice_detectors, cfg.bob_detectors
+    if alice.jitter_sigma_ps > 0.0 or bob.jitter_sigma_ps > 0.0:
+        rng = _substream(cfg.seed, _STREAM_JITTER)
+        if alice.jitter_sigma_ps > 0.0:
+            key_a += 8 * np.rint(rng.normal(0.0, alice.jitter_sigma_ps, n_pairs)).astype(np.int64)
+        if bob.jitter_sigma_ps > 0.0:
+            key_b += 8 * np.rint(rng.normal(0.0, bob.jitter_sigma_ps, n_pairs)).astype(np.int64)
 
-    rng = _substream(cfg.seed, _STREAM_EFFICIENCY)
-    keep_a = rng.random(n_pairs) < cfg.alice_detectors.efficiency
-    keep_b = rng.random(n_pairs) < cfg.bob_detectors.efficiency
+    # random() < 1.0 always holds, so perfect detectors skip the draws; one
+    # imperfect party draws both masks, keeping Bob's draws where they were.
+    if alice.efficiency < 1.0 or bob.efficiency < 1.0:
+        rng = _substream(cfg.seed, _STREAM_EFFICIENCY)
+        key_a = key_a[rng.random(n_pairs) < alice.efficiency]
+        key_b = key_b[rng.random(n_pairs) < bob.efficiency]
 
-    parts = [
-        (np.zeros(keep_a.sum(), dtype=np.uint8), det_a[keep_a].astype(np.uint8), t_a[keep_a]),
-        (np.ones(keep_b.sum(), dtype=np.uint8), det_b[keep_b].astype(np.uint8), t_b[keep_b]),
-    ]
-    for party, model in ((0, cfg.alice_detectors), (1, cfg.bob_detectors)):
+    keys = [key_a, key_b]
+    for party, model in ((0, alice), (1, bob)):
         if model.dark_rate_hz <= 0.0:
             continue
         for det in range(3):
             rng = _substream(cfg.seed, _STREAM_DARK, (party, det))
             n_dark = int(rng.poisson(model.dark_rate_hz * cfg.duration_s))
             times = rng.integers(0, duration_ps, size=n_dark, dtype=np.int64)
-            parts.append(
-                (np.full(n_dark, party, dtype=np.uint8), np.full(n_dark, det, dtype=np.uint8), times)
-            )
+            keys.append(times * 8 + (4 * party + det))
 
-    party = np.concatenate([p for p, _, _ in parts])
-    detector = np.concatenate([d for _, d, _ in parts])
-    time_ps = np.concatenate([t for _, _, t in parts])
-    order = np.lexsort((detector, party, time_ps))
-    return TimeTagStream(party[order], detector[order], time_ps[order])
+    # Equal keys are identical tags, so the sort's stability does not matter;
+    # "stable" (timsort) is the fastest kind here: the pair parts are long sorted runs.
+    key = np.sort(np.concatenate(keys), kind="stable")
+    low = key.astype(np.uint8)  # the key's low byte, negative times included
+    return TimeTagStream((low >> 2) & 1, low & 3, key >> 3)
 
 
 def find_coincidences(stream: TimeTagStream, max_delta_ps: int) -> CoincidenceSet:
@@ -225,11 +252,11 @@ def find_coincidences(stream: TimeTagStream, max_delta_ps: int) -> CoincidenceSe
     """
     if not stream.is_sorted():
         raise OrderingError("time-tag stream must be sorted by time")
-    is_a = stream.party == 0
-    t_a = stream.time_ps[is_a]
-    t_b = stream.time_ps[~is_a]
-    d_a = stream.detector[is_a]
-    d_b = stream.detector[~is_a]
+    # The party index arrays are temporaries, so the matching does not hold them.
+    (t_a, d_a), (t_b, d_b) = (
+        (stream.time_ps[tags], stream.detector[tags])
+        for tags in (np.flatnonzero(stream.party == 0), np.flatnonzero(stream.party))
+    )
 
     lo = np.searchsorted(t_b, t_a - max_delta_ps, side="left")
     hi = np.searchsorted(t_b, t_a + max_delta_ps, side="right")
@@ -259,24 +286,34 @@ def find_coincidences(stream: TimeTagStream, max_delta_ps: int) -> CoincidenceSe
     picked = np.asarray(picked, dtype=np.int64)
     a_sel = np.concatenate([ai[single], ai_c[picked]])
     b_sel = np.concatenate([bi[single], bi_c[picked]])
-    time_order = np.argsort(t_a[a_sel], kind="stable")
+    abs_time = t_a[a_sel]
+    time_order = np.argsort(abs_time, kind="stable")
+    abs_time = abs_time[time_order]
     a_sel = a_sel[time_order]
     b_sel = b_sel[time_order]
     return CoincidenceSet(
         d_a[a_sel],
         d_b[b_sel],
-        (t_a[a_sel] - t_b[b_sel]).astype(np.int64),
-        t_a[a_sel].astype(np.int64),
+        abs_time - t_b[b_sel],
+        abs_time,
     )
 
 
-def build_histogram(coincidences: CoincidenceSet, bin_width_ps: float) -> Histogram:
-    """Bin the dt values; every record lands in exactly one bin."""
-    if not bin_width_ps > 0.0:
-        raise ConfigurationError(f"bin width must be positive, got {bin_width_ps!r}")
-    idx = np.floor_divide(coincidences.delta_t_ps + bin_width_ps / 2.0, bin_width_ps).astype(int)
+def build_histogram(coincidences: CoincidenceSet, unit_delay_ps: int) -> Histogram:
+    """Bin the dt values, `BINS_PER_UNIT` bins per unit delay; every record lands in one bin.
+
+    With w = unit / 12, the bin index floor((dt + w/2) / w) is computed
+    exactly in integers as (24 dt + unit) // (2 unit); dt values so large
+    that this overflows an int64 are rejected.
+    """
+    if not (isinstance(unit_delay_ps, (int, np.integer)) and unit_delay_ps > 0):
+        raise ConfigurationError(f"unit delay must be a positive integer of ps, got {unit_delay_ps!r}")
+    dt = coincidences.delta_t_ps
+    if dt.size and max(-int(dt.min()), int(dt.max())) > (2**63 - 1 - unit_delay_ps) // (2 * BINS_PER_UNIT):
+        raise ValueError("dt values too large to bin in int64")
+    idx = (2 * BINS_PER_UNIT * dt + unit_delay_ps) // (2 * unit_delay_ps)
     uniq, counts = np.unique(idx, return_counts=True)
-    return Histogram(float(bin_width_ps), {int(i): int(c) for i, c in zip(uniq, counts)})
+    return Histogram(unit_delay_ps / BINS_PER_UNIT, {int(i): int(c) for i, c in zip(uniq, counts)})
 
 
 def window_counts(coincidences: CoincidenceSet, center_ps: float, half_width_ps: float) -> np.ndarray:

@@ -76,7 +76,7 @@ def test_criterion_1_five_peak_histogram():
         if abs(areas[peak] - total * weight) > 3 * sigma:
             area_ok = False
 
-    hist = build_histogram(coincidences, 100.0)
+    hist = build_histogram(coincidences, UNIT_PS)
     top5 = sorted(hist.bins, key=hist.bins.get, reverse=True)[:5]
     centers = sorted(hist.bin_center_ps(i) for i in top5)
     centers_ok = centers == [-2400.0, -1200.0, 0.0, 1200.0, 2400.0]

@@ -6,8 +6,10 @@ import jsonschema
 import numpy as np
 import pytest
 
+from qutrit_bench import cli
 from qutrit_bench.analysis import load_scan
 from qutrit_bench.cli import CONFIG_SCHEMA, main
+from qutrit_bench.timetags import simulate_run
 
 BASE_RUN = {
     "pair_rate_hz": 2.0e5,
@@ -59,6 +61,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error_code=config_error" in err
         assert "left_peak_delta_sign" in err
+
+    def test_eve_pool_without_intercept_resend_exits_2(self, tmp_path, capsys):
+        for eve in ({"kind": "none", "basis_pool": ["fourier0"]}, {"basis_pool": ["fourier0"]}):
+            spec = {"rounds": 1000, "eve": eve}
+            cfg = write_config(tmp_path, {"experiment": "qkd", "run": BASE_RUN, "protocol_spec": spec})
+            assert run_cli(["qkd", "--config", cfg, "--out", tmp_path / "out"]) == 2
+            err = capsys.readouterr().err
+            assert "error_code=config_error" in err
+            assert "$.protocol_spec.eve" in err
+
+    def test_tag_times_beyond_packed_key_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"experiment": "histogram", "run": dict(BASE_RUN, duration_s=2e6)})
+        assert run_cli(["histogram", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert "2**60 ps" in capsys.readouterr().err
 
     def test_config_schema_is_valid(self):
         jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
@@ -167,6 +183,30 @@ class TestScanOutputs:
         for name in ("central_00", "left_00", "right_00"):
             assert fits[name]["visibility"] < 0.3  # Poisson-noise floor only
         assert fits["central_00"]["lambda_hat"] < 0.05
+
+    def test_largest_seed_scans(self, tmp_path):
+        config = self.scan_config(seed=2**64 - 1)
+        config["scan_spec"]["phase_drive"]["steps"] = 8
+        cfg = write_config(tmp_path, config)
+        assert run_cli(["scan", "--config", cfg, "--out", tmp_path / "out"]) == 0
+
+    def test_neighbouring_seeds_share_no_step_stream(self, tmp_path, monkeypatch):
+        # With ideal detectors Alice's tag times are the step's emission times.
+        streams = []
+
+        def recording_simulate_run(run_cfg):
+            stream = simulate_run(run_cfg)
+            streams.append(stream.time_ps[stream.party == 0].tobytes())
+            return stream
+
+        monkeypatch.setattr(cli, "simulate_run", recording_simulate_run)
+        seen = []
+        for seed in (5, 6):
+            streams.clear()
+            cli._run_scan(cli.load_config(write_config(tmp_path, self.scan_config(seed))), tmp_path, False)
+            assert len(set(streams)) == 90
+            seen.append(set(streams))
+        assert not seen[0] & seen[1]
 
     def test_manifest_lists_outputs(self, tmp_path):
         cfg = write_config(tmp_path, self.scan_config())

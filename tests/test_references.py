@@ -5,14 +5,16 @@ median smoothing against references.
 The reference functions below are frozen copies of the implementations
 these replaced: the hand-written amplitude sums of `joint_distribution`,
 the peak-state and herald constructors, the per-element CGLMP probability
-loop, the multi-start search for the CGLMP maximum, the greedy matching
-loop over every candidate pair of `find_coincidences`, the five-window
-`peak_areas` and the row-by-row `csv.writer` QKD trace.  They stay here
+loop, the multi-start search for the CGLMP maximum, the `lexsort` stream
+assembly of `simulate_run`, the greedy matching loop over every candidate
+pair of `find_coincidences`, the five-window `peak_areas` and the
+row-by-row `csv.writer` QKD trace.  They stay here
 as test oracles only.  The numpy periodogram and median smoothing are
 checked for exact equality against the scipy functions they replaced.
 """
 
 import csv
+import dataclasses
 import os
 import tempfile
 from unittest import mock
@@ -209,6 +211,61 @@ def reference_cglmp_search(n_starts, tol=1e-6, seed=1905):
             prev = current
         values.append(_i3_pure_maxent(x))
     return np.array(values)
+
+
+def reference_simulate_run(cfg):
+    """Per-party arrays, every efficiency mask drawn, one `lexsort` at the end."""
+
+    def substream(stream, extra=()):
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(cfg.seed), stream) + extra)))
+
+    unit_ps = cfg.unit_delay_ps
+    duration_ps = int(round(cfg.duration_s * 1e12))
+
+    rng = substream(0)
+    n_pairs = int(rng.poisson(cfg.pair_rate_hz * cfg.duration_s))
+    emit_ps = np.sort(rng.integers(0, duration_ps, size=n_pairs, dtype=np.int64))
+
+    dist = joint_distribution(cfg.interferometer, cfg.lam).reshape(45)
+    rng = substream(1)
+    outcome = rng.choice(45, size=n_pairs, p=dist / dist.sum())
+    dt_units = outcome // 9 - 2
+    det_a = (outcome % 9) // 3
+    det_b = outcome % 3
+
+    t_a = emit_ps.copy()
+    t_b = emit_ps - dt_units.astype(np.int64) * unit_ps
+
+    rng = substream(2)
+    if cfg.alice_detectors.jitter_sigma_ps > 0.0:
+        t_a = t_a + np.rint(rng.normal(0.0, cfg.alice_detectors.jitter_sigma_ps, n_pairs)).astype(np.int64)
+    if cfg.bob_detectors.jitter_sigma_ps > 0.0:
+        t_b = t_b + np.rint(rng.normal(0.0, cfg.bob_detectors.jitter_sigma_ps, n_pairs)).astype(np.int64)
+
+    rng = substream(3)
+    keep_a = rng.random(n_pairs) < cfg.alice_detectors.efficiency
+    keep_b = rng.random(n_pairs) < cfg.bob_detectors.efficiency
+
+    parts = [
+        (np.zeros(keep_a.sum(), dtype=np.uint8), det_a[keep_a].astype(np.uint8), t_a[keep_a]),
+        (np.ones(keep_b.sum(), dtype=np.uint8), det_b[keep_b].astype(np.uint8), t_b[keep_b]),
+    ]
+    for party, model in ((0, cfg.alice_detectors), (1, cfg.bob_detectors)):
+        if model.dark_rate_hz <= 0.0:
+            continue
+        for det in range(3):
+            rng = substream(4, (party, det))
+            n_dark = int(rng.poisson(model.dark_rate_hz * cfg.duration_s))
+            times = rng.integers(0, duration_ps, size=n_dark, dtype=np.int64)
+            parts.append(
+                (np.full(n_dark, party, dtype=np.uint8), np.full(n_dark, det, dtype=np.uint8), times)
+            )
+
+    party = np.concatenate([p for p, _, _ in parts])
+    detector = np.concatenate([d for _, d, _ in parts])
+    time_ps = np.concatenate([t for _, _, t in parts])
+    order = np.lexsort((detector, party, time_ps))
+    return TimeTagStream(party[order], detector[order], time_ps[order])
 
 
 def reference_find_coincidences(stream, max_delta_ps):
@@ -426,6 +483,70 @@ def test_search_objective_agrees_with_table_path():
     flat = np.concatenate([optimum.settings.alice, optimum.settings.bob]).ravel()
     table = cglmp_probability_table(rho, optimum.settings)
     assert _i3_pure_maxent(flat) == pytest.approx(_i3_from_table(table), abs=1e-12)
+
+
+# --------------------------------------------------------------------------
+# Stream generation
+# --------------------------------------------------------------------------
+
+
+def assert_same_stream(found, reference):
+    for name in ("party", "detector", "time_ps"):
+        got, want = getattr(found, name), getattr(reference, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+# Efficiency exactly 0 or 1 takes the draw-skipping branches; jitter and
+# dark counts are off or on per party.  Runs shorter than the unit delay put
+# most of Bob's tags, and wide jitter some of Alice's, at negative times.
+efficiencies = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def detector_models(draw, duration_s):
+    return DetectorModel(
+        efficiency=draw(efficiencies),
+        dark_rate_hz=draw(st.sampled_from([0.0, 5.0, 40.0])) / duration_s,
+        jitter_sigma_ps=draw(st.sampled_from([0.0, 0.4]) | st.floats(1.0, 3000.0)),
+    )
+
+
+@st.composite
+def run_configs(draw):
+    duration_s = draw(st.sampled_from([1e-10, 1e-9, 1e-8, 1e-6, 1e-3]))
+    unit_delay_ns = draw(st.sampled_from([0.3, 1.2, 1.25, 7.0]))
+    return RunConfig(
+        pair_rate_hz=draw(st.sampled_from([1e-3, 0.5, 3.0, 400.0]) | st.floats(0.01, 800.0)) / duration_s,
+        duration_s=duration_s,
+        seed=draw(st.integers(0, 2**64 - 1)),
+        coincidence_window_ps=100.0,
+        interferometer=dataclasses.replace(draw(configs()), unit_delay_ns=unit_delay_ns),
+        lam=draw(st.floats(0.0, 1.0)),
+        alice_detectors=draw(detector_models(duration_s)),
+        bob_detectors=draw(detector_models(duration_s)),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(run_configs())
+def test_simulate_run_matches_lexsort_reference(cfg):
+    assert_same_stream(simulate_run(cfg), reference_simulate_run(cfg))
+
+
+def test_simulate_run_matches_reference_near_the_time_limit():
+    # Times just below 2**60 ps put the packed keys next to the int64 limit.
+    detectors = DetectorModel(efficiency=0.5, dark_rate_hz=2e-5)
+    cfg = RunConfig(
+        pair_rate_hz=3e-5,
+        duration_s=1.15e6,
+        seed=11,
+        alice_detectors=detectors,
+        bob_detectors=detectors,
+    )
+    stream = simulate_run(cfg)
+    assert stream.time_ps.max() > 2**59
+    assert_same_stream(stream, reference_simulate_run(cfg))
 
 
 # --------------------------------------------------------------------------

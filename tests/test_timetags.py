@@ -1,5 +1,10 @@
+from collections import Counter
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qutrit_bench.errors import ConfigurationError, OrderingError
 from qutrit_bench.source import ArmPhases, InterferometerConfig
@@ -46,6 +51,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             ideal_config(coincidence_window_ps=700.0)
 
+    def test_tag_times_must_fit_the_packed_key(self):
+        # 2**60 ps is about 1.153e6 s; the guard adds two unit delays and
+        # 64 jitter sigmas to the duration.
+        ideal_config(duration_s=1.15e6, pair_rate_hz=1e-6)
+        for too_far in (
+            dict(duration_s=1.153e6),
+            dict(duration_s=float("inf")),
+            dict(bob_detectors=DetectorModel(jitter_sigma_ps=2e16)),
+            dict(interferometer=InterferometerConfig(unit_delay_ns=6e14)),
+        ):
+            with pytest.raises(ConfigurationError, match=r"2\*\*60"):
+                ideal_config(**too_far)
+
     def test_detector_model_ranges(self):
         with pytest.raises(ConfigurationError):
             DetectorModel(efficiency=1.5)
@@ -64,8 +82,8 @@ class TestSimulateRun:
         c1 = find_coincidences(first, 3 * UNIT_PS)
         c2 = find_coincidences(second, 3 * UNIT_PS)
         assert np.array_equal(c1.delta_t_ps, c2.delta_t_ps)
-        h1 = build_histogram(c1, 100.0)
-        h2 = build_histogram(c2, 100.0)
+        h1 = build_histogram(c1, UNIT_PS)
+        h2 = build_histogram(c2, UNIT_PS)
         assert h1 == h2
 
     def test_seed_changes_stream(self):
@@ -150,23 +168,65 @@ class TestFindCoincidences:
             assert abs(areas[peak] - total * weight) < 3 * sigma
 
 
+def exact_bin(dt: int, unit: int) -> int:
+    width = Fraction(unit, 12)
+    return int((dt + width / 2) // width)
+
+
+@st.composite
+def binned_records(draw):
+    unit = draw(st.integers(1, 5000) | st.sampled_from([1200, 1201, 1250, 2**40 + 7]))
+    limit = (2**63 - 1 - unit) // 24
+    near_edges = st.builds(
+        lambda m, nudge: (unit * (2 * m - 1)) // 24 + nudge,
+        st.integers(-40, 40),
+        st.integers(-1, 1),
+    )
+    values = near_edges | st.integers(-4 * unit, 4 * unit) | st.sampled_from([-limit, limit])
+    return unit, draw(st.lists(values, max_size=60))
+
+
 class TestHistogram:
     def test_total_matches_record_count(self):
         cfg = ideal_config(duration_s=0.2, seed=5)
         coincidences = run_and_match(cfg)
-        hist = build_histogram(coincidences, 100.0)
+        hist = build_histogram(coincidences, UNIT_PS)
         assert hist.total() == len(coincidences)
 
     def test_ideal_run_peaks_sit_exactly_on_centers(self):
         # with zero jitter the five dominant bins sit exactly on the peak
         # centers; the residue is rare accidental pairings between pairs
         cfg = ideal_config(duration_s=0.2, seed=5)
-        hist = build_histogram(run_and_match(cfg), 100.0)
+        hist = build_histogram(run_and_match(cfg), UNIT_PS)
         by_count = sorted(hist.bins, key=hist.bins.get, reverse=True)
         top_centers = {hist.bin_center_ps(i) for i in by_count[:5]}
         assert top_centers == {-2400.0, -1200.0, 0.0, 1200.0, 2400.0}
         top_share = sum(hist.bins[i] for i in by_count[:5]) / hist.total()
         assert top_share > 0.998
+
+    @settings(max_examples=300, deadline=None)
+    @given(binned_records())
+    @example((12, [-1, 0, 1, 5, 6, 7]))  # width 1: edges at half-integers
+    @example((1201, [-51, -50, 50, 51, 150, 151]))  # 12 does not divide the unit
+    def test_bins_equal_exact_rational_floor(self, records):
+        unit, dts = records
+        dt = np.array(dts, dtype=np.int64)
+        empty = np.zeros(dt.size, dtype=np.uint8)
+        hist = build_histogram(CoincidenceSet(empty, empty, dt, dt), unit)
+        assert hist.bins == dict(Counter(exact_bin(d, unit) for d in dts))
+
+    def test_dt_beyond_int64_binning_range_rejected(self):
+        limit = (2**63 - 1 - UNIT_PS) // 24
+        dt = np.array([0, -limit - 1], dtype=np.int64)
+        empty = np.zeros(2, dtype=np.uint8)
+        with pytest.raises(ValueError, match="int64"):
+            build_histogram(CoincidenceSet(empty, empty, dt, dt), UNIT_PS)
+
+    def test_unit_delay_must_be_a_positive_integer(self):
+        coincidences = run_and_match(ideal_config(duration_s=0.01))
+        for unit in (0, -1200, 100.0):
+            with pytest.raises(ConfigurationError):
+                build_histogram(coincidences, unit)
 
 
 class TestPostSelect:
@@ -216,7 +276,7 @@ class TestCsvExports:
 
         cfg = ideal_config(duration_s=0.02, seed=51)
         coincidences = find_coincidences(simulate_run(cfg), 3 * UNIT_PS)
-        hist = build_histogram(coincidences, 100.0)
+        hist = build_histogram(coincidences, UNIT_PS)
 
         hist_path = tmp_path / "histogram.csv"
         write_histogram_csv(hist, hist_path)
@@ -250,7 +310,7 @@ class TestDetectorImperfections:
             bob_detectors=DetectorModel(dark_rate_hz=1e5),
         )
         coincidences = run_and_match(cfg)
-        hist = build_histogram(coincidences, 100.0)
+        hist = build_histogram(coincidences, UNIT_PS)
         # off-peak bins, including empty ones, away from all five peak centers
         all_bins = range(-3 * UNIT_PS // 100, 3 * UNIT_PS // 100 + 1)
         off = [
@@ -291,6 +351,6 @@ class TestDetectorImperfections:
             alice_detectors=DetectorModel(jitter_sigma_ps=50.0),
             bob_detectors=DetectorModel(jitter_sigma_ps=50.0),
         )
-        hist = build_histogram(run_and_match(cfg), 100.0)
+        hist = build_histogram(run_and_match(cfg), UNIT_PS)
         centers = {hist.bin_center_ps(i) for i in hist.bins}
         assert len(centers) > 5
