@@ -7,7 +7,8 @@ Every run emits its data files (CSV/JSON, plot-ready, no rendering) plus a
 `manifest.json` recording the config hash, seed and output list; re-running
 the same config reproduces the data files byte-identically.
 
-Exit codes: 0 success, 2 invalid configuration, 3 runtime/fit failure.
+Exit codes: 0 success, 2 invalid or unreadable configuration, 3 runtime,
+fit or output failure.
 Errors print a machine-parsable `error_code=` line on stderr; a runtime
 failure also leaves a `manifest.json` with `error_code`, `message` and an
 empty output list.
@@ -20,11 +21,12 @@ import contextlib
 import copy
 import hashlib
 import json
+import math
+import operator
 import os
 import sys
 import time
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -212,10 +214,6 @@ DEFAULT_CONFIG = {
     "protocol_spec": {"rounds": 100000, "mode": "four_basis", "eve": {"kind": "none"}, "trace": False},
 }
 
-# Built once: jsonschema.validate would check CONFIG_SCHEMA against its
-# metaschema on every call.  tests/test_cli.py runs that check.
-_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
-
 _REQUIRED_SECTIONS = {
     "histogram": ("run",),
     "scan": ("run", "scan_spec"),
@@ -223,6 +221,89 @@ _REQUIRED_SECTIONS = {
     "qkd": ("run", "protocol_spec"),
     "toss": ("run", "protocol_spec"),
 }
+
+
+def _is_type(value, name: str) -> bool:
+    """JSON Schema type test: a bool is not a number, and 1.0 is an integer."""
+    if name == "boolean":
+        return isinstance(value, bool)
+    if name == "object":
+        return isinstance(value, dict)
+    if name == "array":
+        return isinstance(value, list)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return name == "number" or isinstance(value, int) or value.is_integer()
+
+
+_BOUNDS = {  # keyword: (violated, message)
+    "minimum": (operator.lt, "less than the minimum"),
+    "maximum": (operator.gt, "greater than the maximum"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum"),
+}
+
+
+def _schema_errors(value, schema: dict, path: tuple = ()):
+    """Yield (path, message) for each way `value` breaks `schema`.
+
+    Covers the keywords CONFIG_SCHEMA uses, with jsonschema's draft
+    2020-12 semantics and messages, in jsonschema's order: schema keywords
+    and `properties` in dict order, array items by index.  A numeric
+    keyword ignores a non-number, an object or array keyword a value of
+    another type.
+    """
+    for keyword, arg in schema.items():
+        if keyword == "type":
+            if not _is_type(value, arg):
+                yield path, f"{value!r} is not of type {arg!r}"
+        elif keyword == "enum":
+            if value not in arg:
+                yield path, f"{value!r} is not one of {arg!r}"
+        elif keyword in _BOUNDS:
+            violated, text = _BOUNDS[keyword]
+            if _is_type(value, "number") and violated(value, arg):
+                yield path, f"{value!r} is {text} of {arg!r}"
+        elif keyword == "additionalProperties":
+            if isinstance(value, dict) and not arg:
+                extras = sorted((key for key in value if key not in schema.get("properties", {})), key=str)
+                if extras:
+                    names = ", ".join(repr(key) for key in extras)
+                    verb = "was" if len(extras) == 1 else "were"
+                    yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+        elif keyword == "required":
+            if isinstance(value, dict):
+                yield from ((path, f"{key!r} is a required property") for key in arg if key not in value)
+        elif keyword == "properties":
+            if isinstance(value, dict):
+                for key, subschema in arg.items():
+                    if key in value:
+                        yield from _schema_errors(value[key], subschema, path + (key,))
+        elif keyword == "items":
+            if isinstance(value, list):
+                for index, item in enumerate(value):
+                    yield from _schema_errors(item, arg, path + (index,))
+        elif keyword == "minItems":
+            if isinstance(value, list) and len(value) < arg:
+                yield path, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+        elif keyword == "maxItems":
+            if isinstance(value, list) and len(value) > arg:
+                yield path, f"{value!r} is too long"
+        else:
+            raise NotImplementedError(f"schema keyword {keyword!r}")
+
+
+def _config_error(config: dict) -> str | None:
+    """The message for the error jsonschema's `best_match` would pick, or None.
+
+    That is the shallowest error; among those, the one with the greatest
+    path; among those, the first found.
+    """
+    best = max(_schema_errors(config, CONFIG_SCHEMA), key=lambda e: (-len(e[0]), e[0]), default=None)
+    if best is None:
+        return None
+    path, message = best
+    where = "$." + ".".join(str(p) for p in path) if path else "$"
+    return f"config {where}: {message}"
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -242,8 +323,12 @@ def load_config(path: str, overrides=(), seed=None, experiment=None) -> dict:
     the config file's own `experiment` field.
     """
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"{path}: cannot read config: {exc}") from exc
+    try:
+        raw = _parse_json(text, path)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
     if not isinstance(raw, dict):
@@ -255,10 +340,9 @@ def load_config(path: str, overrides=(), seed=None, experiment=None) -> dict:
         config.setdefault("run", {})["seed"] = int(seed)
     if experiment is not None:
         config["experiment"] = experiment
-    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(config))
+    error = _config_error(config)
     if error is not None:
-        where = "$." + ".".join(str(p) for p in error.absolute_path) if error.absolute_path else "$"
-        raise ConfigurationError(f"config {where}: {error.message}") from error
+        raise ConfigurationError(error)
     eve = config.get("protocol_spec", {}).get("eve", {})
     if "basis_pool" in eve and eve.get("kind") != "intercept_resend":
         raise ConfigurationError(
@@ -270,12 +354,28 @@ def load_config(path: str, overrides=(), seed=None, experiment=None) -> dict:
     return config
 
 
+def _parse_json(text: str, where: str):
+    """json.loads, except that NaN and infinities raise ConfigurationError.
+
+    NaN passes every schema bound, and an infinity every lower bound.
+    """
+
+    def reject(token):
+        raise ConfigurationError(f"{where}: {token} is not a finite number")
+
+    def finite_float(token):
+        value = float(token)
+        return value if math.isfinite(value) else reject(token)
+
+    return json.loads(text, parse_constant=reject, parse_float=finite_float)
+
+
 def _apply_override(config: dict, item: str) -> dict:
     if "=" not in item:
         raise ConfigurationError(f"override must look like key=value, got {item!r}")
     key, _, raw_value = item.partition("=")
     try:
-        value = json.loads(raw_value)
+        value = _parse_json(raw_value, f"override {item!r}")
     except json.JSONDecodeError:
         value = raw_value
     node = config
@@ -610,7 +710,7 @@ def main(argv=None) -> int:
         os.makedirs(args.out, exist_ok=True)
         outputs = _COMMANDS[args.experiment](config, args.out)
         _write_manifest(args.out, config, outputs, time.monotonic() - started)
-    except (ConfigurationError, FileNotFoundError) as exc:
+    except ConfigurationError as exc:
         print("error_code=config_error", file=sys.stderr)
         print(f"qutrit-bench: {exc}", file=sys.stderr)
         return 2

@@ -25,8 +25,6 @@ from .errors import DegenerateStateError
 ALGEBRA_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
 
-PATH_LABELS = ("s", "m", "l")
-
 
 def joint_index(alice_path: int, bob_path: int) -> int:
     """Index of |alice_path, bob_path> in the 9-dimensional product basis."""

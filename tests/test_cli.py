@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+import shutil
 
 import jsonschema
 import numpy as np
@@ -91,6 +92,56 @@ class TestExitCodes:
         missing = tmp_path / "nope.json"
         assert run_cli(["histogram", "--config", missing, "--out", tmp_path / "out"]) == 2
         assert "error_code=config_error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content", [None, b'{"experiment": "histogram\xff"}'], ids=["directory", "not_utf8"]
+    )
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "config"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        assert run_cli(["histogram", "--config", path, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert "error_code=config_error" in err
+        assert "cannot read config" in err
+
+    @pytest.mark.parametrize(
+        "experiment, text",
+        [
+            ("histogram", '{"run": {"detectors": {"alice": {"dark_rate_hz": NaN}}}}'),
+            ("histogram", '{"run": {"interferometer": {"alice_ratios": [NaN, 0.5, 0.5]}}}'),
+            ("scan", '{"scan_spec": {"phase_drive": {"rate_r_rad_per_s": NaN}}}'),
+            ("scan", '{"scan_spec": {"phase_drive": {"dwell_s": Infinity}}}'),
+            ("scan", '{"scan_spec": {"phase_drive": {"dwell_s": 1e999}}}'),
+        ],
+        ids=["dark_rate_nan", "ratio_nan", "drive_rate_nan", "dwell_infinity", "dwell_overflow"],
+    )
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, experiment, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert run_cli([experiment, "--config", path, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert "error_code=config_error" in err
+        assert "is not a finite number" in err
+
+    def test_output_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        write_histogram_csv = cli.write_histogram_csv
+
+        def remove_out_then_write(histogram, path):
+            shutil.rmtree(out)
+            write_histogram_csv(histogram, path)
+
+        monkeypatch.setattr(cli, "write_histogram_csv", remove_out_then_write)
+        cfg = write_config(tmp_path, {"experiment": "histogram", "run": BASE_RUN})
+        assert run_cli(["histogram", "--config", cfg, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert "error_code=runtime_error" in err
+        assert "FileNotFoundError" in err
+        assert "config_error" not in err
+        assert not out.exists()
 
     WEAK_FRINGE_BELL = {
         "experiment": "bell",
@@ -281,6 +332,19 @@ class TestOverrides:
         )
         assert code == 2
         assert "error_code=config_error" in capsys.readouterr().err
+
+    def test_non_finite_override_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"experiment": "qkd", "run": BASE_RUN})
+        code = run_cli(["qkd", "--config", cfg, "--out", tmp_path / "out", "--override", "run.lambda=NaN"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error_code=config_error" in err
+        assert "is not a finite number" in err
+
+    def test_unparsable_override_is_a_string(self, tmp_path):
+        cfg = write_config(tmp_path, {"experiment": "qkd", "run": BASE_RUN})
+        config = cli.load_config(cfg, overrides=["protocol_spec.mode=two_basis"])
+        assert config["protocol_spec"]["mode"] == "two_basis"
 
 
 class TestProtocolCommands:

@@ -1,6 +1,6 @@
 """The amplitude kernel, the closed-form Bell maximum, the coincidence
-matcher, the peak areas, the QKD trace writer, the periodogram and the
-median smoothing against references.
+matcher, the peak areas, the QKD trace writer, the periodogram, the
+median smoothing and the config validator against references.
 
 The reference functions below are frozen copies of the implementations
 these replaced: the hand-written amplitude sums of `joint_distribution`,
@@ -10,15 +10,21 @@ assembly of `simulate_run`, the greedy matching loop over every candidate
 pair of `find_coincidences`, the five-window `peak_areas` and the
 row-by-row `csv.writer` QKD trace.  They stay here
 as test oracles only.  The numpy periodogram and median smoothing are
-checked for exact equality against the scipy functions they replaced.
+checked for exact equality against the scipy functions they replaced, and
+the built-in config validator against the jsonschema validator and
+`best_match` choice it replaced.
 """
 
+import copy
 import csv
 import dataclasses
+import json
+import math
 import os
 import tempfile
 from unittest import mock
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -32,6 +38,7 @@ from qutrit_bench.analysis import (
     optimize_cglmp,
     periodogram,
 )
+from qutrit_bench.cli import CONFIG_SCHEMA, DEFAULT_CONFIG, _config_error, _deep_merge
 from qutrit_bench.core import (
     DensityOperator,
     PureState,
@@ -730,3 +737,216 @@ count_values = st.sampled_from([0.0, 1.0, 2.0, 7.0]) | st.floats(0.0, 1e6)
 @example(np.array([0.0, 0.0, 0.0, 12.0, 0.0, 0.0, 0.0, 3.0, 3.0, 0.0]))
 def test_median_smoothing_equals_ndimage_median_filter(counts):
     assert np.array_equal(_median_smooth(counts), ndimage.median_filter(counts, size=5, mode="nearest"))
+
+
+# --------------------------------------------------------------------------
+# Config validation
+# --------------------------------------------------------------------------
+
+CONFIG_ORACLE = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+DEMO_CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "demos", "configs")
+
+
+def oracle_config_error(config):
+    """The message load_config gave when jsonschema's best_match chose the error."""
+    error = jsonschema.exceptions.best_match(CONFIG_ORACLE.iter_errors(config))
+    if error is None:
+        return None
+    where = "$." + ".".join(str(p) for p in error.absolute_path) if error.absolute_path else "$"
+    return f"config {where}: {error.message}"
+
+
+def merged_demo_config(name):
+    with open(os.path.join(DEMO_CONFIGS, name)) as fh:
+        return _deep_merge(DEFAULT_CONFIG, json.load(fh))
+
+
+# Valid configs as load_config validates them: merged with the defaults.
+BASE_CONFIGS = {
+    "default": _deep_merge(DEFAULT_CONFIG, {"experiment": "scan"}),
+    "qkd_intercept": _deep_merge(
+        DEFAULT_CONFIG,
+        {
+            "experiment": "qkd",
+            "protocol_spec": {"eve": {"kind": "intercept_resend", "basis_pool": list(BASIS_IDS)}},
+        },
+    ),
+    "histogram_realistic": merged_demo_config("histogram_realistic.json"),
+    "bell_headline_regime": merged_demo_config("bell_headline_regime.json"),
+}
+
+
+def schema_sites(schema, path=()):
+    """(path, subschema) for every node of the schema, array items at indices 0-2."""
+    yield path, schema
+    for key, subschema in schema.get("properties", {}).items():
+        yield from schema_sites(subschema, path + (key,))
+    if "items" in schema:
+        for index in range(3):
+            yield from schema_sites(schema["items"], path + (index,))
+
+
+SITES = list(schema_sites(CONFIG_SCHEMA))
+OBJECT_PATHS = [path for path, schema in SITES if schema.get("type") == "object"]
+ARRAY_PATHS = [path for path, schema in SITES if schema.get("type") == "array"]
+BOUNDS = ("minimum", "maximum", "exclusiveMinimum")
+BOUNDED_SITES = [(path, schema) for path, schema in SITES if any(keyword in schema for keyword in BOUNDS)]
+WRONG_TYPES = [True, False, None, "1", [], [0.5], {}, {"x": 1}]
+
+
+def valid_value(schema):
+    if "enum" in schema:
+        return schema["enum"][0]
+    kind = schema.get("type")
+    if kind == "object":
+        return {key: valid_value(schema["properties"][key]) for key in schema.get("required", ())}
+    if kind == "array":
+        return [valid_value(schema["items"])] * schema.get("minItems", 1)
+    if kind == "boolean":
+        return True
+    return schema.get("minimum", schema.get("exclusiveMinimum", 0) + 1)
+
+
+def boundary_values(schema):
+    """Zero of both signs, and values at, beyond and inside each bound."""
+    values = [0, -0.0]
+    for keyword in BOUNDS:
+        if keyword in schema:
+            bound = schema[keyword]
+            values += [bound, float(bound), bound - 1, bound + 1, bound - 1e-9, bound + 1e-9]
+    return values
+
+
+def candidate_values(schema):
+    """A valid value, every wrong type, boundary values and values outside each enum."""
+    values = [valid_value(schema)] + WRONG_TYPES
+    if schema.get("type") in ("number", "integer"):
+        values += boundary_values(schema) + [1.0, 2.5, 2**64, 1e300, -1e300, math.nan, math.inf, -math.inf]
+    if "enum" in schema:
+        values += ["bogus", schema["enum"][-1].upper()]
+    if schema.get("type") == "array":
+        item = valid_value(schema["items"])
+        values += [[item] * n for n in range(schema.get("maxItems", 4) + 2)]
+    return values
+
+
+@st.composite
+def config_edits(draw):
+    """A base config name and one to three edits: (op, path, value)."""
+    edits = []
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["set", "bound", "delete", "extra", "short", "long"]))
+        if op == "set":
+            path, schema = draw(st.sampled_from(SITES[1:]))
+            edits.append(("set", path, draw(st.sampled_from(candidate_values(schema)))))
+        elif op == "bound":
+            path, schema = draw(st.sampled_from(BOUNDED_SITES))
+            edits.append(("set", path, draw(st.sampled_from(boundary_values(schema)))))
+        elif op == "delete":
+            edits.append(("delete", draw(st.sampled_from(SITES[1:]))[0], None))
+        elif op == "extra":
+            edits.append(("set", draw(st.sampled_from(OBJECT_PATHS)) + ("bogus",), 1))
+        else:
+            edits.append((op, draw(st.sampled_from(ARRAY_PATHS)), None))
+    return draw(st.sampled_from(sorted(BASE_CONFIGS))), edits
+
+
+def edited_config(base, edits):
+    """A copy of a base config with the edits applied; an edit whose parent is gone is skipped."""
+    config = copy.deepcopy(BASE_CONFIGS[base])
+    for op, path, value in edits:
+        parent = config
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            key = path[-1]
+            if isinstance(parent, dict) != isinstance(key, str):
+                continue  # JSON objects have string keys; lists take int indices
+            if op == "set":
+                parent[key] = copy.deepcopy(value)
+            elif op == "delete":
+                del parent[key]
+            elif op == "short":
+                parent[key] = parent[key][:-1]
+            else:
+                parent[key] = parent[key] + copy.deepcopy(parent[key][-1:])
+        except (KeyError, IndexError, TypeError):
+            continue
+    return config
+
+
+CHANNEL = ("scan_spec", "channels")
+CONFIG_EXAMPLES = [
+    *((base, []) for base in BASE_CONFIGS),
+    # A bool, None, a string, a list or a dict where a number, an integer,
+    # an object, an array or a boolean is expected.
+    ("default", [("set", ("run", "lambda"), True)]),
+    ("default", [("set", ("run", "seed"), False)]),
+    ("default", [("set", ("run", "pair_rate_hz"), None)]),
+    ("default", [("set", ("run", "seed"), "7")]),
+    ("default", [("set", ("run", "interferometer"), [1.0])]),
+    ("default", [("set", ("run", "interferometer", "alice_ratios"), {"x": 1})]),
+    ("default", [("set", ("protocol_spec", "trace"), 1)]),
+    # 1.0 is an integer; 2.5 is not.
+    ("default", [("set", CHANNEL + (0, "j"), 2.0)]),
+    ("default", [("set", ("protocol_spec", "rounds"), 2.5)]),
+    # At and beyond each bound, including exactly 0.
+    ("default", [("set", ("run", "lambda"), 0)]),
+    ("default", [("set", ("run", "lambda"), 1.0)]),
+    ("default", [("set", ("run", "lambda"), 1 + 1e-9)]),
+    ("default", [("set", ("run", "detectors", "bob", "dark_rate_hz"), -1e-9)]),
+    ("default", [("set", ("run", "duration_s"), 0)]),
+    ("default", [("set", ("run", "interferometer", "unit_delay_ns"), -0.0)]),
+    ("default", [("set", ("run", "coincidence_window_ps"), 1e-9)]),
+    ("default", [("set", ("scan_spec", "phase_drive", "steps"), 1)]),
+    ("default", [("set", CHANNEL + (1, "k"), 3)]),
+    # Outside each enum.
+    ("default", [("set", ("experiment",), "Scan")]),
+    ("default", [("set", CHANNEL + (0, "peak"), "centre")]),
+    ("default", [("set", ("protocol_spec", "mode"), "bb84")]),
+    ("default", [("set", ("protocol_spec", "eve", "kind"), None)]),
+    ("qkd_intercept", [("set", ("protocol_spec", "eve", "basis_pool", 3), "fourier3")]),
+    # An unknown key at every object level.
+    *(("default", [("set", path + ("bogus",), 1)]) for path in OBJECT_PATHS),
+    # A missing experiment, and a channel without j.
+    ("default", [("delete", ("experiment",), None)]),
+    ("default", [("delete", CHANNEL + (2, "j"), None)]),
+    # Arrays one item short and one item long.
+    ("default", [("short", ("run", "interferometer", "alice_phases_rad"), None)]),
+    ("default", [("long", ("run", "interferometer", "bob_ratios"), None)]),
+    ("bell_headline_regime", [("set", CHANNEL, [])]),
+    # Several faults: the shallowest wins, then the greatest path, then the first found.
+    ("default", [("set", ("bogus",), 1), ("set", ("run", "lambda"), 2)]),
+    ("default", [("set", ("run", "lambda"), -1), ("set", ("scan_spec", "phase_drive", "steps"), 0)]),
+    ("default", [("set", ("run", "lambda"), 2), ("set", ("run", "seed"), -1)]),
+    ("default", [("set", CHANNEL + (0, "j"), 5), ("set", CHANNEL + (2, "k"), -1)]),
+    ("default", [("delete", CHANNEL + (1, "peak"), None), ("set", CHANNEL + (1, "bogus"), 1)]),
+    ("default", [("delete", ("experiment",), None), ("set", ("bogus",), 1)]),
+    (
+        "histogram_realistic",
+        [
+            ("set", ("run", "detectors", "alice", "efficiency"), 2),
+            ("set", ("run", "duration_s"), 0),
+            ("set", ("protocol_spec", "rounds"), 0),
+        ],
+    ),
+]
+
+
+def pinned(cases):
+    """Pin every case as an @example of the decorated test."""
+
+    def decorate(test):
+        for case in reversed(cases):
+            test = example(case)(test)
+        return test
+
+    return decorate
+
+
+@settings(max_examples=600, deadline=None)
+@given(config_edits())
+@pinned(CONFIG_EXAMPLES)
+def test_config_validation_matches_jsonschema_best_match(case):
+    config = edited_config(*case)
+    assert _config_error(config) == oracle_config_error(config)

@@ -1,4 +1,4 @@
-"""The command-line runner starts without scipy.
+"""The command-line runner starts without scipy or jsonschema.
 
 Each case runs in a fresh interpreter, so modules imported by the test
 session do not hide what `qutrit_bench` itself loads.
@@ -16,6 +16,10 @@ import qutrit_bench
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(qutrit_bench.__file__)))
 
 SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+# jsonschema and what it imports; config validation needs none of them.
+SCHEMA_LOADED = (
+    "sorted(m for m in sys.modules if m.split('.')[0] in ('jsonschema', 'referencing', 'rpds', 'attrs'))"
+)
 
 RUN = {"pair_rate_hz": 4.0e5, "duration_s": 0.2, "seed": 99, "lambda": 0.9688}
 DRIVE = {"rate_r_rad_per_s": 4 * math.pi, "steps": 60, "dwell_s": 0.005}
@@ -53,12 +57,13 @@ def test_cli_runs_without_loading_scipy(tmp_path):
             name: cli.main([name, "--config", os.path.join(root, name + ".json"), "--out", os.path.join(root, name)])
             for name in {sorted(CONFIGS)!r}
         }}
-        print(json.dumps({{"codes": codes, "scipy": {SCIPY_LOADED}}}))
+        print(json.dumps({{"codes": codes, "scipy": {SCIPY_LOADED}, "schema": {SCHEMA_LOADED}}}))
         """,
         str(tmp_path),
     )
     assert report["codes"] == {name: 0 for name in CONFIGS}
     assert report["scipy"] == []
+    assert report["schema"] == []
 
 
 def test_central_fit_loads_scipy_optimize_on_demand():
