@@ -1,21 +1,22 @@
 """Coin tossing on the satellite-peak qubit subspaces.
 
 The photon itself picks the left or right satellite at random; Alice's
-two-outcome projection in her heralded subspace fixes the coin, and the
-state she forwards to Bob is one of four two-path superpositions.  Honest
-execution is exact at full purity and degrades linearly with white noise.
+detection heralds Bob's photon in a two-path superposition, and her
+two-outcome projection in that subspace fixes the coin.  Honest execution is
+exact at full purity and degrades linearly with white noise.
 """
 
-from qutrit_bench.protocols import coin_toss_prepared_state, run_coin_toss
+from qutrit_bench.protocols import herald_state, run_coin_toss
+from qutrit_bench.source import InterferometerConfig
 
-print("prepared states (Bob trit labels):")
+print("satellite herald states (Bob's paths s, m, l), nominal interferometer:")
 for side in ("left", "right"):
-    for sign in (+1, -1):
-        amps = coin_toss_prepared_state(side, sign).amplitudes
+    for detector in range(3):
+        amps = herald_state(side, detector, InterferometerConfig()).amplitudes
         terms = " + ".join(
-            f"({a.real:+.3f})|{t}>" for t, a in enumerate(amps) if abs(a) > 1e-12
+            f"({a.real:+.3f}{a.imag:+.3f}i)|{p}>" for p, a in zip("sml", amps) if abs(a) > 1e-12
         )
-        print(f"  {side:>5s}, sign {sign:+d}:  {terms}")
+        print(f"  {side:>5s}, Alice detector {detector}:  {terms}")
 
 print("\nhonest runs (100000 rounds):")
 for lam in (1.0, 0.9688, 0.7):

@@ -24,17 +24,15 @@ from .source import (
     ArmPhases,
     CouplerRatios,
     InterferometerConfig,
-    PathPair,
     central_state,
+    class_weights,
     coincidence_prob_central,
     coincidence_prob_satellite,
-    delta_t,
     detector_pair_phase_offsets,
     effective_phases,
     fringe_probability,
     joint_distribution,
     pair_amplitudes,
-    peak_weights,
     satellite_state,
 )
 from .timetags import (

@@ -336,8 +336,8 @@ def load_config(path: str, overrides=(), seed=None, experiment=None) -> dict:
     config = _deep_merge(DEFAULT_CONFIG, raw)
     for item in overrides:
         config = _apply_override(config, item)
-    if seed is not None:
-        config.setdefault("run", {})["seed"] = int(seed)
+    if seed is not None and isinstance(config["run"], dict):
+        config["run"]["seed"] = int(seed)
     if experiment is not None:
         config["experiment"] = experiment
     error = _config_error(config)
@@ -355,19 +355,19 @@ def load_config(path: str, overrides=(), seed=None, experiment=None) -> dict:
 
 
 def _parse_json(text: str, where: str):
-    """json.loads, except that NaN and infinities raise ConfigurationError.
+    """json.loads, except that numbers beyond float range raise ConfigurationError.
 
-    NaN passes every schema bound, and an infinity every lower bound.
+    NaN passes every schema bound, and an infinity every lower bound; an
+    integer too large for a float passes the schema and overflows later.
     """
 
     def reject(token):
         raise ConfigurationError(f"{where}: {token} is not a finite number")
 
-    def finite_float(token):
-        value = float(token)
-        return value if math.isfinite(value) else reject(token)
+    def finite(parse):
+        return lambda token: parse(token) if math.isfinite(float(token)) else reject(token)
 
-    return json.loads(text, parse_constant=reject, parse_float=finite_float)
+    return json.loads(text, parse_constant=reject, parse_float=finite(float), parse_int=finite(int))
 
 
 def _apply_override(config: dict, item: str) -> dict:
@@ -653,6 +653,7 @@ def cmd_qkd(config: dict, out_dir: str) -> list:
         eve=eve,
         seed=int(config["run"]["seed"]),
         trace_path=trace_path,
+        interferometer=build_run_config(config).interferometer,
     )
     summary_path = os.path.join(out_dir, "qkd_summary.json")
     _write_json(summary.__dict__, summary_path)
@@ -668,6 +669,7 @@ def cmd_toss(config: dict, out_dir: str) -> list:
         rounds=int(spec["rounds"]),
         lam=float(config["run"]["lambda"]),
         seed=int(config["run"]["seed"]),
+        interferometer=build_run_config(config).interferometer,
     )
     summary_path = os.path.join(out_dir, "toss_summary.json")
     _write_json(summary.__dict__, summary_path)

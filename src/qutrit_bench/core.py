@@ -110,12 +110,6 @@ def tritter() -> np.ndarray:
     return _TRITTER
 
 
-def basis_state(dim: int, index: int) -> PureState:
-    amps = np.zeros(dim, dtype=complex)
-    amps[index] = 1.0
-    return PureState(amps)
-
-
 def maximally_entangled_pair() -> PureState:
     """(|ss> + |mm> + |ll>) / sqrt(3) in the 9-dimensional product basis."""
     amps = np.zeros(9, dtype=complex)

@@ -10,6 +10,13 @@ Alice's outcome in basis {v_t} heralds Bob's photon in conj(v_t), so Bob's
 measurement bases are the complex conjugates of Alice's.  With that
 convention matched bases yield equal trits, and any unmatched pair of the
 four mutually unbiased bases yields a uniform trit.
+
+Every rate comes from the amplitude kernel of `source`: the post-selected
+share is the central class weight, the trit pairs are Born probabilities
+of the central class path state and the coin toss uses the satellite
+herald states.  So coupler ratios and dial phases show up in the rates.
+The white-noise laws, QBER 2(1 - lam)/3 and coin-toss agreement
+(1 + lam)/2, hold at symmetric couplers and zero dials.
 """
 
 from __future__ import annotations
@@ -19,9 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityOperator, PureState, born_probability, normalize
+from .core import PureState, normalize
 from .errors import ConfigurationError
-from .source import CLASS_PATH_PAIRS, PEAK_CLASS, InterferometerConfig, pair_amplitudes
+from .source import (
+    CLASS_PATH_PAIRS,
+    PEAK_CLASS,
+    InterferometerConfig,
+    central_state,
+    class_weights,
+    pair_amplitudes,
+)
 
 BASIS_IDS = ("computational", "fourier0", "fourier1", "fourier2")
 QKD_MODES = {
@@ -31,9 +45,6 @@ QKD_MODES = {
     "four_basis": BASIS_IDS,
     "phase_only_three": ("fourier0", "fourier1", "fourier2"),
 }
-
-# Bob's path-to-trit relabeling used by the coin-toss subspaces: s->1, m->0, l->2.
-BOB_TRIT_OF_PATH = (1, 0, 2)
 
 _OMEGA = np.exp(2j * np.pi / 3.0)
 
@@ -149,7 +160,25 @@ def qber_thresholds() -> dict:
     }
 
 
-_CENTRAL_SHARE = 3.0 / 9.0  # central peak's share of all coincidences
+def _trit_tables(lam: float, cfg: InterferometerConfig, pool: tuple, eve: EveModel) -> np.ndarray:
+    """P(alice_trit, bob_trit) for each choice of bases, shape (..., 3, 3).
+
+    The leading axes index Alice's pool, then Eve's if she attacks, then
+    Bob's.  The central class path state of `cfg`, mixed with white noise
+    at `lam`, is measured on Alice's ket a_t and on conj(v) for Bob's
+    photon, with v from Bob's basis or, under attack, from Eve's.  Eve
+    resends conj(e_s), which Bob's conj(b_u) then finds with |<e_s|b_u>|^2.
+    """
+    vectors = np.stack([basis.vectors for basis in mub_bases()])
+    psi = central_state(cfg, 0, 0).amplitudes.reshape(3, 3)
+    ours = vectors[[BASIS_IDS.index(name) for name in pool]]
+    attacked = eve.kind == "intercept_resend"
+    first = vectors[[BASIS_IDS.index(name) for name in eve.basis_pool]] if attacked else ours
+    tables = lam * np.abs(np.einsum("atp,pq,buq->abtu", ours.conj(), psi, first)) ** 2 + (1.0 - lam) / 9.0
+    if attacked:
+        resend = np.abs(np.einsum("esq,buq->ebsu", first.conj(), ours)) ** 2
+        tables = np.einsum("aets,ebsu->aebtu", tables, resend)
+    return tables
 
 
 def run_qkd(
@@ -159,17 +188,16 @@ def run_qkd(
     eve: EveModel = EveModel(),
     seed: int = 0,
     trace_path=None,
+    interferometer: InterferometerConfig = InterferometerConfig(),
 ) -> QkdSummary:
     """Simulate heralded-qutrit key distribution.
 
-    Each round is one coincidence; only central-peak rounds (3 of the 9
-    path combinations, so about a third of the signal) survive
-    post-selection.  Alice and Bob draw bases uniformly from the mode's
-    pool, sift on matching bases, and compare trits: matched bases agree
-    deterministically on the pure-state fraction `lam` and are uniform on
-    the white-noise fraction.  An intercept-resend attacker measures the
-    flying qutrit in a random pool basis and resends their outcome.
-    Deterministic for a given seed.
+    Each round is one coincidence, kept by post-selection with the central
+    class weight of `interferometer` (a third at symmetric couplers).  Each
+    kept round draws Alice's, Eve's and Bob's bases uniformly from their
+    pools, then its trit pair from that basis choice's Born table (see
+    `_trit_tables`) by inverse CDF.  Rounds with matching bases are sifted
+    and their disagreements are the QBER.  Deterministic for a given seed.
     """
     if rounds <= 0:
         raise ConfigurationError(f"rounds must be positive, got {rounds!r}")
@@ -177,34 +205,26 @@ def run_qkd(
         raise ConfigurationError(f"unknown mode {mode!r}; expected one of {sorted(QKD_MODES)}")
     if not 0.0 <= lam <= 1.0:
         raise ConfigurationError(f"mixing weight must lie in [0, 1], got {lam!r}")
+    share = class_weights(interferometer)[PEAK_CLASS["central"]]
+    if share == 0.0:
+        raise ConfigurationError("the coupler ratios leave the central peak empty")
     pool = QKD_MODES[mode]
-    if not pool:
-        raise ConfigurationError("basis pool is empty")
+    tables = _trit_tables(lam, interferometer, pool, eve)
+    cdf = np.cumsum(tables.reshape(-1, 9), axis=1)
 
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 101)))
-    kept = rng.random(rounds) < _CENTRAL_SHARE
+    kept = rng.random(rounds) < share
     n_kept = int(kept.sum())
-
-    alice_basis = rng.integers(0, len(pool), size=n_kept)
-    bob_basis = rng.integers(0, len(pool), size=n_kept)
-    alice_trit = rng.integers(0, 3, size=n_kept)
-    noisy = rng.random(n_kept) >= lam
-
-    pool_names = np.array([BASIS_IDS.index(name) for name in pool])
-    alice_global = pool_names[alice_basis]
-    bob_global = pool_names[bob_basis]
-
-    if eve.kind == "intercept_resend":
-        eve_pool = np.array([BASIS_IDS.index(name) for name in eve.basis_pool])
-        eve_basis = eve_pool[rng.integers(0, eve_pool.size, size=n_kept)]
-        # Eve reads Alice's trit exactly only in Alice's basis on a clean round.
-        eve_match = (eve_basis == alice_global) & ~noisy
-        eve_trit = np.where(eve_match, alice_trit, rng.integers(0, 3, size=n_kept))
-        bob_matches_eve = bob_global == eve_basis
-        bob_trit = np.where(bob_matches_eve, eve_trit, rng.integers(0, 3, size=n_kept))
-    else:
-        matched = (alice_basis == bob_basis) & ~noisy
-        bob_trit = np.where(matched, alice_trit, rng.integers(0, 3, size=n_kept))
+    choice = rng.integers(0, cdf.shape[0], size=n_kept)
+    u = rng.random(n_kept)
+    # Inverse CDF: a round's cell counts its CDF entries at or below u.  Eight
+    # gathered compares cost less than searchsorted on random queries.
+    cell = np.zeros(n_kept, dtype=np.intp)
+    for column in cdf[:, :8].T:
+        cell += u >= column[choice]
+    bases = np.unravel_index(choice, tables.shape[:-2])
+    alice_basis, bob_basis = bases[0], bases[-1]
+    alice_trit, bob_trit = np.divmod(cell, 3)
 
     sifted = alice_basis == bob_basis
     n_sifted = int(sifted.sum())
@@ -215,7 +235,7 @@ def run_qkd(
     verdicts = {name: ("secure" if qber < value else "insecure") for name, value in thresholds.items()}
 
     postselect_ratio = n_kept / rounds
-    sigma = np.sqrt(_CENTRAL_SHARE * (1.0 - _CENTRAL_SHARE) / rounds)
+    sigma = np.sqrt(share * (1.0 - share) / rounds)
     summary = QkdSummary(
         rounds=rounds,
         postselect_ratio=postselect_ratio,
@@ -223,7 +243,7 @@ def run_qkd(
         qber=qber,
         verdicts=verdicts,
         sifted_count=n_sifted,
-        postselect_ratio_ok=bool(abs(postselect_ratio - _CENTRAL_SHARE) <= 3.0 * sigma),
+        postselect_ratio_ok=bool(abs(postselect_ratio - share) <= 3.0 * sigma),
     )
     if trace_path is not None:
         _write_qkd_trace(trace_path, kept, pool, alice_basis, bob_basis, alice_trit, bob_trit, sifted)
@@ -272,59 +292,38 @@ class CoinTossSummary:
     agreement_rate: float
 
 
-def coin_toss_prepared_state(side: str, sign: int) -> PureState:
-    """The state Alice sends after a satellite herald, in Bob's trit labels.
-
-    Bob's satellite subspaces relabel (via s->1, m->0, l->2) to {0, 1} for
-    a left herald and {0, 2} for a right herald, so the prepared states are
-    (|0> +- |1>)/sqrt(2) and (|0> +- |2>)/sqrt(2).
-    """
-    if sign not in (-1, +1):
-        raise ValueError("sign must be +1 or -1")
-    bob_paths = {"left": (0, 1), "right": (1, 2)}  # Bob path indices s,m / m,l
-    if side not in bob_paths:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    trits = sorted(BOB_TRIT_OF_PATH[p] for p in bob_paths[side])
-    amps = np.zeros(3, dtype=complex)
-    amps[trits[0]] = 1.0  # trit 0 carries the reference amplitude
-    amps[trits[1]] = float(sign)
-    return normalize(PureState(amps))
-
-
-def _honest_agreement_probability(lam: float) -> float:
-    """Born probability that Bob's verification matches the prepared state.
-
-    White noise is confined to the heralded two-path subspace, so the
-    received state is lam |h><h| + (1 - lam) I_2/2 and the match
-    probability is (1 + lam)/2; by symmetry it is the same for every
-    side/sign combination.
-    """
-    prepared = coin_toss_prepared_state("left", +1)
-    support = np.abs(prepared.amplitudes) > 0
-    subspace_identity = np.diag(support.astype(complex)) / 2.0
-    rho = DensityOperator(lam * prepared.projector() + (1.0 - lam) * subspace_identity)
-    return born_probability(rho, prepared)
-
-
-def run_coin_toss(rounds: int, lam: float = 1.0, seed: int = 0) -> CoinTossSummary:
+def run_coin_toss(
+    rounds: int, lam: float = 1.0, seed: int = 0, interferometer: InterferometerConfig = InterferometerConfig()
+) -> CoinTossSummary:
     """Honest execution of the satellite-peak coin-toss scheme.
 
-    The photon picks the left or right satellite with equal probability
-    (the two peaks carry equal weight); Alice's two-outcome projection in
-    her heralded qubit subspace fixes the +- sign, which is the coin.  Bob
-    verifies by projecting onto the expected prepared state; white noise in
-    the two-dimensional herald subspace makes him agree with probability
-    (1 + lam)/2.
+    The photon picks the left or right satellite in the ratio of their
+    class weights; Alice's two-outcome projection in her heralded qubit
+    subspace fixes the +- sign, which is the coin.  Bob verifies by
+    projecting onto the herald state of the nominal interferometer.  He
+    receives the herald state h of `interferometer` mixed with white noise
+    in its two-path subspace, so he agrees with probability
+    lam * |<h_nominal|h>|^2 + (1 - lam)/2: (1 + lam)/2 at the nominal
+    interferometer.
     """
     if rounds <= 0:
         raise ConfigurationError(f"rounds must be positive, got {rounds!r}")
     if not 0.0 <= lam <= 1.0:
         raise ConfigurationError(f"mixing weight must lie in [0, 1], got {lam!r}")
+    weights = class_weights(interferometer)
+    w_left, w_right = weights[PEAK_CLASS["left"]], weights[PEAK_CLASS["right"]]
+    if w_left == 0.0 or w_right == 0.0:
+        raise ConfigurationError("the coupler ratios leave a satellite peak empty")
+    nominal = InterferometerConfig()
+    p_left, p_right = (
+        lam * abs(herald_state(side, 0, nominal).overlap(herald_state(side, 0, interferometer))) ** 2
+        + (1.0 - lam) / 2.0
+        for side in ("left", "right")
+    )
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 202)))
-    left = rng.random(rounds) < 0.5
+    left = rng.random(rounds) < w_left / (w_left + w_right)
     sign = np.where(rng.random(rounds) < 0.5, 1, -1)
-    agree_prob = _honest_agreement_probability(lam)
-    agree = rng.random(rounds) < agree_prob
+    agree = rng.random(rounds) < np.where(left, p_left, p_right)
     return CoinTossSummary(
         rounds=rounds,
         left_fraction=float(left.mean()),

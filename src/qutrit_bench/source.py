@@ -38,8 +38,7 @@ Convention notes
   fringes by -2*pi/3 and +2*pi/3, fixing which detector pair sits on a
   fringe maximum at zero dial phases.
 * "left" names the {ms, lm} subspace.  Simulated streams always carry it at
-  dt = +1 unit delay (dt = t_A - t_B); `timetags.post_select` takes the
-  axis convention of ingested external records.
+  dt = +1 unit delay (dt = t_A - t_B).
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ import numpy as np
 from .core import PureState, joint_index, normalize, tritter, wrap_phase
 from .errors import UnsupportedConfigurationError
 
-PATH_INDEX = {"s": 0, "m": 1, "l": 2}
 PEAK_SIDES = ("left", "right")
 
 # Path pairs (alice_path, bob_path) of each dt class, index 0..4 for
@@ -135,35 +133,6 @@ class EffectivePhasePair:
 
     phi_r: float
     phi_l: float
-
-
-@dataclass(frozen=True)
-class PathPair:
-    """One Alice path and one Bob path, each in {'s', 'm', 'l'}."""
-
-    alice_path: str
-    bob_path: str
-
-    def __post_init__(self):
-        for p in (self.alice_path, self.bob_path):
-            if p not in PATH_INDEX:
-                raise ValueError(f"path must be one of 's', 'm', 'l', got {p!r}")
-
-    def delta_units(self) -> int:
-        return PATH_INDEX[self.alice_path] - PATH_INDEX[self.bob_path]
-
-
-def delta_t(pair: PathPair, unit_delay_ns: float) -> float:
-    """Arrival-time difference t_A - t_B (ns) for one path combination."""
-    return pair.delta_units() * unit_delay_ns
-
-
-def peak_weights() -> dict:
-    """Probability of each dt class (in unit-delay multiples), symmetric couplers.
-
-    Nine equiprobable path pairs fall 1:2:3:2:1 onto the five classes.
-    """
-    return {-2: 1.0 / 9.0, -1: 2.0 / 9.0, 0: 3.0 / 9.0, +1: 2.0 / 9.0, +2: 1.0 / 9.0}
 
 
 def _check_detector_indices(j: int, k: int):
@@ -341,6 +310,18 @@ def coincidence_prob_satellite(
     return float(1.0 + lam * np.cos(theta)) / 9.0
 
 
+def class_weights(cfg: InterferometerConfig) -> np.ndarray:
+    """Probability of each dt class, index 0..4 for dt = -2..+2 unit delays.
+
+    Path pair (pa, pb) arrives with weight pA_pa * pB_pb whatever the
+    phases, so symmetric couplers give 1:2:3:2:1 over the nine pairs.
+    """
+    amp_a, amp_b = _arm_amplitudes(cfg)
+    return np.array(
+        [sum((abs(amp_a[pa]) * abs(amp_b[pb])) ** 2 for pa, pb in pairs) for pairs in CLASS_PATH_PAIRS]
+    )
+
+
 def joint_distribution(cfg: InterferometerConfig, lam: float) -> np.ndarray:
     """Full outcome distribution P[class, j, k] over the five dt classes.
 
@@ -353,14 +334,9 @@ def joint_distribution(cfg: InterferometerConfig, lam: float) -> np.ndarray:
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {lam!r}")
     amps = pair_amplitudes(cfg)
-    amp_a, amp_b = _arm_amplitudes(cfg)
     # Coherent sum over the indistinguishable path pairs of each dt class.
     pure = np.array([np.abs(sum(amps[pair] for pair in pairs)) ** 2 for pairs in CLASS_PATH_PAIRS])
-    class_weight = np.array(
-        [sum((abs(amp_a[pa]) * abs(amp_b[pb])) ** 2 for pa, pb in pairs) for pairs in CLASS_PATH_PAIRS]
-    )
-
-    noise = class_weight[:, None, None] * np.ones((1, 3, 3)) / 9.0
+    noise = class_weights(cfg)[:, None, None] * np.ones((1, 3, 3)) / 9.0
     dist = lam * pure + (1.0 - lam) * noise
     total = dist.sum()
     if abs(total - 1.0) > 1e-9:

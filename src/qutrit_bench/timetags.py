@@ -335,20 +335,12 @@ def post_select(
     peak: str,
     half_width_ps: float,
     unit_delay_ps: int,
-    left_delta_sign: int = +1,
 ) -> np.ndarray:
-    """3x3 table of counts whose dt lies within +-half_width of a peak center.
-
-    `left_delta_sign` records which side of the dt axis carries the left
-    ({ms, lm}) subspace: streams from `simulate_run` use +1 (dt = t_A - t_B);
-    pass -1 only for ingested records with the opposite axis convention.
-    """
+    """3x3 table of counts whose dt lies within +-half_width of a peak center."""
     if peak not in _PEAK_MULTIPLIER:
         raise ConfigurationError(f"unknown peak {peak!r}; expected one of {sorted(_PEAK_MULTIPLIER)}")
-    if left_delta_sign not in (-1, +1):
-        raise ConfigurationError("left_delta_sign must be +1 or -1")
     _check_peak_half_width(half_width_ps, unit_delay_ps)
-    center = left_delta_sign * _PEAK_MULTIPLIER[peak] * unit_delay_ps
+    center = _PEAK_MULTIPLIER[peak] * unit_delay_ps
     return window_counts(coincidences, center, half_width_ps)
 
 

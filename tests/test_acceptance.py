@@ -27,7 +27,7 @@ from qutrit_bench.analysis import (
 from qutrit_bench.cli import main as cli_main
 from qutrit_bench.protocols import (
     EveModel,
-    coin_toss_prepared_state,
+    herald_state,
     mub_bases,
     run_coin_toss,
     run_qkd,
@@ -253,7 +253,7 @@ def test_criterion_7_qkd():
 
 def test_criterion_8_coin_toss():
     """Honest noiseless run: perfect agreement, unbiased coin, balanced sides,
-    prepared states exactly the two-path forms."""
+    satellite herald states exactly the two-path forms."""
     summary = run_coin_toss(rounds=100000, lam=1.0, seed=45)
     sigma_bias = 1.0 / np.sqrt(summary.rounds)
     sigma_frac = np.sqrt(0.25 / summary.rounds)
@@ -263,27 +263,22 @@ def test_criterion_8_coin_toss():
         and abs(summary.left_fraction - 0.5) <= 3 * sigma_frac
     )
 
+    # Each satellite herald is an equal-weight superposition of Bob's two
+    # paths of that side: s, m for left and m, l for right.
     forms_ok = True
-    expected = {
-        ("left", +1): [1, 1, 0],
-        ("left", -1): [1, -1, 0],
-        ("right", +1): [1, 0, 1],
-        ("right", -1): [1, 0, -1],
-    }
-    for (side, sign), target in expected.items():
-        state = coin_toss_prepared_state(side, sign).amplitudes
-        target = np.asarray(target, dtype=complex) / np.sqrt(2.0)
-        # compare up to a global phase
-        phase = state[np.argmax(np.abs(target))] / target[np.argmax(np.abs(target))]
-        if np.max(np.abs(state - phase * target)) > 1e-12:
-            forms_ok = False
+    for side, paths in (("left", [1, 1, 0]), ("right", [0, 1, 1])):
+        target = np.asarray(paths) / np.sqrt(2.0)
+        for detector in range(3):
+            state = herald_state(side, detector, InterferometerConfig()).amplitudes
+            if np.max(np.abs(np.abs(state) - target)) > 1e-12:
+                forms_ok = False
 
     report(
         8,
         stats_ok and forms_ok,
         f"agreement = {summary.agreement_rate} (exact 1), bias = {summary.outcome_bias:+.4f} "
         f"(0 +- 3 sigma), left fraction = {summary.left_fraction:.4f} (0.5 +- 3 sigma), "
-        f"prepared states exact to 1e-12: {forms_ok}",
+        f"herald states two-path to 1e-12: {forms_ok}",
     )
 
 

@@ -115,8 +115,9 @@ class TestExitCodes:
             ("scan", '{"scan_spec": {"phase_drive": {"rate_r_rad_per_s": NaN}}}'),
             ("scan", '{"scan_spec": {"phase_drive": {"dwell_s": Infinity}}}'),
             ("scan", '{"scan_spec": {"phase_drive": {"dwell_s": 1e999}}}'),
+            ("histogram", '{"run": {"pair_rate_hz": 1%s}}' % ("0" * 400)),
         ],
-        ids=["dark_rate_nan", "ratio_nan", "drive_rate_nan", "dwell_infinity", "dwell_overflow"],
+        ids=["dark_rate_nan", "ratio_nan", "drive_rate_nan", "dwell_infinity", "dwell_overflow", "rate_int_overflow"],
     )
     def test_non_finite_number_exits_2(self, tmp_path, capsys, experiment, text):
         path = tmp_path / "config.json"
@@ -341,6 +342,14 @@ class TestOverrides:
         assert "error_code=config_error" in err
         assert "is not a finite number" in err
 
+    def test_seed_flag_on_non_object_run_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"experiment": "toss"})
+        code = run_cli(["toss", "--config", cfg, "--out", tmp_path / "out", "--override", "run=5", "--seed", 3])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error_code=config_error" in err
+        assert "5 is not of type 'object'" in err
+
     def test_unparsable_override_is_a_string(self, tmp_path):
         cfg = write_config(tmp_path, {"experiment": "qkd", "run": BASE_RUN})
         config = cli.load_config(cfg, overrides=["protocol_spec.mode=two_basis"])
@@ -407,6 +416,28 @@ class TestProtocolCommands:
         summary = json.loads((out / "toss_summary.json").read_text())
         assert summary["agreement_rate"] == 1.0
         assert summary["left_fraction"] == pytest.approx(0.5, abs=0.01)
+
+    def test_protocols_follow_the_interferometer(self, tmp_path):
+        # Couplers (1/2, 1/4, 1/4) on both sides keep a central class weight
+        # of 3/8; Alice's dials (1, 2) rad turn both satellite herald states
+        # by 1 rad, so Bob agrees with probability (1 + cos 1)/2 at lambda 1.
+        interferometers = {
+            "qkd": {"alice_ratios": [0.5, 0.25, 0.25], "bob_ratios": [0.5, 0.25, 0.25]},
+            "toss": {"alice_phases_rad": [1.0, 2.0]},
+        }
+        for experiment, itf in interferometers.items():
+            config = {
+                "experiment": experiment,
+                "run": dict(BASE_RUN, interferometer=itf),
+                "protocol_spec": {"rounds": 100000},
+            }
+            cfg = write_config(tmp_path, config, f"{experiment}.json")
+            assert run_cli([experiment, "--config", cfg, "--out", tmp_path / experiment]) == 0
+        qkd = json.loads((tmp_path / "qkd" / "qkd_summary.json").read_text())
+        assert qkd["postselect_ratio"] == pytest.approx(0.375, abs=0.005)
+        assert qkd["postselect_ratio_ok"]
+        toss = json.loads((tmp_path / "toss" / "toss_summary.json").read_text())
+        assert toss["agreement_rate"] == pytest.approx((1.0 + np.cos(1.0)) / 2.0, abs=0.005)
 
 
 class TestBellCommand:

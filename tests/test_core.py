@@ -5,7 +5,6 @@ from qutrit_bench.core import (
     DensityOperator,
     PureState,
     add_white_noise,
-    basis_state,
     born_probability,
     joint_index,
     maximally_entangled_pair,
@@ -115,7 +114,7 @@ class TestAddWhiteNoise:
 
 class TestBornProbability:
     def test_projector_on_own_state(self):
-        psi = basis_state(9, 0)
+        psi = PureState(np.eye(9)[0])
         rho = add_white_noise(psi, 1.0)
         assert born_probability(rho, psi) == pytest.approx(1.0, abs=1e-12)
 
@@ -135,7 +134,7 @@ class TestBornProbability:
     def test_dimension_mismatch_rejected(self):
         rho = DensityOperator(np.eye(3) / 3.0)
         with pytest.raises(ValueError):
-            born_probability(rho, basis_state(9, 0))
+            born_probability(rho, PureState(np.eye(9)[0]))
 
     def test_complete_basis_sums_to_one(self):
         rng = np.random.default_rng(13)

@@ -4,21 +4,55 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qutrit_bench.core import DensityOperator, PureState, born_probability, normalize
+from qutrit_bench.core import DensityOperator, PureState, add_white_noise, born_probability
 from qutrit_bench.errors import ConfigurationError
 from qutrit_bench.protocols import (
     BASIS_IDS,
-    BOB_TRIT_OF_PATH,
     EveModel,
     _write_qkd_trace,
-    coin_toss_prepared_state,
     herald_state,
     mub_bases,
     qber_thresholds,
     run_coin_toss,
     run_qkd,
 )
-from qutrit_bench.source import ArmPhases, CouplerRatios, InterferometerConfig
+from qutrit_bench.source import ArmPhases, CouplerRatios, InterferometerConfig, central_state
+
+LAMBDAS = (1.0, 0.9688, 0.8)
+
+
+def born_table(cfg, lam, alice, bob):
+    """P(t, u): the noisy central path state on Alice's ket t and conj(Bob's ket u)."""
+    rho = add_white_noise(central_state(cfg, 0, 0), lam)
+    return np.array(
+        [
+            [born_probability(rho, PureState(np.kron(alice.vectors[t], bob.vectors[u].conj()))) for u in range(3)]
+            for t in range(3)
+        ]
+    )
+
+
+def matched_basis_qber(cfg, lam):
+    """Born error rate of sifted four-basis rounds without an attacker."""
+    return np.mean([1.0 - np.trace(born_table(cfg, lam, b, b)) for b in mub_bases()])
+
+
+def intercept_resend_qber(cfg, lam):
+    """Born error rate of sifted four-basis rounds when Eve measures in any of
+    the four bases and resends the conjugate of the ket she found."""
+    errors = []
+    for b in mub_bases():
+        for e in mub_bases():
+            to_eve = born_table(cfg, lam, b, e)
+            resend = np.abs(e.vectors.conj() @ b.vectors.T) ** 2  # [s, u] = |<e_s|b_u>|^2
+            joint = to_eve @ resend
+            errors.append(1.0 - np.trace(joint))
+    return np.mean(errors)
+
+
+def assert_within_3_sigma(rate, expected, n):
+    sigma = np.sqrt(max(expected * (1.0 - expected), 0.0) / n)
+    assert abs(rate - expected) <= 3.0 * sigma + 1e-12
 
 
 class TestMubBases:
@@ -156,6 +190,42 @@ class TestQkd:
             sigma = np.sqrt(q1 * (1 - q1) / n1 + q2 * (1 - q2) / n2)
             assert abs(q1 - q2) < 3.0 * sigma
 
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    def test_nominal_qber_laws(self, lam):
+        # Bechmann-Pasquinucci & Peres, PRL 85, 3313 (2000): white noise gives
+        # 2(1 - lam)/3; intercept-resend in all four bases adds 1/2 at lam = 1.
+        cfg = InterferometerConfig()
+        honest = matched_basis_qber(cfg, lam)
+        attacked = intercept_resend_qber(cfg, lam)
+        assert honest == pytest.approx(2.0 * (1.0 - lam) / 3.0, abs=1e-12)
+        assert attacked == pytest.approx(0.5 + (1.0 - lam) / 6.0, abs=1e-12)
+        summary = run_qkd(rounds=300000, lam=lam, seed=20)
+        assert_within_3_sigma(summary.qber, honest, summary.sifted_count)
+        summary = run_qkd(rounds=300000, lam=lam, eve=EveModel.intercept_resend(), seed=21)
+        assert_within_3_sigma(summary.qber, attacked, summary.sifted_count)
+
+    def test_asymmetric_couplers_set_the_kept_share(self):
+        alice, bob = (0.5, 0.3, 0.2), (0.2, 0.3, 0.5)
+        cfg = InterferometerConfig(alice_ratios=CouplerRatios(*alice), bob_ratios=CouplerRatios(*bob))
+        share = sum(a * b for a, b in zip(alice, bob))  # central path pairs ss, mm, ll
+        summary = run_qkd(rounds=300000, lam=0.9688, seed=22, interferometer=cfg)
+        assert_within_3_sigma(summary.postselect_ratio, share, summary.rounds)
+        assert summary.postselect_ratio_ok
+        assert_within_3_sigma(summary.qber, matched_basis_qber(cfg, 0.9688), summary.sifted_count)
+
+    def test_dial_offset_raises_matched_basis_qber(self):
+        lam, delta = 0.9688, 0.6
+        cfg = InterferometerConfig(alice=ArmPhases(phi_m=delta, phi_l=2.0 * delta))
+        expected = matched_basis_qber(cfg, lam)
+        assert expected > 2.0 * (1.0 - lam) / 3.0 + 0.05
+        summary = run_qkd(rounds=300000, lam=lam, seed=23, interferometer=cfg)
+        assert_within_3_sigma(summary.qber, expected, summary.sifted_count)
+
+    def test_empty_central_peak_rejected(self):
+        cfg = InterferometerConfig(alice_ratios=CouplerRatios(1.0, 0.0, 0.0), bob_ratios=CouplerRatios(0.0, 1.0, 0.0))
+        with pytest.raises(ConfigurationError, match="central peak empty"):
+            run_qkd(rounds=10, interferometer=cfg)
+
     def test_trace_file(self, tmp_path):
         path = tmp_path / "rounds.csv"
         summary = run_qkd(rounds=3000, mode="two_basis", lam=1.0, seed=12, trace_path=path)
@@ -209,27 +279,6 @@ class TestQberThresholds:
 
 
 class TestCoinToss:
-    def test_prepared_states_match_expected_forms(self):
-        # left heralds send (|0> +- |1>)/sqrt(2); right heralds (|0> +- |2>)/sqrt(2)
-        for sign in (+1, -1):
-            left = coin_toss_prepared_state("left", sign)
-            expected = normalize(PureState(np.array([1.0, sign, 0.0], dtype=complex)))
-            assert np.max(np.abs(left.amplitudes - expected.amplitudes)) < 1e-12
-            right = coin_toss_prepared_state("right", sign)
-            expected = normalize(PureState(np.array([1.0, 0.0, sign], dtype=complex)))
-            assert np.max(np.abs(right.amplitudes - expected.amplitudes)) < 1e-12
-
-    def test_relabeling_is_consistent_with_heralds(self):
-        # Bob's left-herald support {s, m} relabels to trits {1, 0}
-        st = herald_state("left", 0, InterferometerConfig())
-        support_paths = [p for p in range(3) if abs(st.amplitudes[p]) > 1e-12]
-        trits = sorted(BOB_TRIT_OF_PATH[p] for p in support_paths)
-        assert trits == [0, 1]
-        st = herald_state("right", 0, InterferometerConfig())
-        support_paths = [p for p in range(3) if abs(st.amplitudes[p]) > 1e-12]
-        trits = sorted(BOB_TRIT_OF_PATH[p] for p in support_paths)
-        assert trits == [0, 2]
-
     def test_noiseless_honest_run(self):
         summary = run_coin_toss(rounds=100000, lam=1.0, seed=1)
         assert summary.agreement_rate == 1.0
@@ -242,7 +291,7 @@ class TestCoinToss:
         lam = 0.7
         # oracle: Born probability on the mixed herald state confined to the
         # two-dimensional subspace
-        h = coin_toss_prepared_state("left", +1)
+        h = herald_state("left", 0, InterferometerConfig())
         support = np.abs(h.amplitudes) > 0
         rho = DensityOperator(
             lam * h.projector() + (1 - lam) * np.diag(support.astype(complex)) / 2.0
@@ -254,6 +303,31 @@ class TestCoinToss:
         assert abs(summary.agreement_rate - expected) < 3 * sigma
         assert summary.agreement_rate < 1.0
 
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    def test_dial_offset_agreement_law(self, lam):
+        # Alice's dials (delta, 2 delta) turn both satellite herald states by
+        # delta, so Bob's nominal projection agrees with (1 + lam cos delta)/2.
+        delta = 0.9
+        cfg = InterferometerConfig(alice=ArmPhases(phi_m=delta, phi_l=2.0 * delta))
+        expected = (1.0 + lam * np.cos(delta)) / 2.0
+        for side in ("left", "right"):
+            h = herald_state(side, 0, cfg)
+            support = np.diag((np.abs(h.amplitudes) > 0).astype(complex))
+            rho = DensityOperator(lam * h.projector() + (1.0 - lam) * support / 2.0)
+            assert born_probability(rho, herald_state(side, 0, InterferometerConfig())) == pytest.approx(
+                expected, abs=1e-12
+            )
+        summary = run_coin_toss(rounds=200000, lam=lam, seed=24, interferometer=cfg)
+        assert_within_3_sigma(summary.agreement_rate, expected, summary.rounds)
+
+    def test_left_fraction_is_the_satellite_weight_ratio(self):
+        alice, bob = (0.5, 0.3, 0.2), (0.2, 0.3, 0.5)
+        cfg = InterferometerConfig(alice_ratios=CouplerRatios(*alice), bob_ratios=CouplerRatios(*bob))
+        left = alice[1] * bob[0] + alice[2] * bob[1]  # ms, lm
+        right = alice[0] * bob[1] + alice[1] * bob[2]  # sm, ml
+        summary = run_coin_toss(rounds=200000, seed=25, interferometer=cfg)
+        assert_within_3_sigma(summary.left_fraction, left / (left + right), summary.rounds)
+
     def test_determinism(self):
         a = run_coin_toss(rounds=5000, lam=0.9, seed=3)
         b = run_coin_toss(rounds=5000, lam=0.9, seed=3)
@@ -264,3 +338,6 @@ class TestCoinToss:
             run_coin_toss(rounds=0)
         with pytest.raises(ConfigurationError):
             run_coin_toss(rounds=10, lam=1.5)
+        one_path = CouplerRatios(1.0, 0.0, 0.0)
+        with pytest.raises(ConfigurationError, match="satellite peak empty"):
+            run_coin_toss(rounds=10, interferometer=InterferometerConfig(alice_ratios=one_path, bob_ratios=one_path))

@@ -54,10 +54,12 @@ from qutrit_bench.protocols import BASIS_IDS, QKD_MODES, EveModel, herald_state,
 from qutrit_bench.source import (
     ALICE_LONG_ARM_TRIM,
     BOB_LONG_ARM_TRIM,
+    PEAK_CLASS,
     ArmPhases,
     CouplerRatios,
     InterferometerConfig,
     central_state,
+    class_weights,
     detector_pair_phase_offsets,
     joint_distribution,
     satellite_phase,
@@ -649,7 +651,8 @@ def rounds_keeping(seed, n_kept):
     before the first kept one, which is 0 when the very first is kept.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 101)))
-    kept_at = np.flatnonzero(rng.random(3 * n_kept + 2000) < protocols._CENTRAL_SHARE)
+    share = class_weights(InterferometerConfig())[PEAK_CLASS["central"]]
+    kept_at = np.flatnonzero(rng.random(3 * n_kept + 2000) < share)
     return int(kept_at[0]) if n_kept == 0 else int(kept_at[n_kept - 1]) + 1
 
 

@@ -11,19 +11,18 @@ from qutrit_bench.core import (
 )
 from qutrit_bench.errors import DegenerateStateError, UnsupportedConfigurationError
 from qutrit_bench.source import (
+    CLASS_PATH_PAIRS,
     ArmPhases,
     CouplerRatios,
     InterferometerConfig,
-    PathPair,
     central_state,
+    class_weights,
     coincidence_prob_central,
     coincidence_prob_satellite,
-    delta_t,
     detector_pair_phase_offsets,
     effective_phases,
     fringe_probability,
     joint_distribution,
-    peak_weights,
     phases_for_fringe_targets,
     satellite_state,
 )
@@ -258,45 +257,26 @@ class TestSatelliteLaw:
                 assert total == pytest.approx(1.0, abs=1e-12)
 
 
-class TestDeltaT:
-    def test_same_path_pairs(self):
-        assert delta_t(PathPair("s", "s"), 1.2) == 0.0
-
-    def test_single_step(self):
-        assert delta_t(PathPair("m", "s"), 1.2) == pytest.approx(+1.2)
-
-    def test_double_step_is_sum_of_units(self):
-        # l - s = (l - m) + (m - s)
-        unit = 1.2
-        assert delta_t(PathPair("l", "s"), unit) == pytest.approx(
-            delta_t(PathPair("l", "m"), unit) + delta_t(PathPair("m", "s"), unit)
-        )
-        assert delta_t(PathPair("l", "s"), unit) == pytest.approx(+2.4)
-
-    def test_invalid_path_rejected(self):
-        with pytest.raises(ValueError):
-            PathPair("x", "s")
-
-
 class TestPeakWeights:
     def test_matches_path_pair_enumeration(self):
-        # oracle: enumerate the nine equiprobable path pairs
+        # oracle: enumerate the nine equiprobable path pairs by arm difference
         from collections import Counter
 
-        counter = Counter(
-            PathPair(a, b).delta_units() for a in "sml" for b in "sml"
-        )
-        weights = peak_weights()
+        counter = Counter(a - b for a in range(3) for b in range(3))
+        weights = class_weights(InterferometerConfig())
         for multiplier, count in counter.items():
-            assert weights[multiplier] == pytest.approx(count / 9.0, abs=1e-15)
+            assert weights[multiplier + 2] == pytest.approx(count / 9.0, abs=1e-15)
+        for index, pairs in enumerate(CLASS_PATH_PAIRS):
+            assert {a - b for a, b in pairs} == {index - 2}
 
     def test_ratio_one_two_three_two_one(self):
-        w = peak_weights()
-        ratios = [w[m] / w[-2] for m in (-2, -1, 0, 1, 2)]
-        assert ratios == pytest.approx([1.0, 2.0, 3.0, 2.0, 1.0], abs=1e-12)
+        w = class_weights(InterferometerConfig())
+        assert list(w / w[0]) == pytest.approx([1.0, 2.0, 3.0, 2.0, 1.0], abs=1e-12)
 
     def test_total_is_one(self):
-        assert sum(peak_weights().values()) == pytest.approx(1.0, abs=1e-15)
+        assert class_weights(InterferometerConfig()).sum() == pytest.approx(1.0, abs=1e-15)
+        cfg = InterferometerConfig(alice_ratios=CouplerRatios(0.5, 0.3, 0.2), bob_ratios=CouplerRatios(0.1, 0.1, 0.8))
+        assert class_weights(cfg).sum() == pytest.approx(1.0, abs=1e-15)
 
 
 class TestJointDistribution:
@@ -327,8 +307,7 @@ class TestJointDistribution:
         for _ in range(5):
             cfg = random_config(rng)
             dist = joint_distribution(cfg, rng.uniform(0, 1))
-            for m, weight in peak_weights().items():
-                assert dist[m + 2].sum() == pytest.approx(weight, abs=1e-10)
+            assert list(dist.sum(axis=(1, 2))) == pytest.approx([1 / 9, 2 / 9, 3 / 9, 2 / 9, 1 / 9], abs=1e-10)
 
     def test_central_law_equals_born_rule_first_principles(self):
         # analytic fringe law vs first-principles coupler propagation for
