@@ -34,6 +34,7 @@ from .source import (
     joint_distribution,
     pair_amplitudes,
     satellite_state,
+    step_distributions,
 )
 from .timetags import (
     DetectorModel,

@@ -21,6 +21,12 @@ of one class (`CLASS_PATH_PAIRS`).  The closed-form fringe laws below
 (`coincidence_prob_*`, `fringe_probability`) are the symmetric-coupler
 solutions of the same model.
 
+The kernel has a leading step axis of Alice dial settings (phi_m, phi_l):
+`step_distributions` gives the outcome tables of every step of a dial scan
+in one call, and `pair_amplitudes`, `class_weights` and
+`joint_distribution` are its one-row case.  Each row equals, bit for bit,
+the row computed for that step's configuration alone.
+
 Because the output couplers are discrete-Fourier unitaries, the medium
 and long two-photon terms acquire detector-dependent offsets
 2*pi*(j+k)/3 and 4*pi*(j+k)/3 relative to the short term, so every central
@@ -69,6 +75,9 @@ ALICE_LONG_ARM_TRIM = -2.0 * np.pi / 3.0
 BOB_LONG_ARM_TRIM = +2.0 * np.pi / 3.0
 
 _RATIO_TOL = 1e-12
+
+# Output-coupler factors U[j, pa] * U[k, pb] of each path pair, indexed [pa, pb, j, k].
+_COUPLER_PAIRS = tritter().T[:, None, :, None] * tritter().T[None, :, None, :]
 
 
 @dataclass(frozen=True)
@@ -153,13 +162,39 @@ def detector_pair_phase_offsets(j: int, k: int) -> tuple:
     return chi_m, chi_l
 
 
-def _arm_amplitudes(cfg: InterferometerConfig) -> tuple:
-    """Per-arm amplitudes sqrt(p) e^{i phase} of Alice and Bob (dial + long-arm trim)."""
-    phase_a = np.array([0.0, cfg.alice.phi_m, cfg.alice.phi_l + ALICE_LONG_ARM_TRIM])
+def _arm_amplitudes(cfg: InterferometerConfig, alice_dials=None) -> tuple:
+    """Per-arm amplitudes sqrt(p) e^{i phase} of Alice and Bob (dial + long-arm trim).
+
+    Alice's are an (S, 3) array, one row per (phi_m, phi_l) row of
+    `alice_dials` (default: her dials in `cfg`); Bob's are a 3-vector.
+    """
+    if alice_dials is None:
+        alice_dials = [(cfg.alice.phi_m, cfg.alice.phi_l)]
+    dials = np.asarray(alice_dials, dtype=float)
+    if dials.ndim != 2 or dials.shape[1] != 2:
+        raise ValueError(f"Alice dial settings must have shape (S, 2), got {dials.shape}")
+    phase_a = np.zeros((len(dials), 3))
+    phase_a[:, 1] = dials[:, 0]
+    phase_a[:, 2] = dials[:, 1] + ALICE_LONG_ARM_TRIM
     phase_b = np.array([0.0, cfg.bob.phi_m, cfg.bob.phi_l + BOB_LONG_ARM_TRIM])
     amp_a = np.sqrt(cfg.alice_ratios.as_array()) * np.exp(1j * phase_a)
     amp_b = np.sqrt(cfg.bob_ratios.as_array()) * np.exp(1j * phase_b)
     return amp_a, amp_b
+
+
+def _pair_amplitudes(amp_a: np.ndarray, amp_b: np.ndarray) -> np.ndarray:
+    """A[s, alice_path, bob_path, j, k] from the arm amplitudes of S dial rows.
+
+    The arm products are written out in real arithmetic, which rounds as the
+    scalar complex product `a * b` of the reference implementation in
+    tests/test_references.py does; numpy's array complex multiply may fuse
+    them (FMA) and round differently.
+    """
+    ar, ai = amp_a.real[:, :, None], amp_a.imag[:, :, None]
+    arms = np.empty(ar.shape[:2] + (3,), dtype=complex)
+    arms.real = ar * amp_b.real - ai * amp_b.imag
+    arms.imag = ar * amp_b.imag + ai * amp_b.real
+    return arms[..., None, None] * _COUPLER_PAIRS
 
 
 def pair_amplitudes(cfg: InterferometerConfig) -> np.ndarray:
@@ -167,15 +202,10 @@ def pair_amplitudes(cfg: InterferometerConfig) -> np.ndarray:
 
     Each path pair carries its coupler weights and arm phases and passes
     through both output couplers.  Every state and distribution below is a
-    sum of these terms over one dt class of CLASS_PATH_PAIRS.
+    sum of these terms over one dt class of CLASS_PATH_PAIRS.  This is the
+    one-row case of the step kernel behind `step_distributions`.
     """
-    u = tritter()
-    amp_a, amp_b = _arm_amplitudes(cfg)
-    amps = np.empty((3, 3, 3, 3), dtype=complex)
-    for pa in range(3):
-        for pb in range(3):
-            amps[pa, pb] = amp_a[pa] * amp_b[pb] * np.outer(u[:, pa], u[:, pb])
-    return amps
+    return _pair_amplitudes(*_arm_amplitudes(cfg))[0]
 
 
 def _class_state(cls: int, cfg: InterferometerConfig, j: int, k: int) -> np.ndarray:
@@ -310,16 +340,49 @@ def coincidence_prob_satellite(
     return float(1.0 + lam * np.cos(theta)) / 9.0
 
 
+def _class_weights(amp_a: np.ndarray, amp_b: np.ndarray) -> np.ndarray:
+    """W[s, class]: the sum of |a_pa|^2 |b_pb|^2 over each class's path pairs.
+
+    Moduli are taken with hypot, as builtin `abs` of a complex does, and
+    squared with Python's float power, which rounds through libm `pow`;
+    numpy's array square differs from it in about one term in a thousand.
+    """
+    moduli = np.hypot(amp_a.real, amp_a.imag)[:, :, None] * np.hypot(amp_b.real, amp_b.imag)
+    terms = np.array([m**2 for m in moduli.ravel().tolist()]).reshape(moduli.shape)
+    return np.stack([sum(terms[:, pa, pb] for pa, pb in pairs) for pairs in CLASS_PATH_PAIRS], axis=1)
+
+
 def class_weights(cfg: InterferometerConfig) -> np.ndarray:
     """Probability of each dt class, index 0..4 for dt = -2..+2 unit delays.
 
     Path pair (pa, pb) arrives with weight pA_pa * pB_pb whatever the
     phases, so symmetric couplers give 1:2:3:2:1 over the nine pairs.
     """
-    amp_a, amp_b = _arm_amplitudes(cfg)
-    return np.array(
-        [sum((abs(amp_a[pa]) * abs(amp_b[pb])) ** 2 for pa, pb in pairs) for pairs in CLASS_PATH_PAIRS]
+    return _class_weights(*_arm_amplitudes(cfg))[0]
+
+
+def step_distributions(cfg: InterferometerConfig, lam: float, alice_dials=None) -> np.ndarray:
+    """Outcome distributions P[s, class, j, k] of the steps of a dial scan.
+
+    Row s is `joint_distribution` of `cfg` with Alice's dials set to
+    `alice_dials[s]`, a (phi_m, phi_l) pair, bit for bit: the rows share
+    one pass of the amplitude kernel instead of one call per step.  With
+    no `alice_dials` the one row is `cfg`'s own.
+    """
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"mixing weight must lie in [0, 1], got {lam!r}")
+    amp_a, amp_b = _arm_amplitudes(cfg, alice_dials)
+    amps = _pair_amplitudes(amp_a, amp_b)
+    # Coherent sum over the indistinguishable path pairs of each dt class.
+    pure = np.stack(
+        [np.abs(sum(amps[:, pa, pb] for pa, pb in pairs)) ** 2 for pairs in CLASS_PATH_PAIRS], axis=1
     )
+    noise = _class_weights(amp_a, amp_b)[:, :, None, None] * np.ones((1, 1, 3, 3)) / 9.0
+    dist = lam * pure + (1.0 - lam) * noise
+    total = dist.sum(axis=(1, 2, 3))
+    if np.any(np.abs(total - 1.0) > 1e-9):
+        raise AssertionError(f"joint distribution sums to {total[np.argmax(np.abs(total - 1.0))]!r}")
+    return dist / total[:, None, None, None]
 
 
 def joint_distribution(cfg: InterferometerConfig, lam: float) -> np.ndarray:
@@ -329,16 +392,7 @@ def joint_distribution(cfg: InterferometerConfig, lam: float) -> np.ndarray:
     amplitudes coherently within each class and propagates them through
     both output couplers; the noise part keeps the class weights and makes
     the detectors uniform, matching the symmetric-noise model of the
-    closed-form fringe laws.  Works for arbitrary coupler ratios.
+    closed-form fringe laws.  Works for arbitrary coupler ratios.  The
+    one-row case of `step_distributions`.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"mixing weight must lie in [0, 1], got {lam!r}")
-    amps = pair_amplitudes(cfg)
-    # Coherent sum over the indistinguishable path pairs of each dt class.
-    pure = np.array([np.abs(sum(amps[pair] for pair in pairs)) ** 2 for pairs in CLASS_PATH_PAIRS])
-    noise = class_weights(cfg)[:, None, None] * np.ones((1, 3, 3)) / 9.0
-    dist = lam * pure + (1.0 - lam) * noise
-    total = dist.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise AssertionError(f"joint distribution sums to {total!r}")
-    return dist / total
+    return step_distributions(cfg, lam)[0]

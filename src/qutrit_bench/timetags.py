@@ -17,6 +17,17 @@ detector = bits 0-1.  Equal keys are identical tags, so any sort gives the
 same stream, ordered by (time, party, detector).  The key fits an int64
 while every tag time lies within +-2**60 ps (about 13 days), so `RunConfig`
 rejects a duration, unit delay and jitter that could leave that range.
+
+Outcomes are drawn by inverse CDF with a guide table (Chen & Asau, AIIE
+Transactions 6, 163 (1974)): `_GUIDE_CELLS` equal cells of [0, 1) each
+point at the first outcome the cell can hold, and a draw steps forward from
+there past every CDF entry at or below it.  Each draw is therefore the
+outcome a binary search of the CDF gives, and a run draws exactly what
+`rng.choice(45, size=n, p=table / table.sum())` draws from the same
+generator: one `rng.random(n)` call, mapped through the same normalised
+cumulative sum.  A scan passes each step's row of
+`source.step_distributions` as `outcome_table`, so the amplitude kernel
+runs once per block of steps, not once per step.
 """
 
 from __future__ import annotations
@@ -50,6 +61,13 @@ BINS_PER_UNIT = 12  # histogram bins per unit delay
 
 # Tag times must stay inside +-2**60 ps so the packed key fits an int64.
 _TIME_LIMIT_PS = 2**60
+
+# Guide-table cells; a power of two, so the cell of a draw u is exactly
+# floor(u * _GUIDE_CELLS) and the cell edges are exact.
+_GUIDE_CELLS = 1024
+_GUIDE_EDGES = np.arange(_GUIDE_CELLS) / _GUIDE_CELLS
+# Generator.choice's tolerance on the sum of its probabilities.
+_P_SUM_TOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 @dataclass(frozen=True)
@@ -175,7 +193,35 @@ def _substream(seed: int, stream: int, extra: tuple = ()) -> np.random.Generator
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), stream) + extra)))
 
 
-def simulate_run(cfg: RunConfig) -> TimeTagStream:
+def _draw_outcomes(rng: np.random.Generator, table: np.ndarray, n: int) -> np.ndarray:
+    """`rng.choice(table.size, size=n, p=table / table.sum())`, draw for draw.
+
+    `Generator.choice`'s checks on its probabilities are made on `table`: a
+    NaN, a negative entry or a sum off 1 by more than sqrt(eps) raises
+    ValueError.  The draws come from a guide-table inverse CDF.
+    """
+    total = table.sum()
+    if np.isnan(total):
+        raise ValueError("outcome probabilities contain NaN")
+    if (table < 0.0).any():
+        raise ValueError("outcome probabilities are not non-negative")
+    if abs(total - 1.0) > _P_SUM_TOL:
+        raise ValueError(f"outcome probabilities sum to {total!r}, not 1")
+    cdf = (table / total).cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(n)
+    # The outcome of u is the number of CDF entries <= u.  Cell c starts at the
+    # number of entries <= c / cells, and the steps cover the entries inside the
+    # cell.  cdf[-1] is exactly 1 > u, so no step passes the last outcome.
+    outcome = cdf.searchsorted(_GUIDE_EDGES, side="right")[(u * _GUIDE_CELLS).astype(np.intp)]
+    todo = np.flatnonzero(cdf[outcome] <= u)
+    while todo.size:
+        outcome[todo] += 1
+        todo = todo[cdf[outcome[todo]] <= u[todo]]
+    return outcome
+
+
+def simulate_run(cfg: RunConfig, outcome_table: np.ndarray | None = None) -> TimeTagStream:
     """Generate one acquisition run's detection stream.
 
     Emission times are Poisson at `pair_rate_hz`; each pair's dt class and
@@ -184,6 +230,11 @@ def simulate_run(cfg: RunConfig) -> TimeTagStream:
     efficiency and is smeared by Gaussian jitter; dark counts are injected
     per detector.  Output is sorted by (time, party, detector): one sort of
     the packed tag keys (see the module docstring).
+
+    `outcome_table`, when given, is that joint distribution, P[class, j, k]
+    of `joint_distribution(cfg.interferometer, cfg.lam)`, computed by the
+    caller (a scan takes its steps' tables from `step_distributions`); it
+    is not checked against `cfg`.
     """
     unit_ps = cfg.unit_delay_ps
     duration_ps = int(round(cfg.duration_s * 1e12))
@@ -192,9 +243,10 @@ def simulate_run(cfg: RunConfig) -> TimeTagStream:
     n_pairs = int(rng.poisson(cfg.pair_rate_hz * cfg.duration_s))
     emit_key = np.sort(rng.integers(0, duration_ps, size=n_pairs, dtype=np.int64)) * 8
 
-    dist = joint_distribution(cfg.interferometer, cfg.lam).reshape(45)
-    rng = _substream(cfg.seed, _STREAM_OUTCOME)
-    outcome = rng.choice(45, size=n_pairs, p=dist / dist.sum())
+    if outcome_table is None:
+        outcome_table = joint_distribution(cfg.interferometer, cfg.lam)
+    table = np.asarray(outcome_table, dtype=float).reshape(45)
+    outcome = _draw_outcomes(_substream(cfg.seed, _STREAM_OUTCOME), table, n_pairs)
 
     # Only the path-delay difference is physical for a CW-pumped pair; the
     # emission time itself is undefined, so Alice carries the full offset.

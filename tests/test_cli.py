@@ -127,6 +127,15 @@ class TestExitCodes:
         assert "error_code=config_error" in err
         assert "is not a finite number" in err
 
+    def test_long_non_finite_literal_is_cut_in_the_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"run": {"pair_rate_hz": 1%s}}' % ("0" * 5000))
+        assert run_cli(["histogram", "--config", path, "--out", tmp_path / "out"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert "error_code=config_error" in lines
+        assert any("10000000000000000000... (5001 characters) is not a finite number" in line for line in lines)
+        assert max(len(line) for line in lines) < len(str(path)) + 100
+
     def test_output_error_exits_3(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "out"
         write_histogram_csv = cli.write_histogram_csv
@@ -246,8 +255,8 @@ class TestScanOutputs:
         # With ideal detectors Alice's tag times are the step's emission times.
         streams = []
 
-        def recording_simulate_run(run_cfg):
-            stream = simulate_run(run_cfg)
+        def recording_simulate_run(run_cfg, outcome_table=None):
+            stream = simulate_run(run_cfg, outcome_table)
             streams.append(stream.time_ps[stream.party == 0].tobytes())
             return stream
 

@@ -1,0 +1,72 @@
+"""Seeded count files stay byte-identical.
+
+Small seeded `histogram`, `bell` (24 steps) and default-channel `scan`
+(18 steps) runs of the demo configs, each checked against the sha256 of its
+count files: `histogram.csv`, `peaks.json` and every `scan_*.csv`.  The
+fit outputs (`bell.json`, `fringe_fits.json`) are left out, because they
+depend on scipy's optimiser.  A change that moves a hash on purpose says
+why in CHANGES.md and retakes the table.
+"""
+
+import hashlib
+import pathlib
+
+import pytest
+
+from qutrit_bench.cli import main
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "demos" / "configs"
+
+RUNS = {
+    "histogram": ("histogram_realistic.json", "run.duration_s=0.05"),
+    "bell": ("bell_headline_regime.json", "scan_spec.phase_drive.steps=24"),
+    "scan": ("histogram_realistic.json", "scan_spec.phase_drive.steps=18"),
+}
+
+GOLDEN = {
+    ("histogram", 7): {
+        "histogram.csv": "0f87e0b3376bdc2823606b958f70dc77ade4ebf4982aacdd9c32d7d78bb17313",
+        "peaks.json": "152579d69cd29d0128a11ba37fecc45d05603bdd16580abcebe342dc85ebe5b0",
+    },
+    ("histogram", 1234567): {
+        "histogram.csv": "5f6d1d43d2873d9287504b6eb0db3a070899001ed05c8da260c52e1d86f97860",
+        "peaks.json": "4abbef49683a4682da650be2fda38d24b360d19c9aaa344d5654e6ceecc8b83c",
+    },
+    ("bell", 7): {
+        "scan_central_00.csv": "c8abba505dcb3ad08e639faa6196056b1bfd09512c5932a89cfb439db3d044d6",
+        "scan_central_12.csv": "cf6ad61b7142ae2150dd315a665aa06a73faf4a04f7c4301ae106600eca06d95",
+        "scan_central_21.csv": "adf30b32432b33b940c03f063cadcb814e6c0c2af3740d21b9f9ad7700c3a0b9",
+    },
+    ("bell", 1234567): {
+        "scan_central_00.csv": "b9f1c84619befe45a584d0c1cacdeedb480f8a042366801804c2f5d6b4192a11",
+        "scan_central_12.csv": "5360f917590ffdd0084ea109a63ca8d99e239bb346e7df956b5897689ad5c6e6",
+        "scan_central_21.csv": "3336ee62163d2b5a0c4f3fd5bc80f08fe685e418a94df23fc1930ba101e9dfd5",
+    },
+    ("scan", 7): {
+        "scan_central_00.csv": "3d81e6c6e354e179cc2cfb90fa3cbcd0da4e16c9b1edb93917075bf16a49d337",
+        "scan_left_00.csv": "2c48e49ff6a4fa7905fc0699f1f9f4a12db605b300d3c511c99fd0ef6c49a862",
+        "scan_right_00.csv": "abc1919ad5affbfa1e190f849c52b9cd33139b5b7e39fbb236240d88179516ae",
+    },
+    ("scan", 1234567): {
+        "scan_central_00.csv": "dcb7ab6b09435cf1455ddb7dca8ee34b4ea52dc723be1280ed6e8b8da21d2549",
+        "scan_left_00.csv": "8c858a6fd88ff1057264a750210ec409d205a021c397fbd24ad630faa4ac4a55",
+        "scan_right_00.csv": "5b0534b3f4acc4380e41ecb0312f1097c9b35aa49297fe057a1941a6931cf4b4",
+    },
+}
+
+
+def is_count_file(name: str) -> bool:
+    return name in ("histogram.csv", "peaks.json") or (name.startswith("scan_") and name.endswith(".csv"))
+
+
+@pytest.mark.parametrize("experiment, seed", sorted(GOLDEN), ids=lambda v: str(v))
+def test_count_files_match_golden_hashes(tmp_path, experiment, seed):
+    config, override = RUNS[experiment]
+    args = [experiment, "--config", str(CONFIGS / config), "--out", str(tmp_path), "--seed", str(seed)]
+    assert main(args + ["--override", override]) == 0
+    found = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.iterdir()
+        if is_count_file(path.name)
+    }
+    assert found == GOLDEN[(experiment, seed)]

@@ -6,13 +6,16 @@ The reference functions below are frozen copies of the implementations
 these replaced: the hand-written amplitude sums of `joint_distribution`,
 the peak-state and herald constructors, the per-element CGLMP probability
 loop, the multi-start search for the CGLMP maximum, the `lexsort` stream
-assembly of `simulate_run`, the greedy matching loop over every candidate
-pair of `find_coincidences`, the five-window `peak_areas` and the
-row-by-row `csv.writer` QKD trace.  They stay here
-as test oracles only.  The numpy periodogram and median smoothing are
-checked for exact equality against the scipy functions they replaced, and
-the built-in config validator against the jsonschema validator and
-`best_match` choice it replaced.
+assembly and `rng.choice` outcome draw of `simulate_run`, the greedy
+matching loop over every candidate pair of `find_coincidences`, the
+five-window `peak_areas` and the row-by-row `csv.writer` QKD trace.  They
+stay here as test oracles only.  `Generator.choice` is also the oracle of
+the guide-table outcome sampler, draw for draw, and `joint_distribution`
+of each step's configuration the oracle of the batched step tables.  The
+numpy periodogram and median smoothing are checked for exact equality
+against the scipy functions they replaced, and the built-in config
+validator against the jsonschema validator and `best_match` choice it
+replaced.
 """
 
 import copy
@@ -64,12 +67,14 @@ from qutrit_bench.source import (
     joint_distribution,
     satellite_phase,
     satellite_state,
+    step_distributions,
 )
 from qutrit_bench.timetags import (
     CoincidenceSet,
     DetectorModel,
     RunConfig,
     TimeTagStream,
+    _draw_outcomes,
     find_coincidences,
     peak_areas,
     post_select,
@@ -443,6 +448,28 @@ def test_joint_distribution_is_bit_identical_to_reference(cfg, lam):
     assert np.array_equal(joint_distribution(cfg, lam), reference_joint_distribution(cfg, lam))
 
 
+@st.composite
+def dial_scans(draw):
+    """A configuration and the Alice dial rows of a phase-driven scan of it."""
+    steps = draw(st.integers(1, 60))
+    dwell = draw(st.sampled_from([0.01, 0.02]) | st.floats(1e-4, 1.0))
+    rate_r, rate_l = (draw(st.sampled_from([0.0, 4.0 * np.pi]) | st.floats(-100.0, 100.0)) for _ in range(2))
+    setpoints = np.arange(steps) * dwell
+    phi_r = rate_r * setpoints
+    return draw(configs()), np.stack([phi_r, phi_r + rate_l * setpoints], axis=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dial_scans(), st.floats(0.0, 1.0))
+def test_step_distributions_rows_are_joint_distributions(scan, lam):
+    cfg, dials = scan
+    rows = step_distributions(cfg, lam, dials)
+    assert rows.shape == (len(dials), 5, 3, 3)
+    for row, (alpha_m, alpha_l) in zip(rows, dials):
+        step_cfg = dataclasses.replace(cfg, alice=ArmPhases(alpha_m, alpha_l))
+        assert np.array_equal(row, joint_distribution(step_cfg, lam))
+
+
 @settings(deadline=None)
 @given(configs(), detectors, detectors)
 def test_central_state_matches_reference(cfg, j, k):
@@ -541,6 +568,63 @@ def run_configs(draw):
 @given(run_configs())
 def test_simulate_run_matches_lexsort_reference(cfg):
     assert_same_stream(simulate_run(cfg), reference_simulate_run(cfg))
+
+
+@settings(max_examples=100, deadline=None)
+@given(run_configs())
+def test_simulate_run_with_its_outcome_table_is_unchanged(cfg):
+    table = joint_distribution(cfg.interferometer, cfg.lam)
+    assert_same_stream(simulate_run(cfg, table), simulate_run(cfg))
+
+
+@st.composite
+def outcome_tables(draw, sizes=(1, 2, 3, 9, 45)):
+    """Probability vectors with zero runs, a lone non-zero cell or tiny cells."""
+    size = draw(st.sampled_from(sizes))
+    cell = st.sampled_from([0.0, 1e-300, 1e-17, 1e-9]) | st.floats(1e-12, 1.0)
+    weights = np.array(draw(st.lists(cell, min_size=size, max_size=size)))
+    shape = draw(st.sampled_from(["as drawn", "zeros at start", "zeros inside", "zeros at end", "one cell"]))
+    cut = sorted(draw(st.integers(0, size)) for _ in range(2))
+    if shape == "zeros at start":
+        weights[: cut[1]] = 0.0
+    elif shape == "zeros inside":
+        weights[cut[0] : cut[1]] = 0.0
+    elif shape == "zeros at end":
+        weights[cut[0] :] = 0.0
+    elif shape == "one cell":
+        weights = np.eye(size)[draw(st.integers(0, size - 1))]
+    assume(weights.sum() > 0.0)
+    return weights / weights.sum()
+
+
+@settings(max_examples=300, deadline=None)
+@given(outcome_tables(), st.sampled_from([0, 1, 100_000]) | st.integers(0, 5000), st.integers(0, 2**64 - 1))
+def test_outcome_draws_equal_generator_choice(p, n, seed):
+    rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    found = _draw_outcomes(rng, p, n)
+    assert np.array_equal(found, oracle.choice(p.size, size=n, p=p / p.sum()))
+    assert rng.bit_generator.state == oracle.bit_generator.state
+
+
+@settings(deadline=None)
+@given(
+    outcome_tables(sizes=(45,)),
+    st.sampled_from(["nan", "negative", "scaled"]),
+    st.integers(0, 44),
+    st.floats(1e-3, 1.0 - 1e-6) | st.floats(1.0 + 1e-6, 1e3),
+)
+def test_invalid_outcome_tables_raise(p, fault, cell, factor):
+    table = p.copy()
+    if fault == "nan":
+        table[cell] = np.nan
+    elif fault == "negative":
+        table[cell] = -factor
+    else:
+        table *= factor
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(45, size=10, p=table)
+    with pytest.raises(ValueError):
+        simulate_run(RunConfig(pair_rate_hz=1e4, duration_s=1e-3, seed=0), table.reshape(5, 3, 3))
 
 
 def test_simulate_run_matches_reference_near_the_time_limit():
