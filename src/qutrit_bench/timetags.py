@@ -6,6 +6,15 @@ distribution, applies detector efficiency, timing jitter and dark counts,
 and emits a time-sorted tag stream.  Coincidence identification, histogram
 binning and per-peak post-selection operate on such streams.
 
+Coincidences are found in offset passes over the merged stream of both
+parties, never in a per-party split: neighbours first, then tags two apart,
+and so on, each pass looking only at the pairs the one before found within
+the window.  Times are sorted, so a pair out of reach stays out of reach at
+every larger offset.  An Alice and a Bob tag in reach of each other, with
+no other tag within the window on either side, are matched at once; every
+other candidate goes through the nearest-first greedy loop (see
+`find_coincidences`).
+
 All times are integer picoseconds: comparisons are exact, binning is
 reproducible, and long runs accumulate no float drift.  Identical
 configurations (including the seed) produce byte-identical streams.
@@ -134,6 +143,8 @@ class TimeTagStream:
     """Time-sorted detection events of both parties.
 
     party: 0 = alice, 1 = bob; detector: 0..2; time_ps: int64 picoseconds.
+    A party other than 0 or 1 raises ValueError: `find_coincidences` uses
+    it as the Alice tag's offset in a pair.
     """
 
     party: np.ndarray
@@ -141,6 +152,8 @@ class TimeTagStream:
     time_ps: np.ndarray
 
     def __post_init__(self):
+        if self.party.size and not 0 <= self.party.min() <= self.party.max() <= 1:
+            raise ValueError("party must be 0 (Alice) or 1 (Bob)")
         for name in ("party", "detector", "time_ps"):
             arr = getattr(self, name)
             arr.setflags(write=False)
@@ -285,68 +298,88 @@ def simulate_run(cfg: RunConfig, outcome_table: np.ndarray | None = None) -> Tim
     return TimeTagStream((low >> 2) & 1, low & 3, key >> 3)
 
 
-def find_coincidences(stream: TimeTagStream, max_delta_ps: int) -> CoincidenceSet:
+def find_coincidences(stream: TimeTagStream, max_delta_ps: float) -> CoincidenceSet:
     """Pair Alice and Bob tags with |t_A - t_B| <= max_delta_ps.
 
     Raw pairing, no peak-center logic: candidate pairs are matched greedily
     nearest-first (ties broken by Alice time, then Bob time, then stream
-    order), each tag consumed at most once.  Input must be time-sorted.
+    order), each tag consumed at most once.  Records are ordered by Alice
+    time, equal times in greedy order.  Input must be time-sorted, and
+    `max_delta_ps` a non-negative number of ps (int or float); a negative
+    or NaN window raises ValueError.
 
-    The greedy pass splits along the connected components of the candidate
-    graph.  A candidate whose Alice and Bob tags have no other candidate is
-    a component of its own and is always matched, so all of these 1:1 pairs
-    are taken at once.  Only the contested candidates (those sharing a tag
-    with another candidate) go through the nearest-first loop, in the same
-    global order; components share no tags, so the result equals the
-    greedy pass over all candidates.  Records are ordered by Alice time,
-    ties in greedy order: Alice tags at equal times share one window, so
-    they always fall in the same contested component.
+    The candidates come from offset passes over the one merged stream.
+    Times are sorted, so tags p and p + k are in reach of each other only if
+    every step between neighbours from p to p + k is: each candidate lies
+    inside a run of consecutive tags linked by steps in reach, and the
+    greedy pass splits along these runs.  A run of two tags of different
+    parties is a candidate with no rival and is always matched, so all of
+    these are taken at once.  In the longer runs, pass k takes the pairs
+    (p, p + k) in reach whose parties differ, pass k + 1 looks only at the
+    pairs pass k found in reach, and the passes end at the first k with
+    none.  These candidates go through the nearest-first loop in the order
+    (|t_A - t_B|, t_A, t_B, Alice position, Bob position).  The records are
+    gathered by Alice stream position: Alice tags at one time see the same
+    Bob tags, so the earlier one in the stream is matched first.
     """
+    if not max_delta_ps >= 0:
+        raise ValueError(f"max_delta_ps must be a non-negative number of ps, got {max_delta_ps!r}")
     if not stream.is_sorted():
         raise OrderingError("time-tag stream must be sorted by time")
-    # The party index arrays are temporaries, so the matching does not hold them.
-    (t_a, d_a), (t_b, d_b) = (
-        (stream.time_ps[tags], stream.detector[tags])
-        for tags in (np.flatnonzero(stream.party == 0), np.flatnonzero(stream.party))
-    )
+    t, party = stream.time_ps, stream.party
+    # Offset 1: the p with tags p and p + 1 in reach.  A run of two tags is a
+    # p in `near` whose neighbours p - 1 and p + 1 are not.
+    near = np.flatnonzero(t[1:] - t[:-1] <= max_delta_ps)
+    linked = near[1:] == near[:-1] + 1
+    alone = np.ones(near.size, dtype=bool)
+    alone[1:] = ~linked
+    alone[:-1] &= alone[1:]
 
-    lo = np.searchsorted(t_b, t_a - max_delta_ps, side="left")
-    hi = np.searchsorted(t_b, t_a + max_delta_ps, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        empty_i = np.empty(0, dtype=np.int64)
-        return CoincidenceSet(
-            np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.uint8), empty_i, empty_i.copy()
-        )
-    ai = np.repeat(np.arange(t_a.size), counts)
-    bi = np.repeat(lo, counts) + (np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts))
-    single = (counts[ai] == 1) & (np.bincount(bi, minlength=t_b.size)[bi] == 1)
-    ai_c = ai[~single]
-    bi_c = bi[~single]
-    # lexsort is stable, so sorting the contested subset keeps its global order.
-    order = np.lexsort((t_b[bi_c], t_a[ai_c], np.abs(t_a[ai_c] - t_b[bi_c])))
-    used_a = set()
-    used_b = set()
-    picked = []
-    for idx, a, b in zip(order.tolist(), ai_c[order].tolist(), bi_c[order].tolist()):
-        if a in used_a or b in used_b:
-            continue
-        used_a.add(a)
-        used_b.add(b)
-        picked.append(idx)
-    picked = np.asarray(picked, dtype=np.int64)
-    a_sel = np.concatenate([ai[single], ai_c[picked]])
-    b_sel = np.concatenate([bi[single], bi_c[picked]])
-    abs_time = t_a[a_sel]
-    time_order = np.argsort(abs_time, kind="stable")
-    abs_time = abs_time[time_order]
-    a_sel = a_sel[time_order]
-    b_sel = b_sel[time_order]
+    # Where Bob is first, the Alice tag is 1 ahead.
+    pair, near = near[alone], near[~alone]
+    bob_first = party[pair]
+    cross = bob_first != party[1:][pair]
+    pair, bob_first = pair[cross], bob_first[cross]
+    pos_a = pair + bob_first
+    pos_b = pair + (1 - bob_first)
+
+    run_a, run_b = [], []
+    k = 1
+    while near.size:
+        bob_first = party[near]
+        cross = bob_first != party[k:][near]
+        # As for the pairs: where Bob is first, the Alice tag is k ahead.
+        left, shift = near[cross], k * bob_first[cross].astype(np.intp)
+        run_a.append(left + shift)
+        run_b.append(left + (k - shift))
+        # Tags p and p + k + 1 are in reach only if p and p + 1 both are at
+        # offset k, and p + 1 then follows p in the sorted `near`.
+        near = near[:-1][near[1:] == near[:-1] + 1]
+        k += 1
+        near = near[t[k:][near] - t[near] <= max_delta_ps]
+    if run_a:
+        run_a, run_b = np.concatenate(run_a), np.concatenate(run_b)
+        t_a, t_b = t[run_a], t[run_b]
+        # The key is total: each candidate has its own (Alice, Bob) positions.
+        order = np.lexsort((run_b, run_a, t_b, t_a, np.abs(t_a - t_b)))
+        used = set()
+        picked_a, picked_b = [], []
+        for a, b in zip(run_a[order].tolist(), run_b[order].tolist()):
+            if a in used or b in used:
+                continue
+            used.add(a)
+            used.add(b)
+            picked_a.append(a)
+            picked_b.append(b)
+        pos_a = np.concatenate([pos_a, np.array(picked_a, dtype=np.intp)])
+        pos_b = np.concatenate([pos_b, np.array(picked_b, dtype=np.intp)])
+        by_position = np.argsort(pos_a, kind="stable")
+        pos_a, pos_b = pos_a[by_position], pos_b[by_position]
+    abs_time = t[pos_a]
     return CoincidenceSet(
-        d_a[a_sel],
-        d_b[b_sel],
-        abs_time - t_b[b_sel],
+        stream.detector[pos_a],
+        stream.detector[pos_b],
+        abs_time - t[pos_b],
         abs_time,
     )
 

@@ -25,6 +25,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import jsonschema
@@ -654,16 +655,33 @@ def assert_same_coincidences(found, reference):
         assert np.array_equal(got, want), name
 
 
+def tags_at(*tags):
+    """A stream of (time_ps, party, detector) tags, listed in stream order."""
+    time_ps, party, detector = zip(*tags)
+    return TimeTagStream(
+        np.array(party, dtype=np.uint8), np.array(detector, dtype=np.uint8), np.array(time_ps, dtype=np.int64)
+    )
+
+
 @settings(max_examples=500, deadline=None)
 @given(tag_streams(), st.integers(0, 12))
+# Six alternating tags in one window: the nearest pairs take the inner tags,
+# and the outer Alice and Bob tags match at offset 5.
+@example(tags_at((0, 0, 0), (4, 1, 0), (5, 0, 1), (6, 1, 1), (7, 0, 2), (11, 1, 2)), 11)
+# Bob tags listed before Alice tags at one time: in the run of four every
+# candidate ties on distance and times, so only the stream positions order
+# them; the last two tags are a run of two.
+@example(tags_at((3, 1, 0), (3, 1, 1), (3, 0, 0), (3, 0, 1), (20, 1, 2), (20, 0, 1)), 3)
+# A zero window: Alice tags at one time tie for one Bob tag; tags 1 ps apart stay unmatched.
+@example(tags_at((0, 0, 0), (0, 0, 1), (0, 1, 2), (1, 1, 0), (2, 0, 2)), 0)
 def test_find_coincidences_matches_reference_loop(stream, max_delta_ps):
     assert_same_coincidences(
         find_coincidences(stream, max_delta_ps), reference_find_coincidences(stream, max_delta_ps)
     )
 
 
-def test_find_coincidences_matches_reference_with_darks_and_jitter():
-    # demos/configs/histogram_realistic.json at a tenth of its duration
+def realistic_stream():
+    """demos/configs/histogram_realistic.json at a tenth of its duration, and its window."""
     detectors = DetectorModel(efficiency=0.85, dark_rate_hz=500.0, jitter_sigma_ps=60.0)
     cfg = RunConfig(
         pair_rate_hz=2.0e5,
@@ -673,8 +691,11 @@ def test_find_coincidences_matches_reference_with_darks_and_jitter():
         alice_detectors=detectors,
         bob_detectors=detectors,
     )
-    stream = simulate_run(cfg)
-    max_delta_ps = 3 * cfg.unit_delay_ps
+    return simulate_run(cfg), 3 * cfg.unit_delay_ps
+
+
+def test_find_coincidences_matches_reference_with_darks_and_jitter():
+    stream, max_delta_ps = realistic_stream()
     t_a = stream.time_ps[stream.party == 0]
     t_b = stream.time_ps[stream.party == 1]
     candidates = np.searchsorted(t_b, t_a + max_delta_ps, side="right") - np.searchsorted(
@@ -684,6 +705,21 @@ def test_find_coincidences_matches_reference_with_darks_and_jitter():
     assert_same_coincidences(
         find_coincidences(stream, max_delta_ps), reference_find_coincidences(stream, max_delta_ps)
     )
+
+
+def test_find_coincidences_memory_is_bounded():
+    # 172k tags give 72k records (1.3 MB).  The offset passes peak at about
+    # 4.5 MB, while the records are gathered; a per-party binary search with
+    # candidate expansion needs 8.5 MB here, so the bound keeps that out.
+    stream, max_delta_ps = realistic_stream()
+    tracemalloc.start()
+    try:
+        found = find_coincidences(stream, max_delta_ps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(found) > 70_000
+    assert peak < 6_000_000
 
 
 # --------------------------------------------------------------------------

@@ -151,6 +151,35 @@ class TestFindCoincidences:
         with pytest.raises(OrderingError):
             find_coincidences(stream, max_delta_ps=3000)
 
+    @staticmethod
+    def pairs(*times) -> TimeTagStream:
+        """One (Alice, Bob) pair per (t_A, t_B), Alice listed first."""
+        return TimeTagStream(
+            party=np.tile(np.array([0, 1], dtype=np.uint8), len(times)),
+            detector=np.zeros(2 * len(times), dtype=np.uint8),
+            time_ps=np.array(times, dtype=np.int64).reshape(-1),
+        )
+
+    @pytest.mark.parametrize("max_delta_ps", [-1, -0.5, np.int64(-3), float("nan"), np.float64("nan")])
+    def test_negative_or_nan_window_rejected(self, max_delta_ps):
+        # With and without an Alice and a Bob tag at one time.
+        for stream in (self.pairs((100, 100), (200, 205)), self.pairs((200, 205))):
+            with pytest.raises(ValueError, match="max_delta_ps"):
+                find_coincidences(stream, max_delta_ps)
+
+    @pytest.mark.parametrize(
+        "max_delta_ps, delta_t_ps",
+        [(0, [0]), (4, [0]), (4.9, [0]), (5, [0, -5]), (5.0, [0, -5]), (np.int64(5), [0, -5]), (np.float64(0.0), [0])],
+    )
+    def test_non_negative_int_and_float_windows_accepted(self, max_delta_ps, delta_t_ps):
+        found = find_coincidences(self.pairs((100, 100), (200, 205)), max_delta_ps)
+        assert found.delta_t_ps.tolist() == delta_t_ps
+
+    @pytest.mark.parametrize("party", [[0, 2], [-1, 1], [0, 255]])
+    def test_party_other_than_0_or_1_rejected(self, party):
+        with pytest.raises(ValueError, match="party"):
+            TimeTagStream(np.array(party), np.zeros(2, dtype=np.uint8), np.array([0, 1], dtype=np.int64))
+
     def test_five_peak_areas(self):
         # enumerated path-pair weights predict areas 1:2:3:2:1
         cfg = ideal_config(duration_s=1.0, seed=13)
