@@ -390,9 +390,23 @@ def _apply_override(config: dict, item: str) -> dict:
     return config
 
 
+def build_interferometer(config: dict) -> InterferometerConfig:
+    """The interferometer of `run`; `qkd` and `toss` read no other stream setting."""
+    itf = config["run"]["interferometer"]
+    try:
+        return InterferometerConfig(
+            alice=ArmPhases(*itf["alice_phases_rad"]),
+            bob=ArmPhases(*itf["bob_phases_rad"]),
+            alice_ratios=CouplerRatios(*itf["alice_ratios"]),
+            bob_ratios=CouplerRatios(*itf["bob_ratios"]),
+            unit_delay_ns=float(itf["unit_delay_ns"]),
+        )
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from exc
+
+
 def build_run_config(config: dict) -> RunConfig:
     run = config["run"]
-    itf = run["interferometer"]
     try:
         return RunConfig(
             pair_rate_hz=float(run["pair_rate_hz"]),
@@ -400,13 +414,7 @@ def build_run_config(config: dict) -> RunConfig:
             seed=int(run["seed"]),
             coincidence_window_ps=float(run["coincidence_window_ps"]),
             lam=float(run["lambda"]),
-            interferometer=InterferometerConfig(
-                alice=ArmPhases(*itf["alice_phases_rad"]),
-                bob=ArmPhases(*itf["bob_phases_rad"]),
-                alice_ratios=CouplerRatios(*itf["alice_ratios"]),
-                bob_ratios=CouplerRatios(*itf["bob_ratios"]),
-                unit_delay_ns=float(itf["unit_delay_ns"]),
-            ),
+            interferometer=build_interferometer(config),
             alice_detectors=DetectorModel(**run["detectors"]["alice"]),
             bob_detectors=DetectorModel(**run["detectors"]["bob"]),
         )
@@ -652,7 +660,7 @@ def cmd_qkd(config: dict, out_dir: str) -> list:
         eve=eve,
         seed=int(config["run"]["seed"]),
         trace_path=trace_path,
-        interferometer=build_run_config(config).interferometer,
+        interferometer=build_interferometer(config),
     )
     summary_path = os.path.join(out_dir, "qkd_summary.json")
     _write_json(summary.__dict__, summary_path)
@@ -668,7 +676,7 @@ def cmd_toss(config: dict, out_dir: str) -> list:
         rounds=int(spec["rounds"]),
         lam=float(config["run"]["lambda"]),
         seed=int(config["run"]["seed"]),
-        interferometer=build_run_config(config).interferometer,
+        interferometer=build_interferometer(config),
     )
     summary_path = os.path.join(out_dir, "toss_summary.json")
     _write_json(summary.__dict__, summary_path)

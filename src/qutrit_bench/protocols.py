@@ -210,21 +210,20 @@ def run_qkd(
         raise ConfigurationError("the coupler ratios leave the central peak empty")
     pool = QKD_MODES[mode]
     tables = _trit_tables(lam, interferometer, pool, eve)
+    # Inverse CDF: a round's cell is the number of its row's first eight CDF
+    # entries at or below its uniform.  The ninth entry, inf, is above them all.
     cdf = np.cumsum(tables.reshape(-1, 9), axis=1)
+    cdf[:, 8] = np.inf
 
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 101)))
     kept = rng.random(rounds) < share
     n_kept = int(kept.sum())
     choice = rng.integers(0, cdf.shape[0], size=n_kept)
-    u = rng.random(n_kept)
-    # Inverse CDF: a round's cell counts its CDF entries at or below u.  Eight
-    # gathered compares cost less than searchsorted on random queries.
-    cell = np.zeros(n_kept, dtype=np.intp)
-    for column in cdf[:, :8].T:
-        cell += u >= column[choice]
-    bases = np.unravel_index(choice, tables.shape[:-2])
-    alice_basis, bob_basis = bases[0], bases[-1]
-    alice_trit, bob_trit = np.divmod(cell, 3)
+    alice_trit, bob_trit = np.divmod(_draw_cells(cdf, choice, rng.random(n_kept)), 3)
+    # A choice indexes the (alice, [eve,] bob) basis grid row-major.  Only the
+    # per-round arrays the trace needs are left, so its blocks reuse freed memory.
+    alice_basis, bob_basis = choice // (cdf.shape[0] // len(pool)), choice % len(pool)
+    del choice
 
     sifted = alice_basis == bob_basis
     n_sifted = int(sifted.sum())
@@ -250,33 +249,89 @@ def run_qkd(
     return summary
 
 
-_TRACE_HEADER = "round,alice_basis,bob_basis,alice_trit,bob_trit,sifted\r\n"
+# Equal cells of [0, 1) in the trit draw's guide table.  A power of two, so
+# floor(u * _TRIT_GUIDE_CELLS) and the cell edges are exact.
+_TRIT_GUIDE_CELLS = 256
+# Rounds per pass of the trit draw: small passes bound its temporaries and
+# keep them in cache.
+_DRAW_BLOCK_ROWS = 16384
+
+
+def _draw_cells(cdf, choice, u):
+    """Per round, the number of entries of row `choice` of `cdf` at or below `u`.
+
+    A guide-table inverse CDF (Chen & Asau 1974).  Guide cell g of a row
+    holds the number of the row's entries at or below g / cells.  A u in
+    cell g = floor(u * cells) has at least those entries at or below it, so
+    its count starts there and steps forward past each further entry at or
+    below u.  Rows are sorted and each ends in an entry above every u (inf
+    in `run_qkd`), which stops the steps.  Returns uint8 counts.
+    """
+    cells = _TRIT_GUIDE_CELLS
+    edges = np.arange(cells) / cells
+    guide = np.stack([row.searchsorted(edges, side="right") for row in cdf]).ravel()
+    flat, width = cdf.ravel(), cdf.shape[1]
+    out = np.empty(u.size, dtype=np.uint8)
+    for start in range(0, u.size, _DRAW_BLOCK_ROWS):
+        block = slice(start, start + _DRAW_BLOCK_ROWS)
+        row, v = choice[block], u[block]
+        cell = guide[row * cells + (v * cells).astype(np.intp)]
+        offset = row * width
+        todo = np.flatnonzero(flat[offset + cell] <= v)
+        while todo.size:
+            cell[todo] += 1
+            todo = todo[flat[offset[todo] + cell[todo]] <= v[todo]]
+        out[block] = cell
+    return out
+
+
+_TRACE_HEADER = b"round,alice_basis,bob_basis,alice_trit,bob_trit,sifted\r\n"
 # Rows per write.  Bounded blocks keep peak memory flat: a 1M-round trace is
-# about 11 MB, which one join over all rows would hold as a single string.
-_TRACE_BLOCK_ROWS = 1024
+# about 11 MB, which one pass over all rows would hold several times over.
+_TRACE_BLOCK_ROWS = 4096
 
 
 def _write_qkd_trace(path, kept, pool, alice_basis, bob_basis, alice_trit, bob_trit, sifted):
     """Write one CSV row per post-selected round, `\\r\\n`-terminated.
 
-    Everything after the round index takes one of 2*9*len(pool)**2 values,
-    so each row is its round index plus a tail looked up by an integer code.
+    Byte for byte what `csv.writer` writes, built as arrays with no Python
+    object per row.  Everything after the round index takes one of
+    2*9*len(pool)**2 values, so each row is its round index plus a tail
+    looked up by an integer code.  A block of rows is a uint8 matrix: one
+    column per decimal digit of the largest round, with NUL for a leading
+    zero, then the row's tail from a table padded with NUL to one width.
+    Dropping every NUL leaves the block's text, which goes to a binary file.
     """
     shape = (len(pool), len(pool), 3, 3, 2)
     tails = [
-        f",{pool[a]},{pool[b]},{ta},{tb},{s}\r\n"
+        f",{pool[a]},{pool[b]},{ta},{tb},{s}\r\n".encode()
         for a, b, ta, tb, s in itertools.product(*map(range, shape))
     ]
+    width = max(map(len, tails))
+    tail_bytes = np.frombuffer(b"".join(tail.ljust(width, b"\0") for tail in tails), dtype=np.uint8)
+    tail_bytes = tail_bytes.reshape(len(tails), width)
     kept_rounds = np.flatnonzero(kept)
-    with open(path, "w", newline="") as fh:
+    digits = len(str(kept_rounds[-1])) if kept_rounds.size else 0
+    with open(path, "wb") as fh:
         fh.write(_TRACE_HEADER)
         for start in range(0, kept_rounds.size, _TRACE_BLOCK_ROWS):
             block = slice(start, start + _TRACE_BLOCK_ROWS)
+            rest = kept_rounds[block]
+            rows = np.empty((rest.size, digits + width), dtype=np.uint8)
+            # Units first.  Past the units, a round with nothing left is a leading zero.
+            for column in range(digits - 1, -1, -1):
+                quotient = rest // 10
+                char = rest - 10 * quotient + ord("0")
+                if column < digits - 1:
+                    char *= rest > 0
+                rows[:, column] = char
+                rest = quotient
             codes = np.ravel_multi_index(
                 (alice_basis[block], bob_basis[block], alice_trit[block], bob_trit[block], sifted[block]),
                 shape,
             )
-            fh.write("".join(f"{r}{tails[c]}" for r, c in zip(kept_rounds[block].tolist(), codes.tolist())))
+            rows[:, digits:] = tail_bytes[codes]
+            fh.write(rows[rows != 0])
 
 
 # --------------------------------------------------------------------------

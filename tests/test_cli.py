@@ -449,6 +449,24 @@ class TestProtocolCommands:
         assert toss["agreement_rate"] == pytest.approx((1.0 + np.cos(1.0)) / 2.0, abs=0.005)
 
 
+    @pytest.mark.parametrize("override", ["run.duration_s=2e6", "run.coincidence_window_ps=900000"])
+    @pytest.mark.parametrize("experiment", ["qkd", "toss"])
+    def test_protocols_ignore_stream_settings(self, tmp_path, experiment, override):
+        # qkd and toss make no time tags, so stream settings the histogram
+        # rejects (tag times past +-2**60 ps, a window wider than half the
+        # unit delay) leave their data files as they are.
+        spec = {"rounds": 20000, "trace": True} if experiment == "qkd" else {"rounds": 20000}
+        cfg = write_config(tmp_path, {"experiment": experiment, "run": BASE_RUN, "protocol_spec": spec})
+        assert run_cli([experiment, "--config", cfg, "--out", tmp_path / "plain"]) == 0
+        assert run_cli([experiment, "--config", cfg, "--out", tmp_path / "override", "--override", override]) == 0
+        data = sorted(path.name for path in (tmp_path / "plain").iterdir() if path.name != "manifest.json")
+        assert data == (["qkd_rounds.csv", "qkd_summary.json"] if experiment == "qkd" else ["toss_summary.json"])
+        for name in data:
+            assert (tmp_path / "override" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+        histogram = write_config(tmp_path, {"experiment": "histogram", "run": BASE_RUN}, "histogram.json")
+        assert run_cli(["histogram", "--config", histogram, "--out", tmp_path / "h", "--override", override]) == 2
+
+
 class TestBellCommand:
     def test_background_subtraction_raises_visibility(self, tmp_path):
         cfg = write_config(

@@ -1,14 +1,18 @@
-"""Seeded count files stay byte-identical.
+"""Seeded count and protocol files stay byte-identical.
 
 Small seeded `histogram`, `bell` (24 steps) and default-channel `scan`
 (18 steps) runs of the demo configs, each checked against the sha256 of its
 count files: `histogram.csv`, `peaks.json` and every `scan_*.csv`.  The
 fit outputs (`bell.json`, `fringe_fits.json`) are left out, because they
-depend on scipy's optimiser.  A change that moves a hash on purpose says
-why in CHANGES.md and retakes the table.
+depend on scipy's optimiser.  A 20,000-round four-basis `qkd` run with an
+intercept-resend attacker over three bases and its round trace, and a
+20,000-round `toss` run, are checked on every data file: `qkd_summary.json`,
+`qkd_rounds.csv` and `toss_summary.json`.  A change that moves a hash on
+purpose says why in CHANGES.md and retakes the table.
 """
 
 import hashlib
+import json
 import pathlib
 
 import pytest
@@ -17,10 +21,22 @@ from qutrit_bench.cli import main
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "demos" / "configs"
 
+THREE_BASIS_ATTACK = {"kind": "intercept_resend", "basis_pool": ["computational", "fourier0", "fourier2"]}
+
 RUNS = {
-    "histogram": ("histogram_realistic.json", "run.duration_s=0.05"),
-    "bell": ("bell_headline_regime.json", "scan_spec.phase_drive.steps=24"),
-    "scan": ("histogram_realistic.json", "scan_spec.phase_drive.steps=18"),
+    "histogram": ("histogram_realistic.json", ("run.duration_s=0.05",)),
+    "bell": ("bell_headline_regime.json", ("scan_spec.phase_drive.steps=24",)),
+    "scan": ("histogram_realistic.json", ("scan_spec.phase_drive.steps=18",)),
+    "qkd": (
+        "bell_headline_regime.json",
+        (
+            "protocol_spec.rounds=20000",
+            "protocol_spec.mode=four_basis",
+            "protocol_spec.eve=" + json.dumps(THREE_BASIS_ATTACK),
+            "protocol_spec.trace=true",
+        ),
+    ),
+    "toss": ("bell_headline_regime.json", ("protocol_spec.rounds=20000",)),
 }
 
 GOLDEN = {
@@ -52,21 +68,38 @@ GOLDEN = {
         "scan_left_00.csv": "8c858a6fd88ff1057264a750210ec409d205a021c397fbd24ad630faa4ac4a55",
         "scan_right_00.csv": "5b0534b3f4acc4380e41ecb0312f1097c9b35aa49297fe057a1941a6931cf4b4",
     },
+    ("qkd", 7): {
+        "qkd_summary.json": "9daa0338b00141fb42db05a6113f31aa886d04c8ed13218bd47a65fc46028471",
+        "qkd_rounds.csv": "76e7748684496e4b74ff2d8421d45846f276d8e030a5b84e87078150757926e0",
+    },
+    ("qkd", 1234567): {
+        "qkd_summary.json": "2da9cfc22077752e995ab680ee2f6abeb5ecbf27d12eb82371a0024119f9d39a",
+        "qkd_rounds.csv": "c71491e67a004f4b4512f9ffb5ce4ed4491272b064113e9fd4b932330642b6b7",
+    },
+    ("toss", 7): {
+        "toss_summary.json": "8d8c0106cde5c214312e682c90bb40144c06d3167094d9a1cae483145d48abba",
+    },
+    ("toss", 1234567): {
+        "toss_summary.json": "52388796d682f247e38d17bec43c49b9bb306f7b3377eb2fbdee447cfcc93a14",
+    },
 }
 
 
-def is_count_file(name: str) -> bool:
-    return name in ("histogram.csv", "peaks.json") or (name.startswith("scan_") and name.endswith(".csv"))
+def is_pinned_file(name: str) -> bool:
+    pinned = ("histogram.csv", "peaks.json", "qkd_summary.json", "qkd_rounds.csv", "toss_summary.json")
+    return name in pinned or (name.startswith("scan_") and name.endswith(".csv"))
 
 
 @pytest.mark.parametrize("experiment, seed", sorted(GOLDEN), ids=lambda v: str(v))
 def test_count_files_match_golden_hashes(tmp_path, experiment, seed):
-    config, override = RUNS[experiment]
+    config, overrides = RUNS[experiment]
     args = [experiment, "--config", str(CONFIGS / config), "--out", str(tmp_path), "--seed", str(seed)]
-    assert main(args + ["--override", override]) == 0
+    for override in overrides:
+        args += ["--override", override]
+    assert main(args) == 0
     found = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in tmp_path.iterdir()
-        if is_count_file(path.name)
+        if is_pinned_file(path.name)
     }
     assert found == GOLDEN[(experiment, seed)]

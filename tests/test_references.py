@@ -8,8 +8,9 @@ the peak-state and herald constructors, the per-element CGLMP probability
 loop, the multi-start search for the CGLMP maximum, the `lexsort` stream
 assembly and `rng.choice` outcome draw of `simulate_run`, the greedy
 matching loop over every candidate pair of `find_coincidences`, the
-five-window `peak_areas` and the row-by-row `csv.writer` QKD trace.  They
-stay here as test oracles only.  `Generator.choice` is also the oracle of
+five-window `peak_areas`, the row-by-row `csv.writer` QKD trace and the
+eight gathered compares of the QKD trit draw.  They stay here as test
+oracles only.  `Generator.choice` is also the oracle of
 the guide-table outcome sampler, draw for draw, and `joint_distribution`
 of each step's configuration the oracle of the batched step tables.  The
 numpy periodogram and median smoothing are checked for exact equality
@@ -356,6 +357,14 @@ def reference_write_qkd_trace(path, kept, pool, alice_basis, bob_basis, alice_tr
                     int(sifted[i]),
                 ]
             )
+
+
+def reference_trit_cells(cdf, choice, u):
+    """Per round, the entries of row `choice` of `cdf[:, :8]` at or below `u`."""
+    cell = np.zeros(len(u), dtype=np.intp)
+    for column in cdf[:, :8].T:
+        cell += u >= column[choice]
+    return cell
 
 
 # --------------------------------------------------------------------------
@@ -809,6 +818,80 @@ def test_qkd_trace_is_byte_identical_to_csv_writer(counts, mode, lam, eve):
             assert data == fh_slow.read()
     if n_kept is not None:
         assert data.count(b"\r\n") == n_kept + 1  # header plus one row per kept round
+
+
+
+@pytest.mark.parametrize("pool", [BASIS_IDS, QKD_MODES["phase_only_three"]])
+def test_qkd_trace_matches_csv_writer_at_digit_boundaries(tmp_path, pool):
+    # Rounds 0, 9, 10, 99, 100, ..., 10**6 and 10**7 - 1 of 10**7: rows of
+    # every index width from one to seven digits, in one block.
+    rounds = sorted({0, 10**7 - 1} | {10**k - 1 for k in range(1, 7)} | {10**k for k in range(1, 7)})
+    kept = np.zeros(10**7, dtype=bool)
+    kept[rounds] = True
+    rng = np.random.default_rng(11)
+    alice_basis, bob_basis = rng.integers(0, len(pool), size=(2, len(rounds)))
+    alice_trit, bob_trit = rng.integers(0, 3, size=(2, len(rounds)))
+    args = (kept, pool, alice_basis, bob_basis, alice_trit, bob_trit, alice_basis == bob_basis)
+    protocols._write_qkd_trace(tmp_path / "fast.csv", *args)
+    reference_write_qkd_trace(tmp_path / "reference.csv", *args)
+    data = (tmp_path / "fast.csv").read_bytes()
+    assert data == (tmp_path / "reference.csv").read_bytes()
+    assert [int(row.split(b",")[0]) for row in data.splitlines()[1:]] == rounds
+
+
+
+@st.composite
+def trit_draws(draw):
+    """(cdf, choice, u) for the QKD trit draw.
+
+    CDF rows come from `_trit_tables` (lam 1 gives zero cells, so repeated
+    entries), from dyadic tables whose entries fall on guide edges, or from
+    random tables with zero cells.  A share of the uniforms is set exactly on
+    a CDF entry below 1, on a guide edge g/256, to 0 or to the largest
+    double below 1.  Round counts reach past one pass of the draw.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**64 - 1)))
+    kind = draw(st.sampled_from(["qkd", "dyadic", "random"]))
+    if kind == "qkd":
+        mode = draw(st.sampled_from(sorted(QKD_MODES)))
+        eve = draw(eve_models)
+        lam = draw(st.sampled_from([0.0, 0.37, 0.9688, 1.0]) | st.floats(0.0, 1.0))
+        tables = protocols._trit_tables(lam, InterferometerConfig(), QKD_MODES[mode], eve).reshape(-1, 9)
+    else:
+        rows = draw(st.integers(1, 64))
+        zeros = rng.random((rows, 9)) < draw(st.sampled_from([0.0, 0.5, 0.9]))
+        zeros[np.arange(rows), rng.integers(0, 9, rows)] = False
+        if kind == "dyadic":
+            weights = rng.multinomial(256, np.full(9, 1 / 9), size=rows) * ~zeros
+            tables = weights / weights.sum(axis=1, keepdims=True)
+        else:
+            weights = rng.random((rows, 9)) * ~zeros
+            tables = weights / weights.sum(axis=1, keepdims=True)
+    cdf = np.cumsum(tables, axis=1)
+    n = draw(st.sampled_from([0, 1, 100, protocols._DRAW_BLOCK_ROWS + 3]))
+    choice = rng.integers(0, len(cdf), n)
+    u = rng.random(n)
+    on_entry = cdf[choice, rng.integers(0, 8, n)]
+    special = [
+        np.where(on_entry < 1.0, on_entry, u),
+        rng.integers(0, 256, n) / 256,
+        np.zeros(n),
+        np.full(n, np.nextafter(1.0, 0.0)),
+    ]
+    pick = rng.integers(0, 2 * len(special), n)  # half the uniforms stay random
+    for k, values in enumerate(special):
+        u = np.where(pick == k, values, u)
+    return cdf, choice, u
+
+
+@settings(max_examples=300, deadline=None)
+@given(trit_draws())
+def test_trit_draw_equals_eight_compares(draws):
+    cdf, choice, u = draws
+    with_sentinel = cdf.copy()
+    with_sentinel[:, 8] = np.inf
+    found = protocols._draw_cells(with_sentinel, choice, u)
+    assert np.array_equal(found, reference_trit_cells(cdf, choice, u))
 
 
 # --------------------------------------------------------------------------
