@@ -44,8 +44,8 @@ for ratio in (7.0, 1.0):
     central = FringeScan(u, channels["central"])
 
     n_satellites = phase_ratio(left, right)
-    fit = fit_central_fringe(central)
-    v = visibility(central)
+    fit = fit_central_fringe(central, (1.0, ratio))  # start from the drive rates
+    v = visibility(central, sorted({1.0, ratio, 1.0 + ratio}))
 
     print(f"\ndrive ratio n = {ratio:.0f}")
     print(f"  satellite fringe-rate ratio : {n_satellites:6.3f}")

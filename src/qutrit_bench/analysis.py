@@ -1,31 +1,33 @@
 """Fringe-scan analysis and the visibility-based Bell-violation chain.
 
-Covers visibility extraction from phase scans, the mapping between fringe
-visibility V and the white-noise mixing weight lam (V = 3*lam / (2 + lam)
-from the central fringe law's extrema), least-squares fitting of the
-two-phase central fringe, satellite phase-rate tracking, the d = 3
-two-party Bell functional evaluated through phase-plus-coupler
-measurements, and the visibility threshold above which the Bell bound is
-violated.  The Bell maximum of the maximally entangled pair and its
-settings are taken in closed form (Collins, Gisin, Linden, Massar, Popescu,
-PRL 88, 040404 (2002)); no optimizer runs.  The periodogram and the median
-smoothing are plain numpy; scipy is imported only by `fit_central_fringe`.
+Every fringe number is read from one kernel, `tone_fit`: a Poisson fit of
+a scan's counts to a constant plus a cosine and a sine at each angular
+frequency ("tone") the caller knows, with its covariance.  The central
+fringe at rates omega and n*omega has tones omega, n*omega and (n+1)*omega
+(omega and 2*omega at n = 1); the last has amplitude 2*A*lam at any phases
+and the constant is 3*A, so lam = 3*|c| / (2*c_0) and V = 3*lam / (2 + lam).
+Also here: satellite phase-rate tracking (a Lomb-Scargle periodogram), the
+d = 3 Bell functional of phase-plus-coupler measurements, its closed-form
+maximum (Collins, Gisin, Linden, Massar, Popescu, PRL 88, 040404 (2002))
+and the visibility threshold of a violation.  All plain numpy.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import DensityOperator, tritter
 from .errors import DegenerateStateError, FitError, NoFringeError
 
-_SMOOTH_WINDOW = 5  # median window for extrema estimation; kills single-bin spikes
-_EXTREME_FRACTION = 0.05
+_IRLS_PASSES = 4  # passes weighted by 1/model after the unweighted one
+_MODEL_FLOOR = 0.01  # of the mean count: the least model value a weight is taken from
+_GN_STEPS = 50  # Gauss-Newton steps of the central fit's rate refinement
+_TONE_COST = 25.0  # chi-square a rate-free candidate's extra tone must gain (5 sigma)
 
 
 @dataclass(frozen=True)
@@ -53,14 +55,13 @@ class FringeScan:
 
 @dataclass(frozen=True)
 class FringeFit:
-    """Extracted fringe parameters; optional fields filled by the full fit."""
+    """Fringe extrema and contrast; the optional fields are filled by the central fit."""
 
     i_max: float
     i_min: float
     visibility: float
     lambda_hat: float = None
     n_hat: float = None
-    phase_offsets: tuple = None
     residual: float = None
 
 
@@ -91,55 +92,91 @@ def load_scan(path) -> FringeScan:
 
 
 def save_scan(scan: FringeScan, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["setpoint", "count"])
-        for u, c in zip(scan.setpoints, scan.counts):
-            writer.writerow([f"{u:.9g}", f"{c:.9g}"])
+    data = np.column_stack([scan.setpoints, scan.counts])
+    np.savetxt(path, data, fmt="%.9g", delimiter=",", newline="\r\n", header="setpoint,count", comments="")
 
 
-def _median_smooth(counts: np.ndarray) -> np.ndarray:
-    """Running median over _SMOOTH_WINDOW bins, edges repeated outward.
-
-    An odd window's median is one of its inputs, so no rounding enters.
-    """
-    padded = np.pad(counts, _SMOOTH_WINDOW // 2, mode="edge")
-    return np.median(sliding_window_view(padded, _SMOOTH_WINDOW), axis=1)
+# --------------------------------------------------------------------------
+# Poisson tone fit
+# --------------------------------------------------------------------------
 
 
-def visibility(scan: FringeScan) -> FringeFit:
-    """Fringe contrast V = (I_max - I_min) / (I_max + I_min) of one scan.
+def _tone_design(u: np.ndarray, freqs) -> np.ndarray:
+    """Columns 1, cos(f u) for each tone f, then sin(f u) for each tone f."""
+    arg = np.multiply.outer(u, np.asarray(freqs, dtype=float))
+    return np.hstack([np.ones((u.size, 1)), np.cos(arg), np.sin(arg)])
 
-    The scan must span at least one full fringe period (caller-asserted).
-    Extrema are estimated robustly as the means of the top and bottom 5%
-    of median-smoothed counts; V is clamped to [0, 1].
-    """
-    counts = np.asarray(scan.counts, dtype=float)
-    if counts.size == 0 or np.all(counts == 0.0):
+
+def _poisson_weights(model: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """1/model, the model floored at _MODEL_FLOOR of the mean count."""
+    return 1.0 / np.maximum(model, _MODEL_FLOOR * counts.mean())
+
+
+def _inverse(normal: np.ndarray) -> np.ndarray:
+    """Gauss-Jordan inverse of a small positive semidefinite matrix; a variable
+    whose pivot falls to 1e-12 of its diagonal is left out (zero row and column)."""
+    k = len(normal)
+    m = np.hstack([normal, np.eye(k)])
+    for i in range(k):
+        m[i] = m[i] / m[i, i] if m[i, i] > 1e-12 * normal[i, i] else 0.0
+        m -= np.multiply.outer(m[:, i], m[i]) * (np.arange(k) != i)[:, None]
+    return m[:, k:]
+
+
+def _weighted_lstsq(design: np.ndarray, y: np.ndarray, weights: np.ndarray) -> tuple:
+    """(coef, cov) of least squares with `weights` (1/variance), by the normal equations."""
+    cov = _inverse(np.einsum("ni,n,nj->ij", design, weights, design))
+    return cov @ np.einsum("ni,n->i", design, weights * y), cov
+
+
+def tone_fit(setpoints, counts, freqs) -> tuple:
+    """Poisson fit of counts to c_0 + sum_k (a_k cos(f_k u) + b_k sin(f_k u)),
+    weighted by 1/model in _IRLS_PASSES passes after an unweighted one;
+    returns coef = (c_0, a_1..a_T, b_1..b_T), its covariance and the model."""
+    u, y = np.asarray(setpoints, dtype=float), np.asarray(counts, dtype=float)
+    if not y.sum() > 0.0:
         raise DegenerateStateError("scan has no counts")
-    smoothed = _median_smooth(counts)
-    k = max(1, int(round(_EXTREME_FRACTION * counts.size)))
-    ordered = np.sort(smoothed)
-    i_min = float(np.mean(ordered[:k]))
-    i_max = float(np.mean(ordered[-k:]))
-    denom = i_max + i_min
-    v = 0.0 if denom <= 0.0 else min(max((i_max - i_min) / denom, 0.0), 1.0)
+    design = _tone_design(u, freqs)
+    weights = np.ones_like(y)
+    for _ in range(_IRLS_PASSES + 1):
+        coef, cov = _weighted_lstsq(design, y, weights)
+        model = np.einsum("ni,i->n", design, coef)
+        weights = _poisson_weights(model, y)
+    return coef, cov, model
+
+
+def _fringe_lambda(coef: np.ndarray, cov: np.ndarray, background: float = 0.0) -> tuple:
+    """(lam, sigma_lam) with lam = 3*|c| / (2*(c_0 - background)), c the last
+    tone ((n+1)*omega, or 2*omega at n = 1), sigma by the delta method."""
+    index = [0, (coef.size - 1) // 2, coef.size - 1]
+    c0, a, b = coef[index] - (background, 0.0, 0.0)
+    if not c0 > 0.0:
+        raise FitError(f"the fitted constant {coef[0]:.4g} is not above the background {background:.4g}")
+    amp = max(math.hypot(a, b), np.finfo(float).tiny)
+    lam = 1.5 * amp / c0
+    grad = np.array([-lam, 1.5 * a / amp, 1.5 * b / amp]) / c0
+    return lam, math.sqrt(max(grad @ cov[np.ix_(index, index)] @ grad, 0.0))
+
+
+def visibility(scan: FringeScan, tones) -> FringeFit:
+    """Contrast V = (I_max - I_min) / (I_max + I_min), clamped to [0, 1], of
+    the tone fit at the scan's drive `tones` (angular frequency per setpoint
+    unit); I_max and I_min are its extrema over the scanned range.
+    """
+    coef, _, _ = tone_fit(scan.setpoints, scan.counts, tones)
+    u = scan.setpoints
+    curve = _tone_design(np.linspace(u.min(), u.max(), 16 * u.size), tones) @ coef
+    i_max, i_min = float(curve.max()), float(curve.min())
+    v = min(max((i_max - i_min) / (i_max + i_min), 0.0), 1.0) if i_max + i_min > 0.0 else 0.0
     return FringeFit(i_max=i_max, i_min=i_min, visibility=v)
 
 
-def visibility_error(fit: FringeFit, n_scan_points: int) -> float:
-    """Poisson-propagated one-sigma error of a visibility estimate.
-
-    Treats I_max and I_min as means over the top/bottom 5% bins with
-    Poisson-distributed counts.
-    """
-    k = max(1, int(round(_EXTREME_FRACTION * n_scan_points)))
-    var_max = max(fit.i_max, 0.0) / k
-    var_min = max(fit.i_min, 0.0) / k
-    s = fit.i_max + fit.i_min
-    if s <= 0.0:
-        return float("inf")
-    return float(2.0 * math.sqrt(fit.i_min**2 * var_max + fit.i_max**2 * var_min) / s**2)
+def equal_rate_visibility(scan: FringeScan, omega: float, background: float = 0.0) -> tuple:
+    """(V, sigma_V) of a central scan with both phases driven at rate omega:
+    V(lam), lam from `_fringe_lambda` clamped to 1, and sigma_V = dV/dlam * sigma_lam."""
+    coef, cov, _ = tone_fit(scan.setpoints, scan.counts, (omega, 2.0 * omega))
+    lam, sigma_lam = _fringe_lambda(coef, cov, background)
+    return visibility_from_lambda(min(lam, 1.0)), 6.0 / (2.0 + lam) ** 2 * sigma_lam
 
 
 def visibility_from_lambda(lam: float) -> float:
@@ -218,140 +255,120 @@ def phase_ratio(left_scan: FringeScan, right_scan: FringeScan) -> float:
     """Ratio of the left and right satellite fringe rates, n = f_left / f_right.
 
     Both scans must share their setpoints (recorded simultaneously).  A scan
-    without a detectable fringe (V < 0.05) is rejected.
+    whose tone fit at its dominant frequency has V < 0.05 shows no fringe
+    and is rejected.
     """
     if left_scan.setpoints.shape != right_scan.setpoints.shape or not np.allclose(
         left_scan.setpoints, right_scan.setpoints
     ):
         raise ValueError("left and right scans must share their setpoints")
-    for name, scan in (("left", left_scan), ("right", right_scan)):
-        if visibility(scan).visibility < 0.05:
+    rates = [dominant_frequency(scan.setpoints, scan.counts) for scan in (left_scan, right_scan)]
+    for name, scan, rate in zip(("left", "right"), (left_scan, right_scan), rates):
+        if visibility(scan, (rate,)).visibility < 0.05:
             raise NoFringeError(f"{name} scan shows no detectable fringe (V < 0.05)")
-    f_left = dominant_frequency(left_scan.setpoints, left_scan.counts)
-    f_right = dominant_frequency(right_scan.setpoints, right_scan.counts)
-    return float(f_left / f_right)
+    return float(rates[0] / rates[1])
 
 
 # --------------------------------------------------------------------------
-# Central-fringe least-squares fit
+# Central-fringe fit
 # --------------------------------------------------------------------------
 
 
 def central_fringe_model(u, amplitude, lam, omega, n, phi0, phi1):
     """Two-phase central fringe driven at rates omega and n*omega:
-
-        A * (3 + 2*lam*(cos(w u + phi0) + cos(n w u + phi1)
-                        + cos((n+1) w u + phi0 + phi1)))
+    A * (3 + 2*lam*(cos(w u + phi0) + cos(n w u + phi1) + cos((n+1) w u + phi0 + phi1)))
     """
     w = omega * np.asarray(u, dtype=float)
-    return amplitude * (
-        3.0
-        + 2.0
-        * lam
-        * (np.cos(w + phi0) + np.cos(n * w + phi1) + np.cos((n + 1.0) * w + phi0 + phi1))
-    )
+    tones = np.cos(w + phi0) + np.cos(n * w + phi1) + np.cos((n + 1.0) * w + phi0 + phi1)
+    return amplitude * (3.0 + 2.0 * lam * tones)
 
 
-def _top_peak_frequencies(setpoints, counts, n_peaks=4):
-    freqs, power = periodogram(setpoints, counts)
-    interior = (power[1:-1] > power[:-2]) & (power[1:-1] >= power[2:])
-    idx = np.flatnonzero(interior) + 1
-    if idx.size == 0:
-        return []
-    idx = idx[np.argsort(power[idx])[::-1][:n_peaks]]
-    return sorted(float(freqs[i]) for i in idx)
+def _central_tones(rates: np.ndarray) -> np.ndarray:
+    """Tones of the central fringe at rates (omega,) for n = 1, else (omega, n)."""
+    multiples = [1.0, 2.0] if rates.size == 1 else [1.0, rates[1], rates[1] + 1.0]
+    return rates[0] * np.array(multiples)
 
 
-def _linear_tone_fit(u, counts, tone_freqs):
-    cols = [np.ones_like(u)]
-    for f in tone_freqs:
-        cols.extend([np.cos(f * u), np.sin(f * u)])
-    design = np.stack(cols, axis=1)
-    coef, *_ = np.linalg.lstsq(design, counts, rcond=None)
-    rms = float(np.sqrt(np.mean((counts - design @ coef) ** 2)))
-    return coef, rms
+def _refine_rates(u: np.ndarray, y: np.ndarray, weights: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """Gauss-Newton with step halving on the central fringe's rates, the tone
+    coefficients solved at each step (variable projection; Golub & Pereyra,
+    SIAM J. Numer. Anal. 10, 413 (1973)), over the tones and their rate derivatives."""
+
+    def projected(rates):
+        freqs = _central_tones(rates)
+        design = _tone_design(u, freqs)
+        coef = _weighted_lstsq(design, y, weights)[0]
+        residual = y - np.einsum("ni,i->n", design, coef)
+        return freqs, design, coef, residual @ (weights * residual), residual
+
+    freqs, design, coef, cost, residual = projected(rates)
+    for _ in range(_GN_STEPS):
+        arg = np.multiply.outer(u, freqs)
+        d_curve = u[:, None] * (coef[freqs.size + 1 :] * np.cos(arg) - coef[1 : freqs.size + 1] * np.sin(arg))
+        d_freqs = [freqs / rates[0], [0.0, rates[0], rates[0]]][: rates.size]
+        jacobian = np.einsum("nt,pt->np", d_curve, d_freqs)
+        step = _weighted_lstsq(np.hstack([design, jacobian]), residual, weights)[0][-rates.size :]
+        for _ in range(10):
+            if np.all(rates + step > 0.0):
+                found = projected(rates + step)
+                if found[3] < cost:
+                    break
+            step = step / 2.0
+        else:
+            break
+        rates = rates + step
+        freqs, design, coef, cost, residual = found
+        if np.all(np.abs(step) <= 1e-9 * rates):
+            break
+    return rates
 
 
 def _candidate_inits(u, counts):
-    peaks = _top_peak_frequencies(u, counts)
-    candidates = []
+    """Start rates (omega, n) from pairs of the four strongest periodogram
+    peaks; a ratio within one beat over the scan of 1 is n = 1 exactly."""
+    freqs, power = periodogram(u, counts)
+    idx = np.flatnonzero((power[1:-1] > power[:-2]) & (power[1:-1] >= power[2:])) + 1
+    peaks = sorted(freqs[idx[np.argsort(power[idx])[::-1][:4]]])
+    span = float(u.max() - u.min())
+    candidates = [] if peaks else [(2.0 * np.pi / span, 1.0)]
     for i, fi in enumerate(peaks):
         candidates.append((fi, 1.0))
         for fj in peaks[i + 1 :]:
-            ratio = fj / fi
-            candidates.append((fi, ratio))
-            if ratio > 1.2:
-                candidates.append((fi, ratio - 1.0))
-    if not candidates:
-        span = float(u.max() - u.min())
-        candidates.append((2.0 * np.pi / span, 1.0))
-    seen, unique = set(), []
-    for w, n in candidates:
-        key = (round(w, 9), round(n, 6))
-        if n > 0.02 and key not in seen:
-            seen.add(key)
-            unique.append((w, n))
-    return unique
+            for n in (fj / fi, fj / fi - 1.0) if fj > 1.2 * fi else (fj / fi,):
+                candidates.append((fi, 1.0 if abs(n - 1.0) * fi * span < 2.0 * np.pi else n))
+    return [(w, n) for w, n in dict.fromkeys(candidates) if n > 0.02]
 
 
-def fit_central_fringe(scan: FringeScan) -> FringeFit:
-    """Least-squares fit of a central-peak scan to the two-phase fringe law.
-
-    Recovers the mixing weight lam, the phase-rate ratio n and the two
-    phase offsets.  The scan should cover at least two periods of the
-    slower phase.  Raises FitError on non-convergence or when the relative
-    RMS residual exceeds 0.2.
-    """
-    from scipy import optimize  # the only scipy use; kept off the import path
-
-    u = np.asarray(scan.setpoints, dtype=float)
-    counts = np.asarray(scan.counts, dtype=float)
-    mean = counts.mean()
-    if mean <= 0.0:
-        raise DegenerateStateError("scan has no counts")
-    y = counts / mean  # scale-free fit; amplitude is restored afterwards
-
-    best = None
-    for w0, n0 in _candidate_inits(u, y):
-        coef, rms = _linear_tone_fit(u, y, (w0, n0 * w0, (n0 + 1.0) * w0))
-        if best is None or rms < best[0]:
-            best = (rms, w0, n0, coef)
-    _, w0, n0, coef = best
-    amp0 = max(coef[0] / 3.0, 1e-9)
-    tone_amp = np.hypot(coef[1], -coef[2])
-    lam0 = min(max(tone_amp / (2.0 * amp0), 0.0), 1.0)
-    phi0 = math.atan2(-coef[2], coef[1]) if tone_amp > 0 else 0.0
-    phi1 = math.atan2(-coef[4], coef[3]) if np.hypot(coef[3], coef[4]) > 0 else 0.0
-
-    def residuals(theta):
-        a, lam, w, n, p0, p1 = theta
-        return central_fringe_model(u, a, lam, w, n, p0, p1) - y
-
-    bounds = (
-        [1e-9, 0.0, 1e-9, 0.02, -2.0 * np.pi, -2.0 * np.pi],
-        [np.inf, 1.0, np.inf, 50.0, 2.0 * np.pi, 2.0 * np.pi],
-    )
-    x0 = np.clip([amp0, lam0, w0, n0, phi0, phi1], bounds[0], bounds[1])
-    result = optimize.least_squares(residuals, x0, bounds=bounds, max_nfev=20000)
-    if not result.success:
-        raise FitError(f"central fringe fit did not converge: {result.message}")
-    a_hat, lam_hat, _, n_hat, p0_hat, p1_hat = result.x
-    rel_residual = float(np.sqrt(np.mean(result.fun**2)) / np.mean(y))
-    if rel_residual > 0.2:
+def fit_central_fringe(scan: FringeScan, start: tuple = None) -> FringeFit:
+    """Fit of a central-peak scan to the two-phase fringe law from the rates
+    `start` = (omega, n), normally the drive rates (n = 1, the two-tone case,
+    stays fixed), refined by `_refine_rates`; lam is read off the tone fit
+    there.  Without `start` every candidate of `_candidate_inits` is refined
+    and the least chi-square plus _TONE_COST per tone wins.  Raises FitError
+    when the relative RMS residual exceeds 0.2."""
+    if start is not None and not start[1] > 0.0:
+        raise FitError(f"the fringe law needs drive rates of one sign, got n = {start[1]:.4g}")
+    u, y = scan.setpoints, scan.counts
+    fits = []
+    for omega, n in [start] if start is not None else _candidate_inits(u, y):
+        rates = np.array([omega] if n == 1.0 else [omega, n], dtype=float)
+        _, _, model = tone_fit(u, y, _central_tones(rates))
+        rates = _refine_rates(u, y, _poisson_weights(model, y), rates)
+        coef, cov, model = tone_fit(u, y, _central_tones(rates))
+        chi2 = float(np.sum((y - model) ** 2 * _poisson_weights(model, y)))
+        fits.append((chi2 + _TONE_COST * rates.size, rates, coef, cov, model))
+    _, rates, coef, cov, model = min(fits, key=lambda fit: fit[0])
+    lam = min(_fringe_lambda(coef, cov)[0], 1.0)
+    n_hat = float(rates[1]) if rates.size == 2 else 1.0
+    rel_residual = float(np.sqrt(np.mean((model - y) ** 2)) / np.mean(y))
+    if not rel_residual <= 0.2:
         raise FitError(
             f"central fringe fit rejected: relative residual {rel_residual:.3f} > 0.2 "
-            f"(lam={lam_hat:.3f}, n={n_hat:.3f})"
+            f"(lam={lam:.3f}, n={n_hat:.3f})"
         )
-    amplitude = a_hat * mean
-    return FringeFit(
-        i_max=float(amplitude * (3.0 + 6.0 * lam_hat)),
-        i_min=float(amplitude * (3.0 - 3.0 * lam_hat)),
-        visibility=visibility_from_lambda(float(lam_hat)),
-        lambda_hat=float(lam_hat),
-        n_hat=float(n_hat),
-        phase_offsets=(float(p0_hat), float(p1_hat)),
-        residual=rel_residual,
-    )
+    a = coef[0] / 3.0  # fringe-law extrema A*(3 + 6*lam) and A*(3 - 3*lam)
+    v = visibility_from_lambda(lam)
+    return FringeFit(a * (3.0 + 6.0 * lam), a * (3.0 - 3.0 * lam), v, lam, n_hat, rel_residual)
 
 
 # --------------------------------------------------------------------------
@@ -420,20 +437,12 @@ def cglmp_value(rho: DensityOperator, settings: CglmpSettings) -> float:
 
 def local_deterministic_values() -> np.ndarray:
     """I3 of all 81 deterministic local strategies (exact integers)."""
-    values = np.zeros(81)
-    i = 0
-    for a1 in range(3):
-        for a2 in range(3):
-            for b1 in range(3):
-                for b2 in range(3):
-                    table = np.zeros((2, 2, 3, 3))
-                    table[0, 0, a1, b1] = 1.0
-                    table[0, 1, a1, b2] = 1.0
-                    table[1, 0, a2, b1] = 1.0
-                    table[1, 1, a2, b2] = 1.0
-                    values[i] = i3_from_probability_table(table)
-                    i += 1
-    return values
+    values = []
+    for a1, a2, b1, b2 in itertools.product(range(3), repeat=4):
+        table = np.zeros((2, 2, 3, 3))
+        table[0, 0, a1, b1] = table[0, 1, a1, b2] = table[1, 0, a2, b1] = table[1, 1, a2, b2] = 1.0
+        values.append(i3_from_probability_table(table))
+    return np.array(values)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from . import __version__
 from .analysis import (
     FringeScan,
     bell_threshold_visibility,
+    equal_rate_visibility,
     fit_central_fringe,
     lambda_from_visibility,
     optimize_cglmp,
@@ -41,9 +42,8 @@ from .analysis import (
     save_scan,
     sigma_violation,
     visibility,
-    visibility_error,
 )
-from .errors import ConfigurationError, FitError
+from .errors import ConfigurationError, DegenerateStateError, FitError, NoFringeError
 from .protocols import BASIS_IDS, EveModel, run_coin_toss, run_qkd
 from .source import ArmPhases, CouplerRatios, InterferometerConfig, step_distributions
 from .timetags import (
@@ -548,23 +548,26 @@ def _run_scan(config: dict, out_dir: str, write_files: bool = True):
             background[(peak, j, k)][i] = flat[j, k]
 
     scans = {ch: FringeScan(setpoints, counts[ch]) for ch in channels}
-    backgrounds = {ch: background[ch] for ch in channels}
     outputs = []
     if write_files:
         for (peak, j, k), scan in scans.items():
             path = os.path.join(out_dir, f"scan_{peak}_{j}{k}.csv")
             save_scan(scan, path)
             outputs.append(path)
-    return scans, backgrounds, outputs
+    return scans, background, outputs
 
 
 def cmd_scan(config: dict, out_dir: str) -> list:
-    """Per-channel fringe scans plus fitted fringe parameters."""
+    """Per-channel fringe scans plus fitted fringe parameters, each fitted
+    at its drive tones; the central fit starts from the drive rates."""
     scans, backgrounds, outputs = _run_scan(config, out_dir)
+    drive = config["scan_spec"]["phase_drive"]
+    rate_r, rate_l = float(drive["rate_r_rad_per_s"]), float(drive["rate_l_rad_per_s"])
+    drive_rates = {"right": (rate_r,), "left": (rate_l,), "central": (rate_r, rate_l, rate_r + rate_l)}
     fits = {}
     for (peak, j, k), scan in scans.items():
         name = f"{peak}_{j}{k}"
-        fit = visibility(scan)
+        fit = visibility(scan, sorted({abs(rate) for rate in drive_rates[peak]} - {0.0}))
         entry = {
             "i_max": fit.i_max,
             "i_min": fit.i_min,
@@ -573,14 +576,8 @@ def cmd_scan(config: dict, out_dir: str) -> list:
         }
         if peak == "central":
             try:
-                full = fit_central_fringe(scan)
-                entry.update(
-                    {
-                        "lambda_hat": full.lambda_hat,
-                        "n_hat": full.n_hat,
-                        "residual": full.residual,
-                    }
-                )
+                full = fit_central_fringe(scan, (abs(rate_r), rate_l / rate_r if rate_r else 0.0))
+                entry.update({"lambda_hat": full.lambda_hat, "n_hat": full.n_hat, "residual": full.residual})
             except FitError as exc:
                 entry["fit_error"] = str(exc)
         fits[name] = entry
@@ -589,7 +586,7 @@ def cmd_scan(config: dict, out_dir: str) -> list:
     if left is not None and right is not None:
         try:
             fits["satellite_rate_ratio"] = phase_ratio(left, right)
-        except Exception as exc:  # no-fringe scans are reported, not fatal
+        except (NoFringeError, DegenerateStateError) as exc:  # reported, not fatal
             fits["satellite_rate_ratio_error"] = str(exc)
     fits_path = os.path.join(out_dir, "fringe_fits.json")
     _write_json(fits, fits_path)
@@ -599,33 +596,27 @@ def cmd_scan(config: dict, out_dir: str) -> list:
 def cmd_bell(config: dict, out_dir: str) -> list:
     """Equal-rate scan, visibility extraction and Bell-threshold verdict.
 
-    Reports the raw visibility of the (0,0) channel, its background-corrected
-    (net) value, and the mean over the three correlated coincidence-class
-    channels; the verdict uses the net per-channel value.
+    Reports V(lam) of the (0,0) channel, raw and background-corrected (net),
+    and the mean net value over the three correlated coincidence-class
+    channels; the verdict uses the net (0,0) value.
     """
     config = copy.deepcopy(config)
     drive = config["scan_spec"]["phase_drive"]
     drive["rate_l_rad_per_s"] = drive["rate_r_rad_per_s"]  # threshold needs n = 1
-    class_channels = [{"peak": "central", "j": j, "k": k} for j, k in ((0, 0), (1, 2), (2, 1))]
-    config["scan_spec"]["channels"] = class_channels
+    omega = abs(float(drive["rate_r_rad_per_s"]))
+    channels = [("central", j, k) for j, k in ((0, 0), (1, 2), (2, 1))]
+    config["scan_spec"]["channels"] = [dict(zip(("peak", "j", "k"), ch)) for ch in channels]
     scans, backgrounds, outputs = _run_scan(config, out_dir)
-
-    def net_fit(channel):
-        scan = scans[channel]
-        corrected = np.clip(scan.counts - backgrounds[channel].mean(), 0.0, None)
-        return visibility(FringeScan(scan.setpoints, corrected))
-
-    raw_fit = visibility(scans[("central", 0, 0)])
-    fit = net_fit(("central", 0, 0))
-    sigma_v = visibility_error(fit, len(scans[("central", 0, 0)]))
+    raw_visibility, _ = equal_rate_visibility(scans[channels[0]], omega)
+    net = [equal_rate_visibility(scans[ch], omega, backgrounds[ch].mean()) for ch in channels]
+    v_net, sigma_v = net[0]
     _, v_bell = bell_threshold_visibility()
-    if fit.visibility < v_bell / 2.0:
+    if v_net < v_bell / 2.0:
         raise FitError(
-            f"no usable fringe: visibility {fit.visibility:.3f} is below half the "
+            f"no usable fringe: visibility {v_net:.3f} is below half the "
             f"Bell threshold {v_bell:.4f}; check phases and mixing weight"
         )
-    result = sigma_violation(fit.visibility, sigma_v)
-    class_visibilities = [net_fit(("central", j, k)).visibility for j, k in ((0, 0), (1, 2), (2, 1))]
+    result = sigma_violation(v_net, sigma_v)
     payload = {
         "v_net": result.v_net,
         "sigma_v": result.sigma_v,
@@ -635,9 +626,9 @@ def cmd_bell(config: dict, out_dir: str) -> list:
         "lambda_crit": result.lambda_crit,
         "lambda_hat": lambda_from_visibility(result.v_net),
         "i3_max": optimize_cglmp().value,
-        "raw_visibility": raw_fit.visibility,
-        "background_mean": float(backgrounds[("central", 0, 0)].mean()),
-        "class_mean_visibility": float(np.mean(class_visibilities)),
+        "raw_visibility": raw_visibility,
+        "background_mean": float(backgrounds[channels[0]].mean()),
+        "class_mean_visibility": float(np.mean([v for v, _ in net])),
     }
     bell_path = os.path.join(out_dir, "bell.json")
     _write_json(payload, bell_path)

@@ -134,7 +134,7 @@ def test_criterion_3_visibility_chain():
     for i, phi in enumerate(phases):
         itf = InterferometerConfig(alice=phases_for_fringe_targets(phi, phi))
         counts[i] = rng.poisson(27000.0 * coincidence_prob_central(itf, 0, 0, lam))
-    fit = visibility(FringeScan(phases, counts))
+    fit = visibility(FringeScan(phases, counts), (1.0, 2.0))  # both phases advance at rate 1
     v_ok = abs(fit.visibility - 0.979) <= 0.005
     lam_hat = lambda_from_visibility(0.979)
     lam_ok = abs(lam_hat - 0.9688) <= 1e-4

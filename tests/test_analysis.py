@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qutrit_bench.analysis import (
     CglmpSettings,
@@ -40,29 +42,22 @@ class TestVisibility:
     def test_full_contrast_cosine(self):
         u = np.linspace(0, 4 * np.pi, 1500)
         scan = FringeScan(u, 100.0 * (1.0 + np.cos(u)))
-        fit = visibility(scan)
+        fit = visibility(scan, (1.0,))
         assert fit.visibility == pytest.approx(1.0, abs=0.01)
 
     def test_constant_counts(self):
         scan = FringeScan(np.linspace(0, 10, 200), np.full(200, 57.0))
-        assert visibility(scan).visibility == pytest.approx(0.0, abs=1e-12)
+        assert visibility(scan, (1.0,)).visibility == pytest.approx(0.0, abs=1e-12)
 
     def test_all_zero_counts_rejected(self):
         scan = FringeScan(np.linspace(0, 10, 50), np.zeros(50))
         with pytest.raises(DegenerateStateError):
-            visibility(scan)
+            visibility(scan, (1.0,))
 
     def test_equal_rate_scan_recovers_target_visibility(self):
         # analytic extrema of the fringe law: V = 3*lam / (2 + lam)
-        fit = visibility(equal_rate_scan(0.9688))
+        fit = visibility(equal_rate_scan(0.9688), (1.0, 2.0))
         assert fit.visibility == pytest.approx(0.979, abs=0.005)
-
-    def test_single_bin_spike_suppressed(self):
-        u = np.linspace(0, 4 * np.pi, 800)
-        counts = 100.0 * (1.0 + 0.5 * np.cos(u))
-        counts[400] = 1e5  # cosmic-ray style spike
-        fit = visibility(FringeScan(u, counts))
-        assert fit.visibility == pytest.approx(0.5, abs=0.02)
 
 
 class TestVisibilityLambdaMaps:
@@ -153,6 +148,37 @@ class TestCentralFringeFit:
     def test_recovered_visibility_is_consistent(self):
         fit = fit_central_fringe(self.synthetic(1.0, 0.9688, seed=9))
         assert fit.visibility == pytest.approx(0.979, abs=0.01)
+
+    def test_start_rates_of_opposite_sign_rejected(self):
+        with pytest.raises(FitError, match="one sign"):
+            fit_central_fringe(self.synthetic(1.0, 0.9), (1.0, -1.0))
+
+    PERIODS = 8.0  # of the omega tone over the scan
+    START_TOLERANCE = 0.01  # relative error of the start rates: radians of phase by the scan end
+    LAMBDA_TOLERANCE = 0.04  # about 6 sigma at the lowest counts drawn
+    N_TOLERANCE = 0.02  # where omega and n*omega are at least one beat apart
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.floats(0.3, 1.0),
+        st.floats(0.5, 3.0) | st.just(1.0),
+        st.tuples(st.floats(0.0, 2 * np.pi), st.floats(0.0, 2 * np.pi)),
+        st.tuples(*[st.floats(-START_TOLERANCE, START_TOLERANCE)] * 2),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_recovers_lambda_and_n_from_perturbed_start_rates(self, lam, n, phases, errors, seed):
+        omega = 2 * np.pi
+        u = np.linspace(0.0, self.PERIODS, 400)
+        mean = np.clip(central_fringe_model(u, 100.0, lam, omega, n, *phases), 0.0, None)
+        scan = FringeScan(u, np.random.default_rng(seed).poisson(mean).astype(float))
+        start = (omega * (1.0 + errors[0]), 1.0 if n == 1.0 else n * (1.0 + errors[1]))
+        fit = fit_central_fringe(scan, start)
+        assert fit.lambda_hat == pytest.approx(lam, abs=self.LAMBDA_TOLERANCE)
+        # Closer to 1 the omega and n*omega tones are not resolved, and n is
+        # known only to the resolution 1 / PERIODS; lam is still read off
+        # the well separated (n+1)*omega tone.
+        resolved = abs(n - 1.0) * self.PERIODS >= 1.0
+        assert fit.n_hat == pytest.approx(n, abs=self.N_TOLERANCE if resolved else 1.0 / self.PERIODS)
 
 
 class TestPhaseRatio:

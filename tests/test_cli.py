@@ -10,6 +10,7 @@ import pytest
 from qutrit_bench import cli
 from qutrit_bench.analysis import load_scan
 from qutrit_bench.cli import CONFIG_SCHEMA, main
+from qutrit_bench.errors import DegenerateStateError, NoFringeError
 from qutrit_bench.timetags import simulate_run
 
 BASE_RUN = {
@@ -279,6 +280,25 @@ class TestScanOutputs:
         assert manifest["tool_version"]
         assert len(manifest["config_sha256"]) == 64
         assert "error_code" not in manifest
+
+    @pytest.mark.parametrize(
+        "error, code", [(NoFringeError, 0), (DegenerateStateError, 0), (TypeError, 3), (ValueError, 3)]
+    )
+    def test_only_fringe_errors_of_phase_ratio_are_reported(self, tmp_path, capsys, monkeypatch, error, code):
+        def failing_phase_ratio(left, right):
+            raise error("planted failure")
+
+        monkeypatch.setattr(cli, "phase_ratio", failing_phase_ratio)
+        config = self.scan_config()
+        config["scan_spec"]["phase_drive"]["steps"] = 20
+        out = tmp_path / "out"
+        assert run_cli(["scan", "--config", write_config(tmp_path, config), "--out", out]) == code
+        if code == 0:
+            fits = json.loads((out / "fringe_fits.json").read_text())
+            assert fits["satellite_rate_ratio_error"] == "planted failure"
+        else:
+            assert f"{error.__name__}: planted failure" in capsys.readouterr().err
+            assert json.loads((out / "manifest.json").read_text())["error_code"] == "runtime_error"
 
 
 class TestDeterminism:

@@ -1,4 +1,4 @@
-"""The command-line runner starts without scipy or jsonschema.
+"""The package runs without scipy, and the command-line runner without jsonschema.
 
 Each case runs in a fresh interpreter, so modules imported by the test
 session do not hide what `qutrit_bench` itself loads.
@@ -66,18 +66,28 @@ def test_cli_runs_without_loading_scipy(tmp_path):
     assert report["schema"] == []
 
 
-def test_central_fit_loads_scipy_optimize_on_demand():
+def test_central_fit_loads_no_scipy(tmp_path):
+    drive = dict(DRIVE, dwell_s=0.02)  # 2.4 periods, enough for the central fit
+    channels = [{"peak": "central", "j": 0, "k": 0}]
+    config = {"experiment": "scan", "run": RUN, "scan_spec": {"channels": channels, "phase_drive": drive}}
+    (tmp_path / "scan.json").write_text(json.dumps(config))
     report = run_fresh(
         f"""
-        import json, sys
+        import json, os, sys
         import numpy as np
+        from qutrit_bench import cli
         from qutrit_bench.analysis import FringeScan, central_fringe_model, fit_central_fringe
-        before = {SCIPY_LOADED}
+        root = sys.argv[1]
+        code = cli.main(["scan", "--config", os.path.join(root, "scan.json"), "--out", os.path.join(root, "scan")])
+        with open(os.path.join(root, "scan", "fringe_fits.json")) as fh:
+            central = json.load(fh)["central_00"]
         u = np.linspace(0.0, 4.0, 400)
         fit = fit_central_fringe(FringeScan(u, central_fringe_model(u, 50.0, 0.9, 2 * np.pi, 1.0, 0.3, -0.4)))
-        print(json.dumps({{"before": before, "after": {SCIPY_LOADED}, "lam": fit.lambda_hat}}))
-        """
+        print(json.dumps({{"code": code, "central": central, "scipy": {SCIPY_LOADED}, "lam": fit.lambda_hat}}))
+        """,
+        str(tmp_path),
     )
-    assert report["before"] == []
-    assert "scipy.optimize" in report["after"]
+    assert report["code"] == 0
+    assert "lambda_hat" in report["central"], report["central"]
+    assert report["scipy"] == []
     assert abs(report["lam"] - 0.9) < 1e-6
