@@ -43,7 +43,7 @@ for ratio in (7.0, 1.0):
     right = FringeScan(u, channels["right"])
     central = FringeScan(u, channels["central"])
 
-    n_satellites = phase_ratio(left, right)
+    n_satellites = phase_ratio(left, right, (ratio, 1.0))  # left follows the fast phase
     fit = fit_central_fringe(central, (1.0, ratio))  # start from the drive rates
     v = visibility(central, sorted({1.0, ratio, 1.0 + ratio}))
 

@@ -6,10 +6,12 @@ frequency ("tone") the caller knows, with its covariance.  The central
 fringe at rates omega and n*omega has tones omega, n*omega and (n+1)*omega
 (omega and 2*omega at n = 1); the last has amplitude 2*A*lam at any phases
 and the constant is 3*A, so lam = 3*|c| / (2*c_0) and V = 3*lam / (2 + lam).
-Also here: satellite phase-rate tracking (a Lomb-Scargle periodogram), the
-d = 3 Bell functional of phase-plus-coupler measurements, its closed-form
-maximum (Collins, Gisin, Linden, Massar, Popescu, PRL 88, 040404 (2002))
-and the visibility threshold of a violation.  All plain numpy.
+Every rate starts from the drive and is refined by Gauss-Newton on that
+fit: the satellite rate ratio n = f_left / f_right and the central fit's
+(omega, n).  Also here: the d = 3 Bell functional of phase-plus-coupler
+measurements, its closed-form maximum (Collins, Gisin, Linden, Massar,
+Popescu, PRL 88, 040404 (2002)) and the visibility threshold of a
+violation.  All plain numpy.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from .errors import DegenerateStateError, FitError, NoFringeError
 
 _IRLS_PASSES = 4  # passes weighted by 1/model after the unweighted one
 _MODEL_FLOOR = 0.01  # of the mean count: the least model value a weight is taken from
-_GN_STEPS = 50  # Gauss-Newton steps of the central fit's rate refinement
-_TONE_COST = 25.0  # chi-square a rate-free candidate's extra tone must gain (5 sigma)
+_GN_STEPS = 50  # Gauss-Newton steps of a rate refinement
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,7 @@ class FringeFit:
     i_min: float
     visibility: float
     lambda_hat: float = None
+    sigma_lambda: float = None
     n_hat: float = None
     residual: float = None
 
@@ -194,79 +196,73 @@ def lambda_from_visibility(v: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# Periodogram and fringe-rate tracking
+# Fringe rates
 # --------------------------------------------------------------------------
 
-
-def periodogram(setpoints: np.ndarray, counts: np.ndarray, freqs: np.ndarray = None):
-    """Lomb-Scargle power of mean-subtracted counts on an angular-frequency grid.
-
-    A direct frequency scan (not FFT-length-locked) so short or ragged
-    scans resolve peaks; returns (freqs, power).
-    """
-    u = np.asarray(setpoints, dtype=float)
-    c = np.asarray(counts, dtype=float)
-    span = float(u.max() - u.min())
-    if span <= 0.0:
-        raise ValueError("setpoints must span a nonzero range")
-    if freqs is None:
-        f_min = 2.0 * np.pi * 0.25 / span
-        f_max = np.pi * (u.size - 1) / span  # Nyquist-like bound for ~uniform scans
-        if not np.isfinite(f_max):  # f_max >= f_min, so the whole grid is finite past here
-            raise ValueError(f"setpoint span {span!r} is too small for a finite frequency grid")
-        freqs = np.linspace(f_min, f_max, 4000)
-    freqs = np.asarray(freqs, dtype=float)
-    # Lomb-Scargle power with uniform weights and a fixed zero mean, in the
-    # operation order of scipy.signal.lombscargle(normalize="power"), so the
-    # two agree bit for bit (tests/test_references.py).  Three setpoint x
-    # frequency arrays are reused in place for every elementwise step.
-    x = u.reshape(-1, 1)
-    weights = np.ones_like(x) * (1.0 / x.size)
-    weights_y = weights * (c - c.mean()).reshape(-1, 1)
-    wt = freqs.reshape(1, -1) * x
-    cos_w, work = np.cos(wt), np.sin(wt)
-    cs = np.dot(weights.T, np.multiply(cos_w, work, out=work))
-    cc = np.dot(weights.T, np.multiply(cos_w, cos_w, out=work))
-    tau = 0.5 * np.arctan2(2.0 * cs, cc - (1.0 - cc))  # phase that decouples cos and sin
-    wt -= tau
-    cos_w, sin_w = np.cos(wt, out=cos_w), np.sin(wt, out=wt)
-    yc = np.dot(weights_y.T, cos_w)
-    ys = np.dot(weights_y.T, sin_w)
-    cc = np.dot(weights.T, np.multiply(cos_w, cos_w, out=work))
-    epsneg = np.finfo(float).epsneg  # keeps the divisions finite where cc or ss round to ~0
-    cc, ss = np.maximum(cc, epsneg), np.maximum(1.0 - cc, epsneg)
-    power = np.squeeze(2.0 * ((yc / cc) * yc + (ys / ss) * ys)) * (x.size / 4.0)
-    return freqs, power
+# Tones as a linear map of the rates, freqs = mixing @ rates: the central
+# fringe at rates (omega_r, omega_l), at one rate (omega, 2*omega tones) and
+# a satellite fringe.
+_CENTRAL_MIXING = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+_EQUAL_RATE_MIXING = np.array([[1.0], [2.0]])
+_SATELLITE_MIXING = np.array([[1.0]])
 
 
-def dominant_frequency(setpoints: np.ndarray, counts: np.ndarray) -> float:
-    """Angular frequency of the strongest periodogram peak, parabolically refined."""
-    freqs, power = periodogram(setpoints, counts)
-    i = int(np.argmax(power))
-    if 0 < i < freqs.size - 1:
-        denom = power[i - 1] - 2.0 * power[i] + power[i + 1]
-        if denom < 0.0:
-            shift = 0.5 * (power[i - 1] - power[i + 1]) / denom
-            return float(freqs[i] + shift * (freqs[1] - freqs[0]))
-    return float(freqs[i])
+def _refine_rates(scan: FringeScan, rates: np.ndarray, mixing: np.ndarray) -> np.ndarray:
+    """Gauss-Newton with step halving on the rates of the tones mixing @ rates,
+    from `rates` and weighted by the tone fit there, the tone coefficients
+    solved at each step (variable projection; Golub & Pereyra, SIAM J.
+    Numer. Anal. 10, 413 (1973)); the tones' rate derivative is `mixing`."""
+    u, y = scan.setpoints, scan.counts
+    weights = _poisson_weights(tone_fit(u, y, mixing @ rates)[2], y)
+    t = len(mixing)
+
+    def projected(rates):
+        design = _tone_design(u, mixing @ rates)
+        coef = _weighted_lstsq(design, y, weights)[0]
+        residual = y - np.einsum("ni,i->n", design, coef)
+        return design, coef, residual @ (weights * residual), residual
+
+    design, coef, cost, residual = projected(rates)
+    for _ in range(_GN_STEPS):
+        d_curve = u[:, None] * (coef[t + 1 :] * design[:, 1 : t + 1] - coef[1 : t + 1] * design[:, t + 1 :])
+        step = _weighted_lstsq(np.hstack([design, d_curve @ mixing]), residual, weights)[0][-rates.size :]
+        for _ in range(10):
+            if np.all(rates + step > 0.0):
+                found = projected(rates + step)
+                if found[2] < cost:
+                    break
+            step = step / 2.0
+        else:
+            break
+        rates = rates + step
+        design, coef, cost, residual = found
+        if np.all(np.abs(step) <= 1e-9 * rates):
+            break
+    return rates
 
 
-def phase_ratio(left_scan: FringeScan, right_scan: FringeScan) -> float:
-    """Ratio of the left and right satellite fringe rates, n = f_left / f_right.
+def phase_ratio(left_scan: FringeScan, right_scan: FringeScan, rates: tuple) -> float:
+    """Ratio of the left and right satellite fringe rates, n = f_left / f_right,
+    each refined by `_refine_rates` from its drive rate in `rates` = (left,
+    right); a fringe cannot tell the sign of its rate, so magnitudes are used.
 
-    Both scans must share their setpoints (recorded simultaneously).  A scan
-    whose tone fit at its dominant frequency has V < 0.05 shows no fringe
-    and is rejected.
+    Both scans must share their setpoints (recorded simultaneously).  A zero
+    or non-finite drive rate, and a scan whose tone fit at its refined rate
+    has V < 0.05 (no fringe), raise NoFringeError.
     """
     if left_scan.setpoints.shape != right_scan.setpoints.shape or not np.allclose(
         left_scan.setpoints, right_scan.setpoints
     ):
         raise ValueError("left and right scans must share their setpoints")
-    rates = [dominant_frequency(scan.setpoints, scan.counts) for scan in (left_scan, right_scan)]
+    found = []
     for name, scan, rate in zip(("left", "right"), (left_scan, right_scan), rates):
+        if not 0.0 < abs(rate) < math.inf:
+            raise NoFringeError(f"{name} drive rate {rate:.4g} is not a finite nonzero rate")
+        rate = float(_refine_rates(scan, np.array([abs(rate)]), _SATELLITE_MIXING)[0])
         if visibility(scan, (rate,)).visibility < 0.05:
             raise NoFringeError(f"{name} scan shows no detectable fringe (V < 0.05)")
-    return float(rates[0] / rates[1])
+        found.append(rate)
+    return found[0] / found[1]
 
 
 # --------------------------------------------------------------------------
@@ -283,83 +279,28 @@ def central_fringe_model(u, amplitude, lam, omega, n, phi0, phi1):
     return amplitude * (3.0 + 2.0 * lam * tones)
 
 
-def _central_tones(rates: np.ndarray) -> np.ndarray:
-    """Tones of the central fringe at rates (omega,) for n = 1, else (omega, n)."""
-    multiples = [1.0, 2.0] if rates.size == 1 else [1.0, rates[1], rates[1] + 1.0]
-    return rates[0] * np.array(multiples)
-
-
-def _refine_rates(u: np.ndarray, y: np.ndarray, weights: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """Gauss-Newton with step halving on the central fringe's rates, the tone
-    coefficients solved at each step (variable projection; Golub & Pereyra,
-    SIAM J. Numer. Anal. 10, 413 (1973)), over the tones and their rate derivatives."""
-
-    def projected(rates):
-        freqs = _central_tones(rates)
-        design = _tone_design(u, freqs)
-        coef = _weighted_lstsq(design, y, weights)[0]
-        residual = y - np.einsum("ni,i->n", design, coef)
-        return freqs, design, coef, residual @ (weights * residual), residual
-
-    freqs, design, coef, cost, residual = projected(rates)
-    for _ in range(_GN_STEPS):
-        arg = np.multiply.outer(u, freqs)
-        d_curve = u[:, None] * (coef[freqs.size + 1 :] * np.cos(arg) - coef[1 : freqs.size + 1] * np.sin(arg))
-        d_freqs = [freqs / rates[0], [0.0, rates[0], rates[0]]][: rates.size]
-        jacobian = np.einsum("nt,pt->np", d_curve, d_freqs)
-        step = _weighted_lstsq(np.hstack([design, jacobian]), residual, weights)[0][-rates.size :]
-        for _ in range(10):
-            if np.all(rates + step > 0.0):
-                found = projected(rates + step)
-                if found[3] < cost:
-                    break
-            step = step / 2.0
-        else:
-            break
-        rates = rates + step
-        freqs, design, coef, cost, residual = found
-        if np.all(np.abs(step) <= 1e-9 * rates):
-            break
-    return rates
-
-
-def _candidate_inits(u, counts):
-    """Start rates (omega, n) from pairs of the four strongest periodogram
-    peaks; a ratio within one beat over the scan of 1 is n = 1 exactly."""
-    freqs, power = periodogram(u, counts)
-    idx = np.flatnonzero((power[1:-1] > power[:-2]) & (power[1:-1] >= power[2:])) + 1
-    peaks = sorted(freqs[idx[np.argsort(power[idx])[::-1][:4]]])
-    span = float(u.max() - u.min())
-    candidates = [] if peaks else [(2.0 * np.pi / span, 1.0)]
-    for i, fi in enumerate(peaks):
-        candidates.append((fi, 1.0))
-        for fj in peaks[i + 1 :]:
-            for n in (fj / fi, fj / fi - 1.0) if fj > 1.2 * fi else (fj / fi,):
-                candidates.append((fi, 1.0 if abs(n - 1.0) * fi * span < 2.0 * np.pi else n))
-    return [(w, n) for w, n in dict.fromkeys(candidates) if n > 0.02]
-
-
-def fit_central_fringe(scan: FringeScan, start: tuple = None) -> FringeFit:
-    """Fit of a central-peak scan to the two-phase fringe law from the rates
-    `start` = (omega, n), normally the drive rates (n = 1, the two-tone case,
-    stays fixed), refined by `_refine_rates`; lam is read off the tone fit
-    there.  Without `start` every candidate of `_candidate_inits` is refined
-    and the least chi-square plus _TONE_COST per tone wins.  Raises FitError
-    when the relative RMS residual exceeds 0.2."""
-    if start is not None and not start[1] > 0.0:
-        raise FitError(f"the fringe law needs drive rates of one sign, got n = {start[1]:.4g}")
+def fit_central_fringe(scan: FringeScan, start: tuple) -> FringeFit:
+    """Fit of a central-peak scan to the two-phase fringe law from the drive
+    rates `start` = (omega, n): the rates (|omega|, n*|omega|) are refined
+    by `_refine_rates` (n = 1, the two-tone case, stays fixed), and lam and
+    its sigma are read off the tone fit there.  Raises FitError on start
+    rates that are zero, not finite or of opposite sign, and when the
+    relative RMS residual exceeds 0.2."""
+    omega, n = start
+    if not (0.0 < abs(omega) < math.inf and 0.0 < n < math.inf):
+        raise FitError(
+            f"the fringe law needs finite nonzero drive rates of one sign, got omega = {omega:.4g}, n = {n:.4g}"
+        )
     u, y = scan.setpoints, scan.counts
-    fits = []
-    for omega, n in [start] if start is not None else _candidate_inits(u, y):
-        rates = np.array([omega] if n == 1.0 else [omega, n], dtype=float)
-        _, _, model = tone_fit(u, y, _central_tones(rates))
-        rates = _refine_rates(u, y, _poisson_weights(model, y), rates)
-        coef, cov, model = tone_fit(u, y, _central_tones(rates))
-        chi2 = float(np.sum((y - model) ** 2 * _poisson_weights(model, y)))
-        fits.append((chi2 + _TONE_COST * rates.size, rates, coef, cov, model))
-    _, rates, coef, cov, model = min(fits, key=lambda fit: fit[0])
-    lam = min(_fringe_lambda(coef, cov)[0], 1.0)
-    n_hat = float(rates[1]) if rates.size == 2 else 1.0
+    if n == 1.0:
+        rates, mixing = np.array([abs(omega)]), _EQUAL_RATE_MIXING
+    else:
+        rates, mixing = abs(omega) * np.array([1.0, n]), _CENTRAL_MIXING
+    rates = _refine_rates(scan, rates, mixing)
+    coef, cov, model = tone_fit(u, y, mixing @ rates)
+    lam, sigma_lam = _fringe_lambda(coef, cov)
+    lam = min(lam, 1.0)
+    n_hat = float(rates[-1] / rates[0])
     rel_residual = float(np.sqrt(np.mean((model - y) ** 2)) / np.mean(y))
     if not rel_residual <= 0.2:
         raise FitError(
@@ -367,8 +308,15 @@ def fit_central_fringe(scan: FringeScan, start: tuple = None) -> FringeFit:
             f"(lam={lam:.3f}, n={n_hat:.3f})"
         )
     a = coef[0] / 3.0  # fringe-law extrema A*(3 + 6*lam) and A*(3 - 3*lam)
-    v = visibility_from_lambda(lam)
-    return FringeFit(a * (3.0 + 6.0 * lam), a * (3.0 - 3.0 * lam), v, lam, n_hat, rel_residual)
+    return FringeFit(
+        i_max=a * (3.0 + 6.0 * lam),
+        i_min=a * (3.0 - 3.0 * lam),
+        visibility=visibility_from_lambda(lam),
+        lambda_hat=lam,
+        sigma_lambda=sigma_lam,
+        n_hat=n_hat,
+        residual=rel_residual,
+    )
 
 
 # --------------------------------------------------------------------------

@@ -559,7 +559,8 @@ def _run_scan(config: dict, out_dir: str, write_files: bool = True):
 
 def cmd_scan(config: dict, out_dir: str) -> list:
     """Per-channel fringe scans plus fitted fringe parameters, each fitted
-    at its drive tones; the central fit starts from the drive rates."""
+    at its drive tones; the central fit and the satellite rate ratio start
+    from the drive rates."""
     scans, backgrounds, outputs = _run_scan(config, out_dir)
     drive = config["scan_spec"]["phase_drive"]
     rate_r, rate_l = float(drive["rate_r_rad_per_s"]), float(drive["rate_l_rad_per_s"])
@@ -576,8 +577,15 @@ def cmd_scan(config: dict, out_dir: str) -> list:
         }
         if peak == "central":
             try:
-                full = fit_central_fringe(scan, (abs(rate_r), rate_l / rate_r if rate_r else 0.0))
-                entry.update({"lambda_hat": full.lambda_hat, "n_hat": full.n_hat, "residual": full.residual})
+                full = fit_central_fringe(scan, (rate_r, rate_l / rate_r if rate_r else 0.0))
+                entry.update(
+                    {
+                        "lambda_hat": full.lambda_hat,
+                        "lambda_sigma": full.sigma_lambda,
+                        "n_hat": full.n_hat,
+                        "residual": full.residual,
+                    }
+                )
             except FitError as exc:
                 entry["fit_error"] = str(exc)
         fits[name] = entry
@@ -585,7 +593,7 @@ def cmd_scan(config: dict, out_dir: str) -> list:
     right = next((s for ch, s in scans.items() if ch[0] == "right"), None)
     if left is not None and right is not None:
         try:
-            fits["satellite_rate_ratio"] = phase_ratio(left, right)
+            fits["satellite_rate_ratio"] = phase_ratio(left, right, (rate_l, rate_r))
         except (NoFringeError, DegenerateStateError) as exc:  # reported, not fatal
             fits["satellite_rate_ratio_error"] = str(exc)
     fits_path = os.path.join(out_dir, "fringe_fits.json")

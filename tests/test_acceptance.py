@@ -186,14 +186,15 @@ def test_criterion_6_phase_tracking():
         counts = np.clip(counts, 0.0, None)  # exact zeros can round to -1e-14
         return FringeScan(u, np.random.default_rng(seed).poisson(counts).astype(float))
 
-    fit7 = fit_central_fringe(central_scan(7.0, 1))
-    fit1 = fit_central_fringe(central_scan(1.0, 2))
+    # start rates 1% off the true (omega, n) = (1, 7) and (1, 1)
+    fit7 = fit_central_fringe(central_scan(7.0, 1), (1.01, 7.07))
+    fit1 = fit_central_fringe(central_scan(1.0, 2), (1.01, 1.0))
 
     # satellite route: the left/right fringe-rate ratio
     u = np.linspace(0.0, 1.0, 1400)
     left = FringeScan(u, 400.0 * (1.0 + np.cos(2 * np.pi * 7.0 * u + 0.4)))
     right = FringeScan(u, 400.0 * (1.0 + np.cos(2 * np.pi * 1.0 * u - 0.2)))
-    ratio = phase_ratio(left, right)
+    ratio = phase_ratio(left, right, (2 * np.pi * 7.0 * 1.01, 2 * np.pi * 0.99))
 
     ok = (
         abs(fit7.n_hat - 7.0) <= 0.2

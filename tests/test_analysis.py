@@ -11,13 +11,11 @@ from qutrit_bench.analysis import (
     bell_threshold_visibility,
     central_fringe_model,
     cglmp_value,
-    dominant_frequency,
     fit_central_fringe,
     i3_from_probability_table,
     lambda_from_visibility,
     local_deterministic_values,
     optimize_cglmp,
-    periodogram,
     phase_ratio,
     sigma_violation,
     visibility,
@@ -106,6 +104,8 @@ class TestVisibilityLambdaMaps:
 
 
 class TestCentralFringeFit:
+    START_TOLERANCE = 0.01  # relative error of the start rates: radians of phase by the scan end
+
     def synthetic(self, n, lam, n_points=1200, periods=2.5, amp=400.0, seed=None):
         u = np.linspace(0.0, periods * 2 * np.pi, n_points)  # slow-phase periods
         counts = central_fringe_model(u, amp, lam, 1.0, n, 0.0, 0.0)
@@ -113,13 +113,18 @@ class TestCentralFringeFit:
             counts = np.random.default_rng(seed).poisson(counts).astype(float)
         return FringeScan(u, counts)
 
+    def start(self, n, omega=1.0):
+        """Start rates (omega, n), each START_TOLERANCE off; n = 1 stays exact."""
+        off = 1.0 + self.START_TOLERANCE
+        return omega * off, 1.0 if n == 1.0 else n * off
+
     def test_fast_slow_beat_ratio_seven(self):
-        fit = fit_central_fringe(self.synthetic(7.0, 1.0))
+        fit = fit_central_fringe(self.synthetic(7.0, 1.0), self.start(7.0))
         assert fit.n_hat == pytest.approx(7.0, abs=0.1)
         assert fit.lambda_hat == pytest.approx(1.0, abs=0.01)
 
     def test_equal_rate_ratio_one(self):
-        fit = fit_central_fringe(self.synthetic(1.0, 1.0))
+        fit = fit_central_fringe(self.synthetic(1.0, 1.0), self.start(1.0))
         assert fit.n_hat == pytest.approx(1.0, abs=0.05)
         assert fit.lambda_hat == pytest.approx(1.0, abs=0.01)
 
@@ -127,13 +132,13 @@ class TestCentralFringeFit:
         rng = np.random.default_rng(44)
         u = np.linspace(0, 10 * np.pi, 900)
         counts = rng.poisson(3.0e4, size=u.size).astype(float)
-        fit = fit_central_fringe(FringeScan(u, counts))
+        fit = fit_central_fringe(FringeScan(u, counts), self.start(1.0))
         assert fit.lambda_hat == pytest.approx(0.0, abs=0.02)
 
     def test_scale_invariance(self):
         scan = self.synthetic(3.0, 0.8, seed=5)
-        fit1 = fit_central_fringe(scan)
-        fit2 = fit_central_fringe(FringeScan(scan.setpoints, scan.counts * 40.0))
+        fit1 = fit_central_fringe(scan, self.start(3.0))
+        fit2 = fit_central_fringe(FringeScan(scan.setpoints, scan.counts * 40.0), self.start(3.0))
         assert fit2.lambda_hat == pytest.approx(fit1.lambda_hat, abs=1e-6)
         assert fit2.n_hat == pytest.approx(fit1.n_hat, abs=1e-6)
         assert fit2.i_max == pytest.approx(40.0 * fit1.i_max, rel=1e-6)
@@ -142,19 +147,39 @@ class TestCentralFringeFit:
         # a sawtooth is no fringe; the relative residual check fires
         u = np.linspace(0, 20, 600)
         counts = 100.0 * (u % 1.0) + 1.0
-        with pytest.raises(FitError):
-            fit_central_fringe(FringeScan(u, counts))
+        with pytest.raises(FitError, match="relative residual"):
+            fit_central_fringe(FringeScan(u, counts), self.start(1.0, omega=2 * np.pi))
 
     def test_recovered_visibility_is_consistent(self):
-        fit = fit_central_fringe(self.synthetic(1.0, 0.9688, seed=9))
+        fit = fit_central_fringe(self.synthetic(1.0, 0.9688, seed=9), self.start(1.0))
         assert fit.visibility == pytest.approx(0.979, abs=0.01)
 
     def test_start_rates_of_opposite_sign_rejected(self):
         with pytest.raises(FitError, match="one sign"):
             fit_central_fringe(self.synthetic(1.0, 0.9), (1.0, -1.0))
 
+    def test_sign_shared_by_both_start_rates_is_not_seen(self):
+        scan = self.synthetic(3.0, 0.8, seed=5)
+        omega, n = self.start(3.0)
+        assert fit_central_fringe(scan, (-omega, n)) == fit_central_fringe(scan, (omega, n))
+
+    @pytest.mark.parametrize("start", [(0.0, 1.0), (np.nan, 1.0), (2 * np.pi, np.inf), (1.0, 0.0), (np.inf, 2.0)])
+    def test_zero_or_non_finite_start_rates_rejected_up_front(self, start):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning from a fit on such rates
+            with pytest.raises(FitError, match="finite nonzero drive rates"):
+                fit_central_fringe(self.synthetic(1.0, 0.9), start)
+
+    def test_sigma_lambda_matches_the_seed_spread(self):
+        # 100 seeds: the sample sd has a standard error of about 7%.
+        scans = [self.synthetic(3.0, 0.9, amp=20.0, seed=seed) for seed in range(100)]
+        fits = [fit_central_fringe(scan, self.start(3.0)) for scan in scans]
+        lams = np.array([fit.lambda_hat for fit in fits])
+        sigma = np.mean([fit.sigma_lambda for fit in fits])
+        assert np.std(lams, ddof=1) == pytest.approx(sigma, rel=0.3)
+        assert abs(lams.mean() - 0.9) <= 3.0 * sigma / np.sqrt(lams.size)
+
     PERIODS = 8.0  # of the omega tone over the scan
-    START_TOLERANCE = 0.01  # relative error of the start rates: radians of phase by the scan end
     LAMBDA_TOLERANCE = 0.04  # about 6 sigma at the lowest counts drawn
     N_TOLERANCE = 0.02  # where omega and n*omega are at least one beat apart
 
@@ -182,49 +207,79 @@ class TestCentralFringeFit:
 
 
 class TestPhaseRatio:
+    START_TOLERANCE = 0.01  # relative error of each start rate
+
     def satellite_scan(self, cycles, n_points=1200, span=1.0, lam=1.0, phase=0.3):
         u = np.linspace(0.0, span, n_points)
         counts = 500.0 * (1.0 + lam * np.cos(2 * np.pi * cycles * u + phase)) / 9.0
         return FringeScan(u, counts)
 
+    def rates(self, left_cycles, right_cycles):
+        """Drive rates of the two scans, START_TOLERANCE off in opposite directions."""
+        return (
+            2 * np.pi * left_cycles * (1.0 + self.START_TOLERANCE),
+            2 * np.pi * right_cycles * (1.0 - self.START_TOLERANCE),
+        )
+
     def test_seven_to_one(self):
         left = self.satellite_scan(7.0)
         right = self.satellite_scan(1.0)
-        assert phase_ratio(left, right) == pytest.approx(7.0, abs=0.2)
+        assert phase_ratio(left, right, self.rates(7.0, 1.0)) == pytest.approx(7.0, abs=0.2)
 
     def test_identical_scans(self):
         scan = self.satellite_scan(3.0)
-        assert phase_ratio(scan, scan) == pytest.approx(1.0, abs=0.02)
+        assert phase_ratio(scan, scan, self.rates(3.0, 3.0)) == pytest.approx(1.0, abs=0.02)
 
     def test_half_ratio(self):
         left = self.satellite_scan(2.0)
         right = self.satellite_scan(4.0)
-        assert phase_ratio(left, right) == pytest.approx(0.5, abs=0.02)
+        assert phase_ratio(left, right, self.rates(2.0, 4.0)) == pytest.approx(0.5, abs=0.02)
 
     def test_flat_scan_rejected(self):
         left = self.satellite_scan(2.0)
         flat = FringeScan(left.setpoints, np.full(len(left), 55.0))
         with pytest.raises(NoFringeError):
-            phase_ratio(left, flat)
+            phase_ratio(left, flat, self.rates(2.0, 2.0))
 
     def test_mismatched_setpoints_rejected(self):
         left = self.satellite_scan(2.0)
         other = FringeScan(left.setpoints + 0.5, left.counts)
         with pytest.raises(ValueError):
-            phase_ratio(left, other)
+            phase_ratio(left, other, self.rates(2.0, 2.0))
 
-    def test_dominant_frequency_accuracy(self):
-        u = np.linspace(0.0, 1.0, 900)
-        counts = 10.0 + 4.0 * np.cos(2 * np.pi * 5.25 * u + 0.8)
-        f = dominant_frequency(u, counts)
-        assert f / (2 * np.pi) == pytest.approx(5.25, rel=0.01)
-
-    def test_periodogram_uses_no_deprecated_scipy_argument(self):
-        u = np.linspace(0.0, 1.0, 300)
+    @pytest.mark.parametrize("rates", [(0.0, 2.0), (2.0, 0.0), (np.nan, 2.0), (2.0, np.inf), (-np.inf, 2.0)])
+    def test_zero_or_non_finite_drive_rates_rejected_up_front(self, rates):
+        scan = self.satellite_scan(2.0)
         with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            _, power = periodogram(u, 10.0 + 4.0 * np.cos(2 * np.pi * 5.0 * u))
-        assert np.all(np.isfinite(power))
+            warnings.simplefilter("error")
+            with pytest.raises(NoFringeError, match="not a finite nonzero rate"):
+                phase_ratio(scan, scan, rates)
+
+    def test_sign_of_a_drive_rate_is_not_seen(self):
+        left, right = self.satellite_scan(2.0), self.satellite_scan(4.0)
+        rates = self.rates(2.0, 4.0)
+        assert phase_ratio(left, right, (-rates[0], rates[1])) == phase_ratio(left, right, rates)
+
+    PERIODS = 8.0  # of the right fringe over the scan
+    RATIO_TOLERANCE = 0.004  # relative; about 8 sigma at the slowest left fringe (n = 0.3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.floats(0.3, 8.0) | st.just(1.0),
+        st.tuples(st.floats(0.0, 2 * np.pi), st.floats(0.0, 2 * np.pi)),
+        st.tuples(*[st.floats(-START_TOLERANCE, START_TOLERANCE)] * 2),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_recovers_the_ratio_from_perturbed_drive_rates(self, n, phases, errors, seed):
+        omega = 2 * np.pi
+        u = np.linspace(0.0, self.PERIODS, 400)
+        rng = np.random.default_rng(seed)
+        left, right = (
+            FringeScan(u, rng.poisson(1000.0 * (1.0 + 0.95 * np.cos(rate * u + phase))).astype(float))
+            for rate, phase in zip((n * omega, omega), phases)
+        )
+        rates = (n * omega * (1.0 + errors[0]), omega * (1.0 + errors[1]))
+        assert phase_ratio(left, right, rates) == pytest.approx(n, rel=self.RATIO_TOLERANCE)
 
 
 MAXENT_I3 = 4.0 / (6.0 * np.sqrt(3.0) - 9.0)  # closed form of the qutrit maximum

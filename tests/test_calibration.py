@@ -18,6 +18,12 @@ LAM = 0.9688
 SEEDS = range(40)
 
 
+def assert_calibrated(name, z):
+    mean, sd = statistics.mean(z), statistics.stdev(z)
+    assert abs(mean) <= 0.5, f"z of {name} has mean {mean:.3f} over {len(z)} seeds"
+    assert 0.7 <= sd <= 1.4, f"z of {name} has sd {sd:.3f} over {len(z)} seeds"
+
+
 def test_v_net_is_calibrated(tmp_path):
     # 80 steps of 0.01 s at 2 Hz: 1.6 periods of the slow tone, ~0.08 s a run.
     drive = {"rate_r_rad_per_s": 4 * math.pi, "steps": 80, "dwell_s": 0.01}
@@ -35,6 +41,23 @@ def test_v_net_is_calibrated(tmp_path):
         assert main(["bell", "--config", str(path), "--out", str(out), "--seed", str(seed)]) == 0
         bell = json.loads((out / "bell.json").read_text())
         z.append((bell["v_net"] - expected) / bell["sigma_v"])
-    mean, sd = statistics.mean(z), statistics.stdev(z)
-    assert abs(mean) <= 0.5, f"z of v_net has mean {mean:.3f} over {len(z)} seeds"
-    assert 0.7 <= sd <= 1.4, f"z of v_net has sd {sd:.3f} over {len(z)} seeds"
+    assert_calibrated("v_net", z)
+
+
+def test_central_fit_lambda_is_calibrated(tmp_path):
+    # The same drive on the central channel alone, both phases at 2 Hz.
+    drive = {"rate_r_rad_per_s": 4 * math.pi, "rate_l_rad_per_s": 4 * math.pi, "steps": 80, "dwell_s": 0.01}
+    config = {
+        "experiment": "scan",
+        "run": {"pair_rate_hz": 4.0e5, "lambda": LAM},
+        "scan_spec": {"channels": [{"peak": "central", "j": 0, "k": 0}], "phase_drive": drive},
+    }
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps(config))
+    z = []
+    for seed in SEEDS:
+        out = tmp_path / str(seed)
+        assert main(["scan", "--config", str(path), "--out", str(out), "--seed", str(seed)]) == 0
+        central = json.loads((out / "fringe_fits.json").read_text())["central_00"]
+        z.append((central["lambda_hat"] - LAM) / central["lambda_sigma"])
+    assert_calibrated("lambda_hat", z)

@@ -234,6 +234,17 @@ class TestScanOutputs:
         assert fits["central_00"]["n_hat"] == pytest.approx(7.0, abs=0.2)
         assert fits["satellite_rate_ratio"] == pytest.approx(7.0, abs=0.2)
 
+    @pytest.mark.parametrize("zero_rate", ["rate_r_rad_per_s", "rate_l_rad_per_s"])
+    def test_zero_drive_rate_reports_errors_not_fits(self, tmp_path, zero_rate):
+        config = self.scan_config()
+        config["scan_spec"]["phase_drive"][zero_rate] = 0.0
+        out = tmp_path / "out"
+        assert run_cli(["scan", "--config", write_config(tmp_path, config), "--out", out]) == 0
+        fits = json.loads((out / "fringe_fits.json").read_text())
+        assert "satellite_rate_ratio" not in fits
+        assert "not a finite nonzero rate" in fits["satellite_rate_ratio_error"]
+        assert "finite nonzero drive rates" in fits["central_00"]["fit_error"]
+
     def test_flat_channels_at_zero_mixing(self, tmp_path):
         config = self.scan_config(seed=9)
         config["run"]["lambda"] = 0.0
@@ -285,7 +296,7 @@ class TestScanOutputs:
         "error, code", [(NoFringeError, 0), (DegenerateStateError, 0), (TypeError, 3), (ValueError, 3)]
     )
     def test_only_fringe_errors_of_phase_ratio_are_reported(self, tmp_path, capsys, monkeypatch, error, code):
-        def failing_phase_ratio(left, right):
+        def failing_phase_ratio(left, right, rates):
             raise error("planted failure")
 
         monkeypatch.setattr(cli, "phase_ratio", failing_phase_ratio)

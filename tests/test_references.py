@@ -1,6 +1,6 @@
 """The amplitude kernel, the closed-form Bell maximum, the coincidence
-matcher, the peak areas, the QKD trace writer, the periodogram and the
-config validator against references.
+matcher, the peak areas, the QKD trace writer and the config validator
+against references.
 
 The reference functions below are frozen copies of the implementations
 these replaced: the hand-written amplitude sums of `joint_distribution`,
@@ -13,9 +13,8 @@ eight gathered compares of the QKD trit draw.  They stay here as test
 oracles only.  `Generator.choice` is also the oracle of
 the guide-table outcome sampler, draw for draw, and `joint_distribution`
 of each step's configuration the oracle of the batched step tables.  The
-numpy periodogram is checked for exact equality against the scipy
-function it replaced, and the built-in config validator against the
-jsonschema validator and `best_match` choice it replaced.
+built-in config validator is checked against the jsonschema validator and
+`best_match` choice it replaced.
 """
 
 import copy
@@ -33,13 +32,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy import optimize, signal
+from scipy import optimize
 
 from qutrit_bench.analysis import (
     CglmpSettings,
     cglmp_probability_table,
     optimize_cglmp,
-    periodogram,
 )
 from qutrit_bench.cli import CONFIG_SCHEMA, DEFAULT_CONFIG, _config_error, _deep_merge
 from qutrit_bench.core import (
@@ -903,43 +901,6 @@ def test_trit_draw_equals_eight_compares(draws):
     with_sentinel[:, 8] = np.inf
     found = protocols._draw_cells(with_sentinel, choice, u)
     assert np.array_equal(found, reference_trit_cells(cdf, choice, u))
-
-
-# --------------------------------------------------------------------------
-# Periodogram
-# --------------------------------------------------------------------------
-
-
-@st.composite
-def scans(draw):
-    n = draw(st.integers(2, 120))
-    if draw(st.booleans()):
-        setpoints = np.linspace(0.0, draw(st.floats(0.01, 100.0)), n)
-    else:
-        points = st.floats(0.0, 100.0, allow_nan=False)
-        setpoints = np.sort(draw(st.lists(points, min_size=n, max_size=n)))
-        assume(setpoints[-1] > setpoints[0])
-    if draw(st.booleans()):
-        counts = np.full(n, float(draw(st.integers(0, 1000))))
-    else:
-        counts = np.array(draw(st.lists(st.integers(0, 1000), min_size=n, max_size=n)), dtype=float)
-    return setpoints, counts
-
-
-@settings(max_examples=200, deadline=None)
-@given(scans(), st.none() | st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=50))
-@example((np.array([0.0, 2.2e-309]), np.array([0.0, 0.0])), None)
-@example((np.array([0.0, 1e-307, 2e-307]), np.array([1.0, 0.0, 1.0])), None)
-def test_periodogram_is_bit_identical_to_scipy_lombscargle(scan, freqs):
-    u, c = scan
-    if freqs is None and not np.isfinite(np.pi * (u.size - 1) / float(u[-1] - u[0])):
-        # A span this small overflows the default grid, where scipy would
-        # return only NaN; the periodogram refuses it instead.
-        with pytest.raises(ValueError, match="finite frequency grid"):
-            periodogram(u, c)
-        return
-    freqs, power = periodogram(u, c, None if freqs is None else np.array(freqs))
-    assert np.array_equal(power, signal.lombscargle(u, c - c.mean(), freqs))
 
 
 # --------------------------------------------------------------------------

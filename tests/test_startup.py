@@ -82,7 +82,8 @@ def test_central_fit_loads_no_scipy(tmp_path):
         with open(os.path.join(root, "scan", "fringe_fits.json")) as fh:
             central = json.load(fh)["central_00"]
         u = np.linspace(0.0, 4.0, 400)
-        fit = fit_central_fringe(FringeScan(u, central_fringe_model(u, 50.0, 0.9, 2 * np.pi, 1.0, 0.3, -0.4)))
+        scan = FringeScan(u, central_fringe_model(u, 50.0, 0.9, 2 * np.pi, 1.0, 0.3, -0.4))
+        fit = fit_central_fringe(scan, (2.02 * np.pi, 1.0))  # start 1% off the drive rate
         print(json.dumps({{"code": code, "central": central, "scipy": {SCIPY_LOADED}, "lam": fit.lambda_hat}}))
         """,
         str(tmp_path),
