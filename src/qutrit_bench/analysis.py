@@ -29,6 +29,14 @@ from .errors import DegenerateStateError, FitError, NoFringeError
 _IRLS_PASSES = 4  # passes weighted by 1/model after the unweighted one
 _MODEL_FLOOR = 0.01  # of the mean count: the least model value a weight is taken from
 _GN_STEPS = 50  # Gauss-Newton steps of a rate refinement
+# The band of refined / drive rate a central fit accepts.  A scan too short
+# to hold its slow tone lets that rate walk off towards 0 or onto the fast
+# one, where a fit still leaves a small residual.
+_RATE_BAND = (0.9, 1.1)
+# lam-hat / sigma at the drive rates from which a central fit refines its
+# rates: below it there is no fringe to hold a rate, and the rates walk to
+# wherever the noise fits best.
+_FRINGE_Z = 3.0
 
 
 @dataclass(frozen=True)
@@ -283,9 +291,11 @@ def fit_central_fringe(scan: FringeScan, start: tuple) -> FringeFit:
     """Fit of a central-peak scan to the two-phase fringe law from the drive
     rates `start` = (omega, n): the rates (|omega|, n*|omega|) are refined
     by `_refine_rates` (n = 1, the two-tone case, stays fixed), and lam and
-    its sigma are read off the tone fit there.  Raises FitError on start
-    rates that are zero, not finite or of opposite sign, and when the
-    relative RMS residual exceeds 0.2."""
+    its sigma are read off the tone fit there.  A fringe whose lam-hat at
+    the drive rates is under `_FRINGE_Z` sigma is read there, unrefined.
+    Raises FitError on start rates that are zero, not finite or of opposite
+    sign, when a refined rate leaves `_RATE_BAND` times its start rate, and
+    when the relative RMS residual exceeds 0.2."""
     omega, n = start
     if not (0.0 < abs(omega) < math.inf and 0.0 < n < math.inf):
         raise FitError(
@@ -293,12 +303,22 @@ def fit_central_fringe(scan: FringeScan, start: tuple) -> FringeFit:
         )
     u, y = scan.setpoints, scan.counts
     if n == 1.0:
-        rates, mixing = np.array([abs(omega)]), _EQUAL_RATE_MIXING
+        drive, mixing = np.array([abs(omega)]), _EQUAL_RATE_MIXING
     else:
-        rates, mixing = abs(omega) * np.array([1.0, n]), _CENTRAL_MIXING
-    rates = _refine_rates(scan, rates, mixing)
+        drive, mixing = abs(omega) * np.array([1.0, n]), _CENTRAL_MIXING
+    rates = drive
     coef, cov, model = tone_fit(u, y, mixing @ rates)
     lam, sigma_lam = _fringe_lambda(coef, cov)
+    if lam >= _FRINGE_Z * sigma_lam:
+        rates = _refine_rates(scan, drive, mixing)
+        lo, hi = _RATE_BAND
+        if not np.all((lo * drive <= rates) & (rates <= hi * drive)):
+            raise FitError(
+                f"central fringe fit rejected: refined rates {np.array2string(rates, precision=4)} "
+                f"left {lo}-{hi} times the drive rates {np.array2string(drive, precision=4)}"
+            )
+        coef, cov, model = tone_fit(u, y, mixing @ rates)
+        lam, sigma_lam = _fringe_lambda(coef, cov)
     lam = min(lam, 1.0)
     n_hat = float(rates[-1] / rates[0])
     rel_residual = float(np.sqrt(np.mean((model - y) ** 2)) / np.mean(y))

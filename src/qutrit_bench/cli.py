@@ -465,9 +465,9 @@ def _write_manifest(out_dir: str, config: dict, outputs, wall_time_s: float, err
 def cmd_histogram(config: dict, out_dir: str) -> list:
     """Five-peak arrival-time-difference histogram plus peak-area summary."""
     run_cfg = build_run_config(config)
-    stream = simulate_run(run_cfg)
     unit_ps = run_cfg.unit_delay_ps
-    coincidences = find_coincidences(stream, max_delta_ps=3 * unit_ps)
+    # The stream is dropped once matched, so binning runs without it.
+    coincidences = find_coincidences(simulate_run(run_cfg), max_delta_ps=3 * unit_ps)
     histogram = build_histogram(coincidences, unit_ps)
     half_width = run_cfg.coincidence_window_ps / 2.0
     areas = peak_areas(coincidences, half_width, unit_ps)

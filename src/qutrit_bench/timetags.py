@@ -27,16 +27,26 @@ same stream, ordered by (time, party, detector).  The key fits an int64
 while every tag time lies within +-2**60 ps (about 13 days), so `RunConfig`
 rejects a duration, unit delay and jitter that could leave that range.
 
+The keys live in one int64 buffer of exactly the stream's length: Alice's
+kept pair tags, then Bob's, then the dark counts.  The efficiency masks are
+drawn first, so their counts size it; each party's keys are then written
+`_BLOCK` pairs at a time, the buffer is sorted in place and becomes
+`time_ps` by an in-place shift, after its low byte has given `party` and
+`detector`.  Every per-pair draw (outcome uniforms, Alice's then Bob's
+jitter normals, Alice's then Bob's efficiency uniforms) is made in blocked
+calls, each generator called in the same order as one call per draw kind
+would be; numpy's generators give the same numbers either way.
+
 Outcomes are drawn by inverse CDF with a guide table (Chen & Asau, AIIE
 Transactions 6, 163 (1974)): `_GUIDE_CELLS` equal cells of [0, 1) each
 point at the first outcome the cell can hold, and a draw steps forward from
 there past every CDF entry at or below it.  Each draw is therefore the
 outcome a binary search of the CDF gives, and a run draws exactly what
 `rng.choice(45, size=n, p=table / table.sum())` draws from the same
-generator: one `rng.random(n)` call, mapped through the same normalised
-cumulative sum.  A scan passes each step's row of
-`source.step_distributions` as `outcome_table`, so the amplitude kernel
-runs once per block of steps, not once per step.
+generator: the uniforms of its `rng.random(n)` call, drawn in blocks and
+mapped through the same normalised cumulative sum.  A scan passes each
+step's row of `source.step_distributions` as `outcome_table`, so the
+amplitude kernel runs once per block of steps, not once per step.
 """
 
 from __future__ import annotations
@@ -77,6 +87,11 @@ _GUIDE_CELLS = 1024
 _GUIDE_EDGES = np.arange(_GUIDE_CELLS) / _GUIDE_CELLS
 # Generator.choice's tolerance on the sum of its probabilities.
 _P_SUM_TOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+# Pairs per block of `simulate_run`'s draws, and neighbour steps per block of
+# `find_coincidences`' offset-1 pass: the temporaries of a block stay a few
+# hundred KB however long the run.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -207,11 +222,12 @@ def _substream(seed: int, stream: int, extra: tuple = ()) -> np.random.Generator
 
 
 def _draw_outcomes(rng: np.random.Generator, table: np.ndarray, n: int) -> np.ndarray:
-    """`rng.choice(table.size, size=n, p=table / table.sum())`, draw for draw.
+    """`rng.choice(table.size, size=n, p=table / table.sum())`, draw for draw, as uint8.
 
     `Generator.choice`'s checks on its probabilities are made on `table`: a
     NaN, a negative entry or a sum off 1 by more than sqrt(eps) raises
-    ValueError.  The draws come from a guide-table inverse CDF.
+    ValueError.  The draws come from a guide-table inverse CDF, `_BLOCK`
+    uniforms a call.  Outcomes are uint8, for tables of up to 256 entries.
     """
     total = table.sum()
     if np.isnan(total):
@@ -222,16 +238,29 @@ def _draw_outcomes(rng: np.random.Generator, table: np.ndarray, n: int) -> np.nd
         raise ValueError(f"outcome probabilities sum to {total!r}, not 1")
     cdf = (table / total).cumsum()
     cdf /= cdf[-1]
-    u = rng.random(n)
     # The outcome of u is the number of CDF entries <= u.  Cell c starts at the
     # number of entries <= c / cells, and the steps cover the entries inside the
     # cell.  cdf[-1] is exactly 1 > u, so no step passes the last outcome.
-    outcome = cdf.searchsorted(_GUIDE_EDGES, side="right")[(u * _GUIDE_CELLS).astype(np.intp)]
-    todo = np.flatnonzero(cdf[outcome] <= u)
-    while todo.size:
-        outcome[todo] += 1
-        todo = todo[cdf[outcome[todo]] <= u[todo]]
+    guide = cdf.searchsorted(_GUIDE_EDGES, side="right")
+    outcome = np.empty(n, dtype=np.uint8)
+    for start in range(0, n, _BLOCK):
+        u = rng.random(min(_BLOCK, n - start))
+        drawn = guide[(u * _GUIDE_CELLS).astype(np.intp)]
+        todo = np.flatnonzero(cdf[drawn] <= u)
+        while todo.size:
+            drawn[todo] += 1
+            todo = todo[cdf[drawn[todo]] <= u[todo]]
+        outcome[start : start + u.size] = drawn
     return outcome
+
+
+def _draw_kept(rng: np.random.Generator, efficiency: float, n: int) -> np.ndarray:
+    """`rng.random(n) < efficiency`, drawn `_BLOCK` uniforms a call."""
+    kept = np.empty(n, dtype=bool)
+    for start in range(0, n, _BLOCK):
+        block = kept[start : start + _BLOCK]
+        np.less(rng.random(block.size), efficiency, out=block)
+    return kept
 
 
 def simulate_run(cfg: RunConfig, outcome_table: np.ndarray | None = None) -> TimeTagStream:
@@ -254,34 +283,24 @@ def simulate_run(cfg: RunConfig, outcome_table: np.ndarray | None = None) -> Tim
 
     rng = _substream(cfg.seed, _STREAM_EMISSION)
     n_pairs = int(rng.poisson(cfg.pair_rate_hz * cfg.duration_s))
-    emit_key = np.sort(rng.integers(0, duration_ps, size=n_pairs, dtype=np.int64)) * 8
+    emit_key = rng.integers(0, duration_ps, size=n_pairs, dtype=np.int64)
+    emit_key.sort()
+    emit_key <<= 3
 
     if outcome_table is None:
         outcome_table = joint_distribution(cfg.interferometer, cfg.lam)
     table = np.asarray(outcome_table, dtype=float).reshape(45)
     outcome = _draw_outcomes(_substream(cfg.seed, _STREAM_OUTCOME), table, n_pairs)
 
-    # Only the path-delay difference is physical for a CW-pumped pair; the
-    # emission time itself is undefined, so Alice carries the full offset.
-    key_a = emit_key + _OUTCOME_KEY_A[outcome]
-    key_b = emit_key + (_OUTCOME_KEY_B - 8 * unit_ps * _OUTCOME_DT_UNITS)[outcome]
-
-    alice, bob = cfg.alice_detectors, cfg.bob_detectors
-    if alice.jitter_sigma_ps > 0.0 or bob.jitter_sigma_ps > 0.0:
-        rng = _substream(cfg.seed, _STREAM_JITTER)
-        if alice.jitter_sigma_ps > 0.0:
-            key_a += 8 * np.rint(rng.normal(0.0, alice.jitter_sigma_ps, n_pairs)).astype(np.int64)
-        if bob.jitter_sigma_ps > 0.0:
-            key_b += 8 * np.rint(rng.normal(0.0, bob.jitter_sigma_ps, n_pairs)).astype(np.int64)
-
     # random() < 1.0 always holds, so perfect detectors skip the draws; one
     # imperfect party draws both masks, keeping Bob's draws where they were.
+    # The masks come first: their counts size the key buffer.
+    alice, bob = cfg.alice_detectors, cfg.bob_detectors
+    kept = None
     if alice.efficiency < 1.0 or bob.efficiency < 1.0:
         rng = _substream(cfg.seed, _STREAM_EFFICIENCY)
-        key_a = key_a[rng.random(n_pairs) < alice.efficiency]
-        key_b = key_b[rng.random(n_pairs) < bob.efficiency]
-
-    keys = [key_a, key_b]
+        kept = [_draw_kept(rng, model.efficiency, n_pairs) for model in (alice, bob)]
+    darks = []
     for party, model in ((0, alice), (1, bob)):
         if model.dark_rate_hz <= 0.0:
             continue
@@ -289,13 +308,42 @@ def simulate_run(cfg: RunConfig, outcome_table: np.ndarray | None = None) -> Tim
             rng = _substream(cfg.seed, _STREAM_DARK, (party, det))
             n_dark = int(rng.poisson(model.dark_rate_hz * cfg.duration_s))
             times = rng.integers(0, duration_ps, size=n_dark, dtype=np.int64)
-            keys.append(times * 8 + (4 * party + det))
+            darks.append(times * 8 + (4 * party + det))
+    n_kept = 2 * n_pairs if kept is None else sum(int(np.count_nonzero(mask)) for mask in kept)
+    key = np.empty(n_kept + sum(dark.size for dark in darks), dtype=np.int64)
+
+    # Only the path-delay difference is physical for a CW-pumped pair; the
+    # emission time itself is undefined, so Alice carries the full offset.
+    # Each party's kept keys go straight into the buffer, a block of pairs at
+    # a time, Alice's jitter drawn before Bob's.
+    key_part = (_OUTCOME_KEY_A, _OUTCOME_KEY_B - 8 * unit_ps * _OUTCOME_DT_UNITS)
+    if alice.jitter_sigma_ps > 0.0 or bob.jitter_sigma_ps > 0.0:
+        rng = _substream(cfg.seed, _STREAM_JITTER)
+    end = 0
+    for party, model in enumerate((alice, bob)):
+        for start in range(0, n_pairs, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            part = emit_key[block] + key_part[party][outcome[block]]
+            if model.jitter_sigma_ps > 0.0:
+                part += 8 * np.rint(rng.normal(0.0, model.jitter_sigma_ps, part.size)).astype(np.int64)
+            if kept is not None:
+                part = part[kept[party][block]]
+            key[end : end + part.size] = part
+            end += part.size
+    for dark in darks:
+        key[end : end + dark.size] = dark
+        end += dark.size
+    del emit_key, outcome, kept, darks  # freed before the sort takes its buffer
 
     # Equal keys are identical tags, so the sort's stability does not matter;
     # "stable" (timsort) is the fastest kind here: the pair parts are long sorted runs.
-    key = np.sort(np.concatenate(keys), kind="stable")
-    low = key.astype(np.uint8)  # the key's low byte, negative times included
-    return TimeTagStream((low >> 2) & 1, low & 3, key >> 3)
+    key.sort(kind="stable")
+    detector = key.astype(np.uint8)  # the key's low byte, negative times included
+    party = detector >> 2
+    party &= 1
+    detector &= 3
+    key >>= 3
+    return TimeTagStream(party, detector, key)
 
 
 def find_coincidences(stream: TimeTagStream, max_delta_ps: float) -> CoincidenceSet:
@@ -318,32 +366,38 @@ def find_coincidences(stream: TimeTagStream, max_delta_ps: float) -> Coincidence
     (p, p + k) in reach whose parties differ, pass k + 1 looks only at the
     pairs pass k found in reach, and the passes end at the first k with
     none.  These candidates go through the nearest-first loop in the order
-    (|t_A - t_B|, t_A, t_B, Alice position, Bob position).  The records are
-    gathered by Alice stream position: Alice tags at one time see the same
-    Bob tags, so the earlier one in the stream is matched first.
+    (|t_A - t_B|, t_A, t_B, Alice position, Bob position), and its picks are
+    merged into the runs of two by Alice stream position: Alice tags at one
+    time see the same Bob tags, so the earlier one in the stream is matched
+    first.
     """
     if not max_delta_ps >= 0:
         raise ValueError(f"max_delta_ps must be a non-negative number of ps, got {max_delta_ps!r}")
     if not stream.is_sorted():
         raise OrderingError("time-tag stream must be sorted by time")
     t, party = stream.time_ps, stream.party
-    # Offset 1: the p with tags p and p + 1 in reach.  A run of two tags is a
-    # p in `near` whose neighbours p - 1 and p + 1 are not.
-    near = np.flatnonzero(t[1:] - t[:-1] <= max_delta_ps)
-    linked = near[1:] == near[:-1] + 1
-    alone = np.ones(near.size, dtype=bool)
-    alone[1:] = ~linked
-    alone[:-1] &= alone[1:]
+    # Offset 1, `_BLOCK` steps at a time: close[p] when tags p and p + 1 are in
+    # reach.  A run of two tags is a close p whose neighbours p - 1 and p + 1 are not.
+    close = np.empty(max(t.size - 1, 0), dtype=bool)
+    for start in range(0, close.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        np.less_equal(t[1:][block] - t[:-1][block], max_delta_ps, out=close[block])
+    alone = close.copy()
+    alone[1:] &= ~close[:-1]
+    alone[:-1] &= ~close[1:]
+    near = np.flatnonzero(close & ~alone)
+    del close
+    alone &= party[:-1] != party[1:]  # a candidate only when the parties differ
 
-    # Where Bob is first, the Alice tag is 1 ahead.
-    pair, near = near[alone], near[~alone]
-    bob_first = party[pair]
-    cross = bob_first != party[1:][pair]
-    pair, bob_first = pair[cross], bob_first[cross]
-    pos_a = pair + bob_first
-    pos_b = pair + (1 - bob_first)
+    # From each pair's first tag p: where Bob is first, the Alice tag is p + 1.
+    pos_b = np.flatnonzero(alone)
+    bob_first = party[pos_b]
+    pos_a = pos_b + bob_first
+    pos_b += 1
+    pos_b -= bob_first
+    del alone, bob_first
 
-    run_a, run_b = [], []
+    run_a, run_b, picked = [], [], []
     k = 1
     while near.size:
         bob_first = party[near]
@@ -363,25 +417,25 @@ def find_coincidences(stream: TimeTagStream, max_delta_ps: float) -> Coincidence
         # The key is total: each candidate has its own (Alice, Bob) positions.
         order = np.lexsort((run_b, run_a, t_b, t_a, np.abs(t_a - t_b)))
         used = set()
-        picked_a, picked_b = [], []
         for a, b in zip(run_a[order].tolist(), run_b[order].tolist()):
             if a in used or b in used:
                 continue
             used.add(a)
             used.add(b)
-            picked_a.append(a)
-            picked_b.append(b)
-        pos_a = np.concatenate([pos_a, np.array(picked_a, dtype=np.intp)])
-        pos_b = np.concatenate([pos_b, np.array(picked_b, dtype=np.intp)])
-        by_position = np.argsort(pos_a, kind="stable")
-        pos_a, pos_b = pos_a[by_position], pos_b[by_position]
+            picked.append((a, b))
+    if picked:
+        # Alice positions are distinct; the sorted picks go in among the pairs' sorted ones.
+        picked_a, picked_b = np.array(sorted(picked), dtype=np.intp).T
+        at = pos_a.searchsorted(picked_a)
+        pos_a = np.insert(pos_a, at, picked_a)
+        pos_b = np.insert(pos_b, at, picked_b)
+    # Each position array is released once its columns are gathered.
     abs_time = t[pos_a]
-    return CoincidenceSet(
-        stream.detector[pos_a],
-        stream.detector[pos_b],
-        abs_time - t[pos_b],
-        abs_time,
-    )
+    alice_detector = stream.detector[pos_a]
+    del pos_a
+    delta_t = t[pos_b]
+    np.subtract(abs_time, delta_t, out=delta_t)
+    return CoincidenceSet(alice_detector, stream.detector[pos_b], delta_t, abs_time)
 
 
 def build_histogram(coincidences: CoincidenceSet, unit_delay_ps: int) -> Histogram:

@@ -135,6 +135,13 @@ class TestCentralFringeFit:
         fit = fit_central_fringe(FringeScan(u, counts), self.start(1.0))
         assert fit.lambda_hat == pytest.approx(0.0, abs=0.02)
 
+    def test_flat_noise_is_read_at_the_drive_rates(self):
+        # No fringe holds a rate, so the fit is not refined off the drive.
+        rng = np.random.default_rng(44)
+        u = np.linspace(0, 10 * np.pi, 900)
+        counts = rng.poisson(3.0e4, size=u.size).astype(float)
+        assert fit_central_fringe(FringeScan(u, counts), (1.0, 3.0)).n_hat == 3.0
+
     def test_scale_invariance(self):
         scan = self.synthetic(3.0, 0.8, seed=5)
         fit1 = fit_central_fringe(scan, self.start(3.0))

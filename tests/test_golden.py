@@ -3,8 +3,10 @@
 Small seeded `histogram`, `bell` (24 steps) and default-channel `scan`
 (18 steps) runs of the demo configs, each checked against the sha256 of its
 count files: `histogram.csv`, `peaks.json` and every `scan_*.csv`.  The
-fit outputs (`bell.json`, `fringe_fits.json`) are left out, because they
-depend on scipy's optimiser.  A 20,000-round four-basis `qkd` run with an
+full 5 s `histogram` demo run (`histogram_realistic`, 1M pairs) crosses
+the block edges of the stream layer's draws and matching.  The
+fit outputs (`bell.json`, `fringe_fits.json`) are left out: they are fit
+results, not counts.  A 20,000-round four-basis `qkd` run with an
 intercept-resend attacker over three bases and its round trace, and a
 20,000-round `toss` run, are checked on every data file: `qkd_summary.json`,
 `qkd_rounds.csv` and `toss_summary.json`.  A change that moves a hash on
@@ -23,11 +25,14 @@ CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 THREE_BASIS_ATTACK = {"kind": "intercept_resend", "basis_pool": ["computational", "fourier0", "fourier2"]}
 
+# name: (experiment, config, overrides)
 RUNS = {
-    "histogram": ("histogram_realistic.json", ("run.duration_s=0.05",)),
-    "bell": ("bell_headline_regime.json", ("scan_spec.phase_drive.steps=24",)),
-    "scan": ("histogram_realistic.json", ("scan_spec.phase_drive.steps=18",)),
+    "histogram": ("histogram", "histogram_realistic.json", ("run.duration_s=0.05",)),
+    "histogram_realistic": ("histogram", "histogram_realistic.json", ()),
+    "bell": ("bell", "bell_headline_regime.json", ("scan_spec.phase_drive.steps=24",)),
+    "scan": ("scan", "histogram_realistic.json", ("scan_spec.phase_drive.steps=18",)),
     "qkd": (
+        "qkd",
         "bell_headline_regime.json",
         (
             "protocol_spec.rounds=20000",
@@ -36,7 +41,7 @@ RUNS = {
             "protocol_spec.trace=true",
         ),
     ),
-    "toss": ("bell_headline_regime.json", ("protocol_spec.rounds=20000",)),
+    "toss": ("toss", "bell_headline_regime.json", ("protocol_spec.rounds=20000",)),
 }
 
 GOLDEN = {
@@ -47,6 +52,10 @@ GOLDEN = {
     ("histogram", 1234567): {
         "histogram.csv": "5f6d1d43d2873d9287504b6eb0db3a070899001ed05c8da260c52e1d86f97860",
         "peaks.json": "4abbef49683a4682da650be2fda38d24b360d19c9aaa344d5654e6ceecc8b83c",
+    },
+    ("histogram_realistic", 7): {
+        "histogram.csv": "a0fd9b17cc3e3de2818a7ff7eec50ec2d1bbf1fc6e1736f0b5d5012f22500020",
+        "peaks.json": "8b27d32a2c42ad8afd416d27eb1f331537599f5b9e276284c0f88e1991ae5525",
     },
     ("bell", 7): {
         "scan_central_00.csv": "c8abba505dcb3ad08e639faa6196056b1bfd09512c5932a89cfb439db3d044d6",
@@ -90,9 +99,9 @@ def is_pinned_file(name: str) -> bool:
     return name in pinned or (name.startswith("scan_") and name.endswith(".csv"))
 
 
-@pytest.mark.parametrize("experiment, seed", sorted(GOLDEN), ids=lambda v: str(v))
-def test_count_files_match_golden_hashes(tmp_path, experiment, seed):
-    config, overrides = RUNS[experiment]
+@pytest.mark.parametrize("run, seed", sorted(GOLDEN), ids=lambda v: str(v))
+def test_count_files_match_golden_hashes(tmp_path, run, seed):
+    experiment, config, overrides = RUNS[run]
     args = [experiment, "--config", str(CONFIGS / config), "--out", str(tmp_path), "--seed", str(seed)]
     for override in overrides:
         args += ["--override", override]
@@ -102,4 +111,4 @@ def test_count_files_match_golden_hashes(tmp_path, experiment, seed):
         for path in tmp_path.iterdir()
         if is_pinned_file(path.name)
     }
-    assert found == GOLDEN[(experiment, seed)]
+    assert found == GOLDEN[(run, seed)]

@@ -13,6 +13,9 @@ eight gathered compares of the QKD trit draw.  They stay here as test
 oracles only.  `Generator.choice` is also the oracle of
 the guide-table outcome sampler, draw for draw, and `joint_distribution`
 of each step's configuration the oracle of the batched step tables.  The
+oracle tests of `simulate_run`, its outcome draw and `find_coincidences`
+run again with blocks of 7 pairs, so that small examples cross the block
+edges of the stream layer's draws and neighbour pass.  The
 built-in config validator is checked against the jsonschema validator and
 `best_match` choice it replaced.
 """
@@ -50,7 +53,7 @@ from qutrit_bench.core import (
     tritter,
 )
 from qutrit_bench.errors import OrderingError
-from qutrit_bench import protocols
+from qutrit_bench import protocols, timetags
 from qutrit_bench.protocols import BASIS_IDS, QKD_MODES, EveModel, herald_state, run_qkd
 from qutrit_bench.source import (
     ALICE_LONG_ARM_TRIM,
@@ -612,6 +615,30 @@ def test_outcome_draws_equal_generator_choice(p, n, seed):
     assert rng.bit_generator.state == oracle.bit_generator.state
 
 
+def blocks_of_seven():
+    """`timetags` drawing and matching 7 pairs or steps a block, so that
+    small streams cross many block edges."""
+    return mock.patch.object(timetags, "_BLOCK", 7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_configs())
+def test_simulate_run_matches_lexsort_reference_across_block_edges(cfg):
+    with blocks_of_seven():
+        found = simulate_run(cfg)
+    assert_same_stream(found, reference_simulate_run(cfg))
+
+
+@settings(max_examples=200, deadline=None)
+@given(outcome_tables(), st.sampled_from([0, 6, 7, 8, 14]) | st.integers(0, 300), st.integers(0, 2**64 - 1))
+def test_outcome_draws_equal_generator_choice_across_block_edges(p, n, seed):
+    rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    with blocks_of_seven():
+        found = _draw_outcomes(rng, p, n)
+    assert np.array_equal(found, oracle.choice(p.size, size=n, p=p / p.sum()))
+    assert rng.bit_generator.state == oracle.bit_generator.state
+
+
 @settings(deadline=None)
 @given(
     outcome_tables(sizes=(45,)),
@@ -685,18 +712,56 @@ def test_find_coincidences_matches_reference_loop(stream, max_delta_ps):
     )
 
 
-def realistic_stream():
-    """demos/configs/histogram_realistic.json at a tenth of its duration, and its window."""
+@settings(max_examples=300, deadline=None)
+@given(tag_streams(), st.integers(0, 12))
+# Steps 5-7 link tags 5-8, a run of four across the edge between steps 6 and
+# 7; tags 13 and 14 are a run of two on the edge between steps 13 and 14.
+@example(
+    tags_at(
+        (0, 0, 0), (10, 1, 0), (20, 0, 1), (30, 1, 1), (40, 0, 2),
+        (50, 1, 0), (51, 0, 1), (52, 1, 2), (53, 0, 0),
+        (70, 1, 1), (80, 0, 2), (90, 1, 0), (100, 0, 1), (110, 1, 2), (111, 0, 0), (130, 1, 1),
+    ),
+    2,
+)
+def test_find_coincidences_matches_reference_loop_across_block_edges(stream, max_delta_ps):
+    with blocks_of_seven():
+        found = find_coincidences(stream, max_delta_ps)
+    assert_same_coincidences(found, reference_find_coincidences(stream, max_delta_ps))
+
+
+def realistic_config(duration_s=0.5):
+    """demos/configs/histogram_realistic.json, by default at a tenth of its duration."""
     detectors = DetectorModel(efficiency=0.85, dark_rate_hz=500.0, jitter_sigma_ps=60.0)
-    cfg = RunConfig(
+    return RunConfig(
         pair_rate_hz=2.0e5,
-        duration_s=0.5,
+        duration_s=duration_s,
         seed=42,
         lam=0.9688,
         alice_detectors=detectors,
         bob_detectors=detectors,
     )
+
+
+def realistic_stream(duration_s=0.5):
+    """The stream of `realistic_config(duration_s)`, and its window."""
+    cfg = realistic_config(duration_s)
     return simulate_run(cfg), 3 * cfg.unit_delay_ps
+
+
+def traced_peak(call, *args):
+    """`call(*args)` and the peak of the memory it traced on top of what was already held."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def nbytes(record, names):
+    return sum(getattr(record, name).nbytes for name in names)
 
 
 def test_find_coincidences_matches_reference_with_darks_and_jitter():
@@ -713,18 +778,34 @@ def test_find_coincidences_matches_reference_with_darks_and_jitter():
 
 
 def test_find_coincidences_memory_is_bounded():
-    # 172k tags give 72k records (1.3 MB).  The offset passes peak at about
-    # 4.5 MB, while the records are gathered; a per-party binary search with
-    # candidate expansion needs 8.5 MB here, so the bound keeps that out.
+    # 172k tags give 72k records (1.3 MB).  The passes peak at 1.9 MB, the
+    # Alice positions released before the Bob times are read; merging the
+    # picks by concatenate and argsort and gathering from every position
+    # array at once took 4.4 MB.
     stream, max_delta_ps = realistic_stream()
-    tracemalloc.start()
-    try:
-        found = find_coincidences(stream, max_delta_ps)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    found, peak = traced_peak(find_coincidences, stream, max_delta_ps)
     assert len(found) > 70_000
-    assert peak < 6_000_000
+    assert peak < 2_200_000
+
+
+def test_simulate_run_memory_is_bounded_at_full_size():
+    # The full 5 s demo run: 1.7M tags, a 17 MB stream.  Emission keys (8 MB),
+    # outcomes (1 MB), kept masks (2 MB) and the key buffer (14 MB) peak at
+    # 1.6 times the stream; a fresh array at each step took 3.6 times.  The
+    # in-place sort's buffer, at most half the keys, is malloc'd by numpy
+    # outside tracemalloc's view and comes after the masks and emissions are freed.
+    stream, peak = traced_peak(simulate_run, realistic_config(5.0))
+    assert len(stream) > 1_700_000
+    assert peak < 2 * nbytes(stream, ("party", "detector", "time_ps"))
+
+
+def test_find_coincidences_memory_is_bounded_at_full_size():
+    # 1.7M tags give 723k records (13 MB); the passes peak at 1.5 times that,
+    # where a fresh array at each step took 3.4 times.
+    stream, max_delta_ps = realistic_stream(5.0)
+    found, peak = traced_peak(find_coincidences, stream, max_delta_ps)
+    assert len(found) > 700_000
+    assert peak < 2.5 * nbytes(found, ("alice_detector", "bob_detector", "delta_t_ps", "abs_time_ps"))
 
 
 # --------------------------------------------------------------------------
