@@ -47,6 +47,7 @@ from .errors import ConfigurationError, DegenerateStateError, FitError, NoFringe
 from .protocols import BASIS_IDS, EveModel, run_coin_toss, run_qkd
 from .source import ArmPhases, CouplerRatios, InterferometerConfig, step_distributions
 from .timetags import (
+    PEAK_MULTIPLIER,
     DetectorModel,
     RunConfig,
     build_histogram,
@@ -486,10 +487,7 @@ def cmd_histogram(config: dict, out_dir: str) -> list:
             "total_coincidences": int(len(coincidences)),
             "ideal_weights": ideal,
             "max_weight_residual": residual,
-            "peak_centers_ns": {
-                p: m * run_cfg.interferometer.unit_delay_ns
-                for p, m in (("outer_right", -2), ("right", -1), ("central", 0), ("left", 1), ("outer_left", 2))
-            },
+            "peak_centers_ns": {p: m * run_cfg.interferometer.unit_delay_ns for p, m in PEAK_MULTIPLIER.items()},
         },
         peaks_path,
     )
@@ -502,7 +500,7 @@ def cmd_histogram(config: dict, out_dir: str) -> list:
 _TABLE_STEPS = 32
 
 
-def _run_scan(config: dict, out_dir: str, write_files: bool = True):
+def _run_scan(config: dict, out_dir: str):
     """Drive the phases step by step and collect per-channel counts.
 
     The drive replaces Alice's dial trajectory (alpha_m = rate_r * t,
@@ -549,11 +547,10 @@ def _run_scan(config: dict, out_dir: str, write_files: bool = True):
 
     scans = {ch: FringeScan(setpoints, counts[ch]) for ch in channels}
     outputs = []
-    if write_files:
-        for (peak, j, k), scan in scans.items():
-            path = os.path.join(out_dir, f"scan_{peak}_{j}{k}.csv")
-            save_scan(scan, path)
-            outputs.append(path)
+    for (peak, j, k), scan in scans.items():
+        path = os.path.join(out_dir, f"scan_{peak}_{j}{k}.csv")
+        save_scan(scan, path)
+        outputs.append(path)
     return scans, background, outputs
 
 

@@ -14,7 +14,7 @@ fixed port phases, which downstream modules absorb into arm phases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,19 +74,17 @@ class DensityOperator:
     """A trace-one, Hermitian, positive-semidefinite operator."""
 
     matrix: np.ndarray
-    _validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] not in (3, 9):
             raise ValueError(f"density operator must be 3x3 or 9x9, got shape {mat.shape}")
-        if self._validate:
-            if np.max(np.abs(mat - mat.conj().T)) > ALGEBRA_TOL:
-                raise ValueError("density operator is not Hermitian")
-            if abs(np.trace(mat).real - 1.0) > ALGEBRA_TOL:
-                raise ValueError(f"density operator trace {np.trace(mat).real!r} != 1")
-            if np.linalg.eigvalsh(mat).min() < -POSITIVITY_TOL:
-                raise ValueError("density operator has a significantly negative eigenvalue")
+        if np.max(np.abs(mat - mat.conj().T)) > ALGEBRA_TOL:
+            raise ValueError("density operator is not Hermitian")
+        if abs(np.trace(mat).real - 1.0) > ALGEBRA_TOL:
+            raise ValueError(f"density operator trace {np.trace(mat).real!r} != 1")
+        if np.linalg.eigvalsh(mat).min() < -POSITIVITY_TOL:
+            raise ValueError("density operator has a significantly negative eigenvalue")
         mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)

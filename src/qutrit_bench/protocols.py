@@ -34,7 +34,10 @@ from .source import (
     InterferometerConfig,
     central_state,
     class_weights,
+    draw_below,
+    draw_cells,
     pair_amplitudes,
+    substream,
 )
 
 BASIS_IDS = ("computational", "fourier0", "fourier1", "fourier2")
@@ -196,8 +199,9 @@ def run_qkd(
     class weight of `interferometer` (a third at symmetric couplers).  Each
     kept round draws Alice's, Eve's and Bob's bases uniformly from their
     pools, then its trit pair from that basis choice's Born table (see
-    `_trit_tables`) by inverse CDF.  Rounds with matching bases are sifted
-    and their disagreements are the QBER.  Deterministic for a given seed.
+    `_trit_tables`) by `source.draw_cells`, the stream's sampler too.  Rounds
+    with matching bases are sifted and their disagreements are the QBER.
+    Deterministic for a given seed.
     """
     if rounds <= 0:
         raise ConfigurationError(f"rounds must be positive, got {rounds!r}")
@@ -215,11 +219,11 @@ def run_qkd(
     cdf = np.cumsum(tables.reshape(-1, 9), axis=1)
     cdf[:, 8] = np.inf
 
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 101)))
-    kept = rng.random(rounds) < share
+    rng = substream(seed, "qkd")
+    kept = draw_below(rng, share, rounds)
     n_kept = int(kept.sum())
     choice = rng.integers(0, cdf.shape[0], size=n_kept)
-    alice_trit, bob_trit = np.divmod(_draw_cells(cdf, choice, rng.random(n_kept)), 3)
+    alice_trit, bob_trit = np.divmod(draw_cells(cdf, choice, rng.random(n_kept)), 3)
     # A choice indexes the (alice, [eve,] bob) basis grid row-major.  Only the
     # per-round arrays the trace needs are left, so its blocks reuse freed memory.
     alice_basis, bob_basis = choice // (cdf.shape[0] // len(pool)), choice % len(pool)
@@ -247,42 +251,6 @@ def run_qkd(
     if trace_path is not None:
         _write_qkd_trace(trace_path, kept, pool, alice_basis, bob_basis, alice_trit, bob_trit, sifted)
     return summary
-
-
-# Equal cells of [0, 1) in the trit draw's guide table.  A power of two, so
-# floor(u * _TRIT_GUIDE_CELLS) and the cell edges are exact.
-_TRIT_GUIDE_CELLS = 256
-# Rounds per pass of the trit draw: small passes bound its temporaries and
-# keep them in cache.
-_DRAW_BLOCK_ROWS = 16384
-
-
-def _draw_cells(cdf, choice, u):
-    """Per round, the number of entries of row `choice` of `cdf` at or below `u`.
-
-    A guide-table inverse CDF (Chen & Asau 1974).  Guide cell g of a row
-    holds the number of the row's entries at or below g / cells.  A u in
-    cell g = floor(u * cells) has at least those entries at or below it, so
-    its count starts there and steps forward past each further entry at or
-    below u.  Rows are sorted and each ends in an entry above every u (inf
-    in `run_qkd`), which stops the steps.  Returns uint8 counts.
-    """
-    cells = _TRIT_GUIDE_CELLS
-    edges = np.arange(cells) / cells
-    guide = np.stack([row.searchsorted(edges, side="right") for row in cdf]).ravel()
-    flat, width = cdf.ravel(), cdf.shape[1]
-    out = np.empty(u.size, dtype=np.uint8)
-    for start in range(0, u.size, _DRAW_BLOCK_ROWS):
-        block = slice(start, start + _DRAW_BLOCK_ROWS)
-        row, v = choice[block], u[block]
-        cell = guide[row * cells + (v * cells).astype(np.intp)]
-        offset = row * width
-        todo = np.flatnonzero(flat[offset + cell] <= v)
-        while todo.size:
-            cell[todo] += 1
-            todo = todo[flat[offset[todo] + cell[todo]] <= v[todo]]
-        out[block] = cell
-    return out
 
 
 _TRACE_HEADER = b"round,alice_basis,bob_basis,alice_trit,bob_trit,sifted\r\n"
@@ -375,9 +343,9 @@ def run_coin_toss(
         + (1.0 - lam) / 2.0
         for side in ("left", "right")
     )
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 202)))
-    left = rng.random(rounds) < w_left / (w_left + w_right)
-    sign = np.where(rng.random(rounds) < 0.5, 1, -1)
+    rng = substream(seed, "toss")
+    left = draw_below(rng, w_left / (w_left + w_right), rounds)
+    sign = np.where(draw_below(rng, 0.5, rounds), 1, -1)
     agree = rng.random(rounds) < np.where(left, p_left, p_right)
     return CoinTossSummary(
         rounds=rounds,

@@ -33,6 +33,10 @@ and long two-photon terms acquire detector-dependent offsets
 coincidence probability depends on the detector pair (j, k) only through
 (j + k) mod 3.
 
+`timetags` and `protocols` sample the model through the draws at the end:
+`substream` seeds each named draw, `draw_cells` is the one guide-table
+inverse CDF and `draw_below` the one blocked Bernoulli draw.
+
 Convention notes
 ----------------
 * Dial phases alpha_m, alpha_l (Alice) and beta_m, beta_l (Bob) are stored
@@ -114,8 +118,8 @@ class CouplerRatios:
     def as_array(self) -> np.ndarray:
         return np.array([self.p_s, self.p_m, self.p_l])
 
-    def is_symmetric(self, tol: float = _RATIO_TOL) -> bool:
-        return bool(np.max(np.abs(self.as_array() - 1.0 / 3.0)) <= tol)
+    def is_symmetric(self) -> bool:
+        return bool(np.max(np.abs(self.as_array() - 1.0 / 3.0)) <= _RATIO_TOL)
 
 
 @dataclass(frozen=True)
@@ -396,3 +400,69 @@ def joint_distribution(cfg: InterferometerConfig, lam: float) -> np.ndarray:
     one-row case of `step_distributions`.
     """
     return step_distributions(cfg, lam)[0]
+
+
+# --------------------------------------------------------------------------
+# Seeded draws from the model's tables
+# --------------------------------------------------------------------------
+
+# Substream tags: the time-tag stream's draw kinds, then the two protocols.
+_STREAM_TAGS = {"emission": 0, "outcome": 1, "jitter": 2, "efficiency": 3, "dark": 4, "qkd": 101, "toss": 202}
+# Uniforms per block of `draw_cells` and `draw_below`, which bounds their temporaries.
+_DRAW_BLOCK = 1 << 14
+
+
+def substream(seed: int, name: str, extra: tuple = ()) -> np.random.Generator:
+    """PCG64 seeded by SeedSequence((seed, tag of `name`) + extra): one
+    independent generator per named draw of a seeded run (and per `extra`)."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), _STREAM_TAGS[name]) + extra)))
+
+
+def draw_below(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
+    """`rng.random(n) < p` and the generator state after it, `_DRAW_BLOCK` uniforms a call."""
+    below = np.empty(n, dtype=bool)
+    for start in range(0, n, _DRAW_BLOCK):
+        block = below[start : start + _DRAW_BLOCK]
+        np.less(rng.random(block.size), p, out=block)
+    return below
+
+
+def draw_cells(cdf: np.ndarray, rows, u: np.ndarray) -> np.ndarray:
+    """Per uniform, the number of entries of its row of `cdf` at or below it, as uint8.
+
+    A guide-table inverse CDF (Chen & Asau, AIIE Transactions 6, 163
+    (1974)).  `cdf` is an (R, width) array of sorted rows, each ending in an
+    entry above every u, and `rows` one row index or one per uniform.  A
+    row's guide cell g of `cells` (the least power of two >= 16 * width, so
+    floor(u * cells) and the edges g / cells are exact) holds the number of
+    its entries at or below g / cells.  A u in cell g has at least those
+    entries at or below it, so its count starts there and steps forward past
+    each further entry at or below u: the count a binary search gives.
+    """
+    width = cdf.shape[1]
+    cells = 1 << (16 * width - 1).bit_length()
+    edges = np.arange(cells) / cells
+    one_row = np.ndim(rows) == 0
+    if one_row:
+        flat = cdf[rows]
+        guide = flat.searchsorted(edges, side="right")
+    else:
+        # Guide entries are positions in the flattened table; no step leaves its row.
+        rows, flat = np.asarray(rows), cdf.ravel()
+        guide = np.concatenate([row.searchsorted(edges, side="right") + r * width for r, row in enumerate(cdf)])
+    out = np.empty(u.size, dtype=np.uint8)
+    for start in range(0, u.size, _DRAW_BLOCK):
+        block = slice(start, start + _DRAW_BLOCK)
+        v = u[block]
+        at = (v * cells).astype(np.intp)
+        if not one_row:
+            at += rows[block] * cells
+        at = guide[at]
+        todo = np.flatnonzero(flat[at] <= v)
+        while todo.size:
+            at[todo] += 1
+            todo = todo[flat[at[todo]] <= v[todo]]
+        if not one_row:
+            at -= rows[block] * width
+        out[block] = at
+    return out

@@ -37,16 +37,12 @@ jitter normals, Alice's then Bob's efficiency uniforms) is made in blocked
 calls, each generator called in the same order as one call per draw kind
 would be; numpy's generators give the same numbers either way.
 
-Outcomes are drawn by inverse CDF with a guide table (Chen & Asau, AIIE
-Transactions 6, 163 (1974)): `_GUIDE_CELLS` equal cells of [0, 1) each
-point at the first outcome the cell can hold, and a draw steps forward from
-there past every CDF entry at or below it.  Each draw is therefore the
-outcome a binary search of the CDF gives, and a run draws exactly what
-`rng.choice(45, size=n, p=table / table.sum())` draws from the same
-generator: the uniforms of its `rng.random(n)` call, drawn in blocks and
-mapped through the same normalised cumulative sum.  A scan passes each
-step's row of `source.step_distributions` as `outcome_table`, so the
-amplitude kernel runs once per block of steps, not once per step.
+Outcomes are drawn by `source.draw_cells`, the guide-table inverse CDF of
+the QKD trit draw too, so a run draws exactly what `rng.choice(45, size=n,
+p=table / table.sum())` draws from the same generator: the uniforms of its
+`rng.random(n)` call, in blocks, through the same normalised cumulative
+sum.  A scan passes each step's row of `source.step_distributions` as
+`outcome_table`, so the amplitude kernel runs once per block of steps.
 """
 
 from __future__ import annotations
@@ -57,17 +53,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, OrderingError
-from .source import InterferometerConfig, joint_distribution
+from .source import InterferometerConfig, draw_below, draw_cells, joint_distribution, substream
 
-_PEAK_MULTIPLIER = {"outer_right": -2, "right": -1, "central": 0, "left": +1, "outer_left": +2}
-
-# Named RNG substreams derived from the master seed; vectorized draws from
-# each keep results independent of batching.
-_STREAM_EMISSION = 0
-_STREAM_OUTCOME = 1
-_STREAM_JITTER = 2
-_STREAM_EFFICIENCY = 3
-_STREAM_DARK = 4
+# Each peak's center in unit delays of dt = t_A - t_B.
+PEAK_MULTIPLIER = {"outer_right": -2, "right": -1, "central": 0, "left": +1, "outer_left": +2}
 
 # Outcome o = 9 * dt class + 3 * detector_A + detector_B (the flattened joint
 # distribution), dt class 0..4 for -2..+2 unit delays; key parts per outcome.
@@ -81,10 +70,6 @@ BINS_PER_UNIT = 12  # histogram bins per unit delay
 # Tag times must stay inside +-2**60 ps so the packed key fits an int64.
 _TIME_LIMIT_PS = 2**60
 
-# Guide-table cells; a power of two, so the cell of a draw u is exactly
-# floor(u * _GUIDE_CELLS) and the cell edges are exact.
-_GUIDE_CELLS = 1024
-_GUIDE_EDGES = np.arange(_GUIDE_CELLS) / _GUIDE_CELLS
 # Generator.choice's tolerance on the sum of its probabilities.
 _P_SUM_TOL = float(np.sqrt(np.finfo(np.float64).eps))
 
@@ -217,17 +202,13 @@ class Histogram:
         return index * self.bin_width_ps
 
 
-def _substream(seed: int, stream: int, extra: tuple = ()) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), stream) + extra)))
-
-
 def _draw_outcomes(rng: np.random.Generator, table: np.ndarray, n: int) -> np.ndarray:
     """`rng.choice(table.size, size=n, p=table / table.sum())`, draw for draw, as uint8.
 
     `Generator.choice`'s checks on its probabilities are made on `table`: a
     NaN, a negative entry or a sum off 1 by more than sqrt(eps) raises
-    ValueError.  The draws come from a guide-table inverse CDF, `_BLOCK`
-    uniforms a call.  Outcomes are uint8, for tables of up to 256 entries.
+    ValueError.  The draws come from `draw_cells`, `_BLOCK` uniforms a call.
+    Outcomes are uint8, for tables of up to 256 entries.
     """
     total = table.sum()
     if np.isnan(total):
@@ -236,31 +217,14 @@ def _draw_outcomes(rng: np.random.Generator, table: np.ndarray, n: int) -> np.nd
         raise ValueError("outcome probabilities are not non-negative")
     if abs(total - 1.0) > _P_SUM_TOL:
         raise ValueError(f"outcome probabilities sum to {total!r}, not 1")
+    # cdf[-1] is exactly 1, above every uniform, as `draw_cells` needs.
     cdf = (table / total).cumsum()
     cdf /= cdf[-1]
-    # The outcome of u is the number of CDF entries <= u.  Cell c starts at the
-    # number of entries <= c / cells, and the steps cover the entries inside the
-    # cell.  cdf[-1] is exactly 1 > u, so no step passes the last outcome.
-    guide = cdf.searchsorted(_GUIDE_EDGES, side="right")
     outcome = np.empty(n, dtype=np.uint8)
     for start in range(0, n, _BLOCK):
         u = rng.random(min(_BLOCK, n - start))
-        drawn = guide[(u * _GUIDE_CELLS).astype(np.intp)]
-        todo = np.flatnonzero(cdf[drawn] <= u)
-        while todo.size:
-            drawn[todo] += 1
-            todo = todo[cdf[drawn[todo]] <= u[todo]]
-        outcome[start : start + u.size] = drawn
+        outcome[start : start + u.size] = draw_cells(cdf[None], 0, u)
     return outcome
-
-
-def _draw_kept(rng: np.random.Generator, efficiency: float, n: int) -> np.ndarray:
-    """`rng.random(n) < efficiency`, drawn `_BLOCK` uniforms a call."""
-    kept = np.empty(n, dtype=bool)
-    for start in range(0, n, _BLOCK):
-        block = kept[start : start + _BLOCK]
-        np.less(rng.random(block.size), efficiency, out=block)
-    return kept
 
 
 def simulate_run(cfg: RunConfig, outcome_table: np.ndarray | None = None) -> TimeTagStream:
@@ -281,7 +245,7 @@ def simulate_run(cfg: RunConfig, outcome_table: np.ndarray | None = None) -> Tim
     unit_ps = cfg.unit_delay_ps
     duration_ps = int(round(cfg.duration_s * 1e12))
 
-    rng = _substream(cfg.seed, _STREAM_EMISSION)
+    rng = substream(cfg.seed, "emission")
     n_pairs = int(rng.poisson(cfg.pair_rate_hz * cfg.duration_s))
     emit_key = rng.integers(0, duration_ps, size=n_pairs, dtype=np.int64)
     emit_key.sort()
@@ -290,7 +254,7 @@ def simulate_run(cfg: RunConfig, outcome_table: np.ndarray | None = None) -> Tim
     if outcome_table is None:
         outcome_table = joint_distribution(cfg.interferometer, cfg.lam)
     table = np.asarray(outcome_table, dtype=float).reshape(45)
-    outcome = _draw_outcomes(_substream(cfg.seed, _STREAM_OUTCOME), table, n_pairs)
+    outcome = _draw_outcomes(substream(cfg.seed, "outcome"), table, n_pairs)
 
     # random() < 1.0 always holds, so perfect detectors skip the draws; one
     # imperfect party draws both masks, keeping Bob's draws where they were.
@@ -298,14 +262,14 @@ def simulate_run(cfg: RunConfig, outcome_table: np.ndarray | None = None) -> Tim
     alice, bob = cfg.alice_detectors, cfg.bob_detectors
     kept = None
     if alice.efficiency < 1.0 or bob.efficiency < 1.0:
-        rng = _substream(cfg.seed, _STREAM_EFFICIENCY)
-        kept = [_draw_kept(rng, model.efficiency, n_pairs) for model in (alice, bob)]
+        rng = substream(cfg.seed, "efficiency")
+        kept = [draw_below(rng, model.efficiency, n_pairs) for model in (alice, bob)]
     darks = []
     for party, model in ((0, alice), (1, bob)):
         if model.dark_rate_hz <= 0.0:
             continue
         for det in range(3):
-            rng = _substream(cfg.seed, _STREAM_DARK, (party, det))
+            rng = substream(cfg.seed, "dark", (party, det))
             n_dark = int(rng.poisson(model.dark_rate_hz * cfg.duration_s))
             times = rng.integers(0, duration_ps, size=n_dark, dtype=np.int64)
             darks.append(times * 8 + (4 * party + det))
@@ -318,7 +282,7 @@ def simulate_run(cfg: RunConfig, outcome_table: np.ndarray | None = None) -> Tim
     # a time, Alice's jitter drawn before Bob's.
     key_part = (_OUTCOME_KEY_A, _OUTCOME_KEY_B - 8 * unit_ps * _OUTCOME_DT_UNITS)
     if alice.jitter_sigma_ps > 0.0 or bob.jitter_sigma_ps > 0.0:
-        rng = _substream(cfg.seed, _STREAM_JITTER)
+        rng = substream(cfg.seed, "jitter")
     end = 0
     for party, model in enumerate((alice, bob)):
         for start in range(0, n_pairs, _BLOCK):
@@ -476,10 +440,10 @@ def post_select(
     unit_delay_ps: int,
 ) -> np.ndarray:
     """3x3 table of counts whose dt lies within +-half_width of a peak center."""
-    if peak not in _PEAK_MULTIPLIER:
-        raise ConfigurationError(f"unknown peak {peak!r}; expected one of {sorted(_PEAK_MULTIPLIER)}")
+    if peak not in PEAK_MULTIPLIER:
+        raise ConfigurationError(f"unknown peak {peak!r}; expected one of {sorted(PEAK_MULTIPLIER)}")
     _check_peak_half_width(half_width_ps, unit_delay_ps)
-    center = _PEAK_MULTIPLIER[peak] * unit_delay_ps
+    center = PEAK_MULTIPLIER[peak] * unit_delay_ps
     return window_counts(coincidences, center, half_width_ps)
 
 
@@ -514,7 +478,7 @@ def peak_areas(
     nearest = (dt + unit_delay_ps // 2) // unit_delay_ps
     inside = (np.abs(nearest) <= 2) & (np.abs(dt - nearest * unit_delay_ps) <= half_width_ps)
     counts = np.bincount(nearest[inside] + 2, minlength=5)
-    return {peak: int(counts[m + 2]) for peak, m in _PEAK_MULTIPLIER.items()}
+    return {peak: int(counts[m + 2]) for peak, m in PEAK_MULTIPLIER.items()}
 
 
 def write_histogram_csv(histogram: Histogram, path):

@@ -276,7 +276,7 @@ class TestScanOutputs:
         seen = []
         for seed in (5, 6):
             streams.clear()
-            cli._run_scan(cli.load_config(write_config(tmp_path, self.scan_config(seed))), tmp_path, False)
+            cli._run_scan(cli.load_config(write_config(tmp_path, self.scan_config(seed))), tmp_path)
             assert len(set(streams)) == 90
             seen.append(set(streams))
         assert not seen[0] & seen[1]

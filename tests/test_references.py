@@ -14,12 +14,15 @@ oracles only.  `Generator.choice` is also the oracle of
 the guide-table outcome sampler, draw for draw, and `joint_distribution`
 of each step's configuration the oracle of the batched step tables.  The
 oracle tests of `simulate_run`, its outcome draw and `find_coincidences`
-run again with blocks of 7 pairs, so that small examples cross the block
-edges of the stream layer's draws and neighbour pass.  The
+run again with blocks of 7 pairs, and the shared draws of `source` with
+blocks of 7 uniforms, so that small examples cross the block edges of the
+draws and the neighbour pass.  The blocked Bernoulli draw is checked
+against the one `rng.random(n) < p` call it stands for.  The
 built-in config validator is checked against the jsonschema validator and
 `best_match` choice it replaced.
 """
 
+import contextlib
 import copy
 import csv
 import dataclasses
@@ -53,7 +56,7 @@ from qutrit_bench.core import (
     tritter,
 )
 from qutrit_bench.errors import OrderingError
-from qutrit_bench import protocols, timetags
+from qutrit_bench import protocols, source, timetags
 from qutrit_bench.protocols import BASIS_IDS, QKD_MODES, EveModel, herald_state, run_qkd
 from qutrit_bench.source import (
     ALICE_LONG_ARM_TRIM,
@@ -65,6 +68,8 @@ from qutrit_bench.source import (
     central_state,
     class_weights,
     detector_pair_phase_offsets,
+    draw_below,
+    draw_cells,
     joint_distribution,
     satellite_phase,
     satellite_state,
@@ -615,10 +620,28 @@ def test_outcome_draws_equal_generator_choice(p, n, seed):
     assert rng.bit_generator.state == oracle.bit_generator.state
 
 
+@contextlib.contextmanager
 def blocks_of_seven():
-    """`timetags` drawing and matching 7 pairs or steps a block, so that
-    small streams cross many block edges."""
-    return mock.patch.object(timetags, "_BLOCK", 7)
+    """`timetags` drawing and matching 7 pairs or steps a block, and the
+    draws of `source` 7 uniforms a block, so that small examples cross many
+    block edges."""
+    with mock.patch.object(timetags, "_BLOCK", 7), mock.patch.object(source, "_DRAW_BLOCK", 7):
+        yield
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([0.0, 1.0, float(np.nextafter(1.0, 0.0))]) | st.floats(0.0, 1.0),
+    st.sampled_from([0, 6, 7, 8, 14]) | st.integers(0, 300),
+    st.integers(0, 2**64 - 1),
+)
+def test_blocked_bernoulli_draw_equals_one_call(p, n, seed):
+    rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    with blocks_of_seven():
+        found = draw_below(rng, p, n)
+    assert found.dtype == bool
+    assert np.array_equal(found, oracle.random(n) < p)
+    assert rng.bit_generator.state == oracle.bit_generator.state
 
 
 @settings(max_examples=200, deadline=None)
@@ -931,14 +954,15 @@ def test_qkd_trace_matches_csv_writer_at_digit_boundaries(tmp_path, pool):
 
 
 @st.composite
-def trit_draws(draw):
-    """(cdf, choice, u) for the QKD trit draw.
+def trit_draws(draw, one_row=False):
+    """(cdf, rows, u) for the QKD trit draw: rows is one per uniform, or one
+    for all of them.
 
     CDF rows come from `_trit_tables` (lam 1 gives zero cells, so repeated
     entries), from dyadic tables whose entries fall on guide edges, or from
     random tables with zero cells.  A share of the uniforms is set exactly on
     a CDF entry below 1, on a guide edge g/256, to 0 or to the largest
-    double below 1.  Round counts reach past one pass of the draw.
+    double below 1.  Round counts reach past one block of the draw.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**64 - 1)))
     kind = draw(st.sampled_from(["qkd", "dyadic", "random"]))
@@ -958,8 +982,9 @@ def trit_draws(draw):
             weights = rng.random((rows, 9)) * ~zeros
             tables = weights / weights.sum(axis=1, keepdims=True)
     cdf = np.cumsum(tables, axis=1)
-    n = draw(st.sampled_from([0, 1, 100, protocols._DRAW_BLOCK_ROWS + 3]))
-    choice = rng.integers(0, len(cdf), n)
+    n = draw(st.sampled_from([0, 1, 100, source._DRAW_BLOCK + 3]))
+    row = int(rng.integers(0, len(cdf)))
+    choice = np.full(n, row) if one_row else rng.integers(0, len(cdf), n)
     u = rng.random(n)
     on_entry = cdf[choice, rng.integers(0, 8, n)]
     special = [
@@ -971,17 +996,19 @@ def trit_draws(draw):
     pick = rng.integers(0, 2 * len(special), n)  # half the uniforms stay random
     for k, values in enumerate(special):
         u = np.where(pick == k, values, u)
-    return cdf, choice, u
+    return cdf, row if one_row else choice, u
 
 
 @settings(max_examples=300, deadline=None)
-@given(trit_draws())
+@given(trit_draws() | trit_draws(one_row=True))
 def test_trit_draw_equals_eight_compares(draws):
-    cdf, choice, u = draws
+    cdf, rows, u = draws
     with_sentinel = cdf.copy()
     with_sentinel[:, 8] = np.inf
-    found = protocols._draw_cells(with_sentinel, choice, u)
-    assert np.array_equal(found, reference_trit_cells(cdf, choice, u))
+    expected = reference_trit_cells(cdf, np.broadcast_to(rows, u.shape), u)
+    assert np.array_equal(draw_cells(with_sentinel, rows, u), expected)
+    with blocks_of_seven():
+        assert np.array_equal(draw_cells(with_sentinel, rows, u), expected)
 
 
 # --------------------------------------------------------------------------
