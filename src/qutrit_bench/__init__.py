@@ -11,6 +11,14 @@ Submodules:
 
 __version__ = "0.1.0"
 
+import os
+
+# numpy's OpenBLAS starts nproc - 1 worker threads when it loads; on a 2-core
+# host that adds 50-90 ms of wall time (about 70 ms of CPU) to every process.
+# No BLAS call here can use a second thread: the largest are the 240 x 7
+# tone-fit designs and a 9 x 9 eigvalsh. A value the user set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .core import (
     DensityOperator,
     PureState,

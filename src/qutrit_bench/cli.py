@@ -9,9 +9,9 @@ the same config reproduces the data files byte-identically.
 
 Exit codes: 0 success, 2 invalid or unreadable configuration, 3 runtime,
 fit or output failure.
-Errors print a machine-parsable `error_code=` line on stderr; a runtime
-failure also leaves a `manifest.json` with `error_code`, `message` and an
-empty output list.
+Errors print a machine-parsable `error_code=` line on stderr. A failure
+after the config has loaded and `--out` exists also leaves a `manifest.json`
+with `error_code`, `message` and an empty output list.
 """
 
 from __future__ import annotations
@@ -715,19 +715,19 @@ def main(argv=None) -> int:
         os.makedirs(args.out, exist_ok=True)
         outputs = _COMMANDS[args.experiment](config, args.out)
         _write_manifest(args.out, config, outputs, time.monotonic() - started)
-    except ConfigurationError as exc:
-        print("error_code=config_error", file=sys.stderr)
-        print(f"qutrit-bench: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # runtime/fit failures map to exit 3
-        message = f"{type(exc).__name__}: {exc}"
-        print("error_code=runtime_error", file=sys.stderr)
+    except Exception as exc:  # configuration errors map to exit 2, runtime/fit failures to exit 3
+        if isinstance(exc, ConfigurationError):
+            error_code, status, message = "config_error", 2, str(exc)
+        else:
+            error_code, status, message = "runtime_error", 3, f"{type(exc).__name__}: {exc}"
+        print(f"error_code={error_code}", file=sys.stderr)
         print(f"qutrit-bench: {message}", file=sys.stderr)
+        # Some configuration errors only show inside the command, once --out exists.
         if config is not None and os.path.isdir(args.out):
-            error = {"error_code": "runtime_error", "message": message}
+            error = {"error_code": error_code, "message": message}
             with contextlib.suppress(OSError):  # the exit code still reports the failure
                 _write_manifest(args.out, config, [], time.monotonic() - started, error)
-        return 3
+        return status
     return 0
 
 

@@ -48,6 +48,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error_code=config_error" in err
         assert "duration_s" in err
+        assert not (tmp_path / "out").exists()  # a config that fails to load leaves no manifest
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = write_config(
@@ -183,6 +184,28 @@ class TestExitCodes:
         assert manifest["outputs"] == []
         assert manifest["seed"] == 17
         assert len(manifest["config_sha256"]) == 64
+
+    # Configuration errors that only the command sees, after --out exists.
+    @pytest.mark.parametrize(
+        "experiment, interferometer, reason",
+        [
+            ("histogram", {"unit_delay_ns": 0.0004}, "below half the unit delay"),
+            ("toss", {"alice_ratios": [0, 0, 1]}, "leave a satellite peak empty"),
+        ],
+    )
+    def test_late_config_error_leaves_manifest(self, tmp_path, capsys, experiment, interferometer, reason):
+        run = dict(BASE_RUN, interferometer=interferometer)
+        cfg = write_config(tmp_path, {"experiment": experiment, "run": run})
+        out = tmp_path / "out"
+        assert run_cli([experiment, "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "error_code=config_error" in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error_code"] == "config_error"
+        assert reason in manifest["message"]
+        assert manifest["message"] in err
+        assert manifest["outputs"] == []
+        assert os.listdir(out) == ["manifest.json"]
 
 
 class TestScanOutputs:

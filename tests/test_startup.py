@@ -1,4 +1,5 @@
-"""The package runs without scipy, and the command-line runner without jsonschema.
+"""The package runs without scipy, the command-line runner without jsonschema,
+and numpy's OpenBLAS starts no worker threads unless the user asks for them.
 
 Each case runs in a fresh interpreter, so modules imported by the test
 session do not hide what `qutrit_bench` itself loads.
@@ -30,9 +31,17 @@ CONFIGS = {
 }
 
 
-def run_fresh(code, *args):
-    """Run `code` in a new interpreter; its last stdout line is a JSON report."""
+def run_fresh(code, *args, **env_vars):
+    """Run `code` in a new interpreter; its last stdout line is a JSON report.
+
+    `env_vars` are set in the child's environment; a value of None removes the variable.
+    """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    for name, value in env_vars.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     proc = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code), *args],
         capture_output=True,
@@ -92,3 +101,23 @@ def test_central_fit_loads_no_scipy(tmp_path):
     assert "lambda_hat" in report["central"], report["central"]
     assert report["scipy"] == []
     assert abs(report["lam"] - 0.9) < 1e-6
+
+
+BLAS_REPORT = """
+    import json, os
+    from qutrit_bench import cli
+    threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+    print(json.dumps({"blas": os.environ.get("OPENBLAS_NUM_THREADS"), "threads": threads}))
+    """
+
+
+def test_import_pins_a_one_thread_blas_pool():
+    # The test session has imported the package already, so its environment holds the pin.
+    report = run_fresh(BLAS_REPORT, OPENBLAS_NUM_THREADS=None)
+    assert report["blas"] == "1"
+    if report["threads"] is not None:
+        assert report["threads"] == 1
+
+
+def test_import_keeps_the_users_blas_pool():
+    assert run_fresh(BLAS_REPORT, OPENBLAS_NUM_THREADS="2")["blas"] == "2"
