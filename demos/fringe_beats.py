@@ -9,12 +9,7 @@ Demonstrated for a fast/slow scan (n ~ 7) and an equal-rate scan (n ~ 1).
 import numpy as np
 
 from qutrit_bench.analysis import FringeScan, fit_central_fringe, phase_ratio, visibility
-from qutrit_bench.source import (
-    InterferometerConfig,
-    coincidence_prob_central,
-    coincidence_prob_satellite,
-    phases_for_fringe_targets,
-)
+from qutrit_bench.source import InterferometerConfig, step_distributions
 
 LAM = 0.9688
 COINCIDENCES_PER_STEP = 12000.0
@@ -24,17 +19,13 @@ def scan_counts(rate_ratio, steps=900, periods=3.0, seed=1):
     """Counts for the central and both satellite channels at detector pair (0,0)."""
     rng = np.random.default_rng(seed)
     u = np.linspace(0.0, periods * 2.0 * np.pi, steps)  # slow-phase coordinate
-    channels = {"central": np.empty(steps), "left": np.empty(steps), "right": np.empty(steps)}
-    for i, phi in enumerate(u):
-        itf = InterferometerConfig(alice=phases_for_fringe_targets(phi, rate_ratio * phi))
-        channels["central"][i] = rng.poisson(
-            COINCIDENCES_PER_STEP * 3.0 * coincidence_prob_central(itf, 0, 0, LAM)
-        )
-        for side in ("left", "right"):
-            channels[side][i] = rng.poisson(
-                COINCIDENCES_PER_STEP * 2.0 * coincidence_prob_satellite(side, itf, 0, 0, LAM)
-            )
-    return u, channels
+    # Alice's dials (u, u + n*u) drive the two effective phases at rates 1 and n.
+    tables = step_distributions(InterferometerConfig(), LAM, np.stack([u, u + rate_ratio * u], axis=1))
+    # Mean count of a peak's (0,0) cell: its 1:2:3:2:1 weight w times
+    # COINCIDENCES_PER_STEP times P(0,0 | peak) = 9 * P[class, 0, 0] / w.
+    rates = 9.0 * COINCIDENCES_PER_STEP * tables[:, [2, 3, 1], 0, 0]
+    counts = rng.poisson(rates)  # step by step: central, left, right
+    return u, dict(zip(("central", "left", "right"), counts.T))
 
 
 for ratio in (7.0, 1.0):

@@ -2,7 +2,8 @@
 
 Submodules:
     core      -- qutrit/two-qutrit linear algebra, the 3x3 coupler, Born rule
-    source    -- interferometer model: one amplitude kernel, peak states, fringe laws
+    source    -- interferometer model: one amplitude kernel, its outcome tables and
+                 central-peak state, and the seeded draws from them
     timetags  -- seeded Monte Carlo time-tag streams, coincidences, histograms
     analysis  -- visibility extraction, fringe fits, Bell-threshold inference
     protocols -- heralded-qutrit key distribution and coin tossing
@@ -34,14 +35,8 @@ from .source import (
     InterferometerConfig,
     central_state,
     class_weights,
-    coincidence_prob_central,
-    coincidence_prob_satellite,
-    detector_pair_phase_offsets,
-    effective_phases,
-    fringe_probability,
     joint_distribution,
     pair_amplitudes,
-    satellite_state,
     step_distributions,
 )
 from .timetags import (

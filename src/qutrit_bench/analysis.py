@@ -16,7 +16,6 @@ violation.  All plain numpy.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -85,20 +84,6 @@ class BellResult:
     n_sigma: float
     i3: float
     lambda_crit: float
-
-
-def load_scan(path) -> FringeScan:
-    """Read a `setpoint,count` CSV channel file."""
-    setpoints, counts = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [h.strip() for h in header[:2]] != ["setpoint", "count"]:
-            raise ValueError(f"expected header 'setpoint,count' in {path}, got {header!r}")
-        for row in reader:
-            setpoints.append(float(row[0]))
-            counts.append(float(row[1]))
-    return FringeScan(np.asarray(setpoints), np.asarray(counts))
 
 
 def save_scan(scan: FringeScan, path):
@@ -276,15 +261,6 @@ def phase_ratio(left_scan: FringeScan, right_scan: FringeScan, rates: tuple) -> 
 # --------------------------------------------------------------------------
 # Central-fringe fit
 # --------------------------------------------------------------------------
-
-
-def central_fringe_model(u, amplitude, lam, omega, n, phi0, phi1):
-    """Two-phase central fringe driven at rates omega and n*omega:
-    A * (3 + 2*lam*(cos(w u + phi0) + cos(n w u + phi1) + cos((n+1) w u + phi0 + phi1)))
-    """
-    w = omega * np.asarray(u, dtype=float)
-    tones = np.cos(w + phi0) + np.cos(n * w + phi1) + np.cos((n + 1.0) * w + phi0 + phi1)
-    return amplitude * (3.0 + 2.0 * lam * tones)
 
 
 def fit_central_fringe(scan: FringeScan, start: tuple) -> FringeFit:

@@ -5,10 +5,6 @@ class ConfigurationError(ValueError):
     """A run or experiment configuration is invalid or self-inconsistent."""
 
 
-class UnsupportedConfigurationError(ConfigurationError):
-    """The requested closed-form path does not cover this configuration."""
-
-
 class DegenerateStateError(ValueError):
     """A state or scan carries no usable signal (zero vector, all-zero counts)."""
 

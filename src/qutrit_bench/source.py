@@ -15,11 +15,11 @@ splits the coincidences into five classes:
 
 Path pairs within one class are indistinguishable and interfere; classes do
 not.  The whole model is one kernel, `pair_amplitudes`: the amplitude of
-each path pair at each detector pair.  The outcome distribution, the peak
-states and the heralded states are sums of its terms over the path pairs
-of one class (`CLASS_PATH_PAIRS`).  The closed-form fringe laws below
-(`coincidence_prob_*`, `fringe_probability`) are the symmetric-coupler
-solutions of the same model.
+each path pair at each detector pair.  The outcome distribution, the
+central-peak state and the heralded states are sums of its terms over the
+path pairs of one class (`CLASS_PATH_PAIRS`).  It holds for any coupler
+ratios; the paper's fringe laws are its values at symmetric couplers, e.g.
+the central law P = [3 + 2*lam*(cos phi_r + cos phi_l + cos(phi_r + phi_l))] / 27.
 
 The kernel has a leading step axis of Alice dial settings (phi_m, phi_l):
 `step_distributions` gives the outcome tables of every step of a dial scan
@@ -57,10 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PureState, joint_index, normalize, tritter, wrap_phase
-from .errors import UnsupportedConfigurationError
-
-PEAK_SIDES = ("left", "right")
+from .core import PureState, normalize, tritter
 
 # Path pairs (alice_path, bob_path) of each dt class, index 0..4 for
 # dt = -2..+2 unit delays, in ascending Alice path: the first pair is the
@@ -118,9 +115,6 @@ class CouplerRatios:
     def as_array(self) -> np.ndarray:
         return np.array([self.p_s, self.p_m, self.p_l])
 
-    def is_symmetric(self) -> bool:
-        return bool(np.max(np.abs(self.as_array() - 1.0 / 3.0)) <= _RATIO_TOL)
-
 
 @dataclass(frozen=True)
 class InterferometerConfig:
@@ -135,35 +129,6 @@ class InterferometerConfig:
     def __post_init__(self):
         if not self.unit_delay_ns > 0.0:
             raise ValueError(f"unit delay must be positive, got {self.unit_delay_ns!r}")
-
-    def has_symmetric_ratios(self) -> bool:
-        return self.alice_ratios.is_symmetric() and self.bob_ratios.is_symmetric()
-
-
-@dataclass(frozen=True)
-class EffectivePhasePair:
-    """The two free interference phases of the central-peak fringe law."""
-
-    phi_r: float
-    phi_l: float
-
-
-def _check_detector_indices(j: int, k: int):
-    if j not in (0, 1, 2) or k not in (0, 1, 2):
-        raise ValueError(f"detector indices must be in {{0, 1, 2}}, got ({j!r}, {k!r})")
-
-
-def detector_pair_phase_offsets(j: int, k: int) -> tuple:
-    """Coupler phase offsets (medium, long) of detector pair (j, k).
-
-    Composing the two output-coupler entries exp(i 2*pi j p / 3) and
-    exp(i 2*pi k p / 3) gives the mm term an offset 2*pi*(j+k)/3 and the
-    ll term 4*pi*(j+k)/3 relative to ss, both reduced to [0, 2*pi).
-    """
-    _check_detector_indices(j, k)
-    chi_m = (2.0 * np.pi * (j + k) / 3.0) % (2.0 * np.pi)
-    chi_l = (4.0 * np.pi * (j + k) / 3.0) % (2.0 * np.pi)
-    return chi_m, chi_l
 
 
 def _arm_amplitudes(cfg: InterferometerConfig, alice_dials=None) -> tuple:
@@ -212,16 +177,6 @@ def pair_amplitudes(cfg: InterferometerConfig) -> np.ndarray:
     return _pair_amplitudes(*_arm_amplitudes(cfg))[0]
 
 
-def _class_state(cls: int, cfg: InterferometerConfig, j: int, k: int) -> np.ndarray:
-    """9-vector of one dt class's path-pair amplitudes at detectors (j, k)."""
-    _check_detector_indices(j, k)
-    amps = pair_amplitudes(cfg)
-    state = np.zeros((3, 3), dtype=complex)
-    for pa, pb in CLASS_PATH_PAIRS[cls]:
-        state[pa, pb] = amps[pa, pb, j, k]
-    return state.reshape(9)
-
-
 def central_state(cfg: InterferometerConfig, j: int, k: int) -> PureState:
     """Post-selected two-photon state of the central peak at detectors (j, k).
 
@@ -231,117 +186,13 @@ def central_state(cfg: InterferometerConfig, j: int, k: int) -> PureState:
       + sqrt(pA_m pB_m) e^{i(alpha_m + beta_m + chi_m)} |mm>
       + sqrt(pA_l pB_l) e^{i(alpha_l + beta_l + chi_l)} |ll>
 
-    normalized.  The long-arm trims cancel between the parties here.
+    normalized, with the output couplers' offsets chi_m = 2*pi*(j+k)/3 and
+    chi_l = 4*pi*(j+k)/3.  The long-arm trims cancel between the parties here.
     """
-    return normalize(PureState(_class_state(PEAK_CLASS["central"], cfg, j, k)))
-
-
-def satellite_phase(side: str, cfg: InterferometerConfig, j: int, k: int) -> float:
-    """Interference phase of one satellite peak at detector pair (j, k).
-
-    left  (lm relative to ms): (alpha_l - alpha_m) + beta_m + chi_m - 2*pi/3
-    right (ml relative to sm): alpha_m + (beta_l - beta_m) + chi_m + 2*pi/3
-
-    where chi_m = 2*pi*(j+k)/3 and the constant offsets are the long-arm
-    trims surviving on one side of each two-path superposition.
-    """
-    _check_detector_indices(j, k)
-    if side not in PEAK_SIDES:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    chi_m, _ = detector_pair_phase_offsets(j, k)
-    a, b = cfg.alice, cfg.bob
-    if side == "left":
-        return (a.phi_l - a.phi_m) + b.phi_m + chi_m + ALICE_LONG_ARM_TRIM
-    return a.phi_m + (b.phi_l - b.phi_m) + chi_m + BOB_LONG_ARM_TRIM
-
-
-def satellite_state(side: str, cfg: InterferometerConfig, j: int, k: int) -> PureState:
-    """Post-selected two-photon state of a satellite peak at detectors (j, k).
-
-    A two-term superposition on the side's path pairs, e.g. for the left
-    peak (|ms> + e^{i theta} |lm>) / sqrt(2) at symmetric couplers, with
-    theta = satellite_phase(side, cfg, j, k).  The global phase makes the
-    reference term (ms or sm) real and positive.
-    """
-    if side not in PEAK_SIDES:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    cls = PEAK_CLASS[side]
-    amps = _class_state(cls, cfg, j, k)
-    ref = amps[joint_index(*CLASS_PATH_PAIRS[cls][0])]
-    return normalize(PureState(amps * np.exp(-1j * np.angle(ref))))
-
-
-def effective_phases(cfg: InterferometerConfig, j: int, k: int) -> EffectivePhasePair:
-    """The two free phases (phi_r, phi_l) of the central fringe at (j, k).
-
-    phi_r is the phase of the mm term relative to ss and phi_l the phase of
-    the ll term relative to mm, so the central state reads
-    |ss> + e^{i phi_r} |mm> + e^{i (phi_r + phi_l)} |ll> (symmetric couplers).
-    These are also the phases tracked by the right and left satellite
-    fringes (up to the fixed trim offsets), which is what makes the
-    satellites usable as a phase monitor.  Both values are wrapped to
-    (-pi, pi].
-    """
-    _check_detector_indices(j, k)
-    chi_m, _ = detector_pair_phase_offsets(j, k)
-    a, b = cfg.alice, cfg.bob
-    phi_r = (a.phi_m + b.phi_m) + chi_m
-    phi_l = (a.phi_l - a.phi_m) + (b.phi_l - b.phi_m) + chi_m
-    return EffectivePhasePair(float(wrap_phase(phi_r)), float(wrap_phase(phi_l)))
-
-
-def phases_for_fringe_targets(phi_r: float, phi_l: float) -> ArmPhases:
-    """Alice dial phases that realize (phi_r, phi_l) at detector pair (0, 0).
-
-    With Bob's dials at zero: alpha_m = phi_r, alpha_l = phi_r + phi_l.
-    Inverse of `effective_phases` on its (0, 0) slice.
-    """
-    return ArmPhases(phi_m=phi_r, phi_l=phi_r + phi_l)
-
-
-def fringe_probability(phi_r: float, phi_l: float, lam: float) -> float:
-    """Central-peak coincidence law for one detector pair, symmetric couplers.
-
-        P = [3 + 2*lam*(cos phi_r + cos phi_l + cos(phi_r + phi_l))] / 27
-
-    The divisor 27 conditions on a central-peak coincidence: summing over
-    the nine detector pairs gives 1.  Maximum 1/3 at phi_r = phi_l = 0;
-    zero requires {phi_r, phi_l, phi_r + phi_l} all at +-2*pi/3.
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"mixing weight must lie in [0, 1], got {lam!r}")
-    bracket = 3.0 + 2.0 * lam * (np.cos(phi_r) + np.cos(phi_l) + np.cos(phi_r + phi_l))
-    return float(bracket) / 27.0
-
-
-def _require_symmetric(cfg: InterferometerConfig, what: str):
-    if not cfg.has_symmetric_ratios():
-        raise UnsupportedConfigurationError(
-            f"{what} is closed-form only for symmetric coupler ratios; "
-            "use joint_distribution() / born_probability() for general ratios"
-        )
-
-
-def coincidence_prob_central(cfg: InterferometerConfig, j: int, k: int, lam: float) -> float:
-    """P(detectors j, k | central-peak coincidence) under noise weight lam."""
-    _require_symmetric(cfg, "the central fringe law")
-    pair = effective_phases(cfg, j, k)
-    return fringe_probability(pair.phi_r, pair.phi_l, lam)
-
-
-def coincidence_prob_satellite(
-    side: str, cfg: InterferometerConfig, j: int, k: int, lam: float
-) -> float:
-    """P(detectors j, k | coincidence in the given satellite peak).
-
-    Two-path interference: [1 + lam*cos(theta_jk)] / 9, summing to 1 over
-    the nine detector pairs.
-    """
-    _require_symmetric(cfg, "the satellite fringe law")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"mixing weight must lie in [0, 1], got {lam!r}")
-    theta = satellite_phase(side, cfg, j, k)
-    return float(1.0 + lam * np.cos(theta)) / 9.0
+    if j not in (0, 1, 2) or k not in (0, 1, 2):
+        raise ValueError(f"detector indices must be in {{0, 1, 2}}, got ({j!r}, {k!r})")
+    diagonal = np.diagonal(pair_amplitudes(cfg)[:, :, j, k])  # ss, mm, ll: the central class
+    return normalize(PureState(np.diag(diagonal).reshape(9)))
 
 
 def _class_weights(amp_a: np.ndarray, amp_b: np.ndarray) -> np.ndarray:
@@ -395,8 +246,8 @@ def joint_distribution(cfg: InterferometerConfig, lam: float) -> np.ndarray:
     Index 0..4 maps to dt = -2..+2 unit delays.  The pure part sums path
     amplitudes coherently within each class and propagates them through
     both output couplers; the noise part keeps the class weights and makes
-    the detectors uniform, matching the symmetric-noise model of the
-    closed-form fringe laws.  Works for arbitrary coupler ratios.  The
+    the detectors uniform, the white-noise weight 1 - lam of the paper's
+    fringe laws.  Works for arbitrary coupler ratios.  The
     one-row case of `step_distributions`.
     """
     return step_distributions(cfg, lam)[0]

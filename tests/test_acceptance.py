@@ -32,12 +32,7 @@ from qutrit_bench.protocols import (
     run_coin_toss,
     run_qkd,
 )
-from qutrit_bench.source import (
-    InterferometerConfig,
-    coincidence_prob_central,
-    fringe_probability,
-    phases_for_fringe_targets,
-)
+from qutrit_bench.source import ArmPhases, InterferometerConfig, joint_distribution, step_distributions
 from qutrit_bench.timetags import (
     RunConfig,
     build_histogram,
@@ -46,6 +41,7 @@ from qutrit_bench.timetags import (
     post_select,
     simulate_run,
 )
+from test_references import central_fringe_model
 
 UNIT_PS = 1200
 PEAK_WEIGHTS = {"outer_right": 1 / 9, "right": 2 / 9, "central": 3 / 9, "left": 2 / 9, "outer_left": 1 / 9}
@@ -90,14 +86,12 @@ def test_criterion_1_five_peak_histogram():
 
 
 def test_criterion_2_fringe_law():
-    """MC matches the analytic law (chi^2 p > 0.001 for >= 99/100 seeds at
-    ~1e4 central coincidences); analytic extrema exact to 1e-12."""
-    alice = phases_for_fringe_targets(0.7, 0.4)
-    itf = InterferometerConfig(alice=alice)
+    """MC matches the kernel's central table (chi^2 p > 0.001 for >= 99/100
+    seeds at ~1e4 central coincidences); its extrema exact to 1e-12."""
+    itf = InterferometerConfig(alice=ArmPhases(0.7, 0.7 + 0.4))  # phi_r = 0.7, phi_l = 0.4
     lam = 0.9
-    expected_p = np.array(
-        [[coincidence_prob_central(itf, j, k, lam) for k in range(3)] for j in range(3)]
-    ).ravel()
+    central = joint_distribution(itf, lam)[2]
+    expected_p = (central / central.sum()).ravel()
     passes = 0
     for seed in range(100):
         cfg = RunConfig(
@@ -113,14 +107,16 @@ def test_criterion_2_fringe_law():
         if p_value > 0.001:
             passes += 1
 
-    max_exact = abs(fringe_probability(0.0, 0.0, 1.0) - 1.0 / 3.0)
+    # 1/3 at phi_r = phi_l = 0 and zero at phi_r = phi_l = 2*pi/3 (dials 2*pi/3, 4*pi/3)
+    max_exact = abs(3.0 * joint_distribution(InterferometerConfig(), 1.0)[2, 0, 0] - 1.0 / 3.0)
     two_thirds_pi = 2.0 * np.pi / 3.0
-    min_exact = abs(fringe_probability(two_thirds_pi, two_thirds_pi, 1.0))
+    at_zero = InterferometerConfig(alice=ArmPhases(two_thirds_pi, 2.0 * two_thirds_pi))
+    min_exact = abs(3.0 * joint_distribution(at_zero, 1.0)[2, 0, 0])
     report(
         2,
         passes >= 99 and max_exact < 1e-12 and min_exact < 1e-12,
         f"chi^2 p > 0.001 for {passes}/100 seeds (need >= 99); "
-        f"analytic max error {max_exact:.1e}, min error {min_exact:.1e} (need < 1e-12)",
+        f"law max error {max_exact:.1e}, min error {min_exact:.1e} (need < 1e-12)",
     )
 
 
@@ -130,10 +126,9 @@ def test_criterion_3_visibility_chain():
     lam = 0.9688
     phases = np.linspace(0.0, 4.0 * np.pi, 2400)
     rng = np.random.default_rng(190402)
-    counts = np.empty_like(phases)
-    for i, phi in enumerate(phases):
-        itf = InterferometerConfig(alice=phases_for_fringe_targets(phi, phi))
-        counts[i] = rng.poisson(27000.0 * coincidence_prob_central(itf, 0, 0, lam))
+    # Alice's dials (phi, 2*phi) drive phi_r = phi_l = phi; P(0,0 | central) = 3 * P[2, 0, 0].
+    tables = step_distributions(InterferometerConfig(), lam, np.stack([phases, 2.0 * phases], axis=1))
+    counts = rng.poisson(27000.0 * 3.0 * tables[:, 2, 0, 0])
     fit = visibility(FringeScan(phases, counts), (1.0, 2.0))  # both phases advance at rate 1
     v_ok = abs(fit.visibility - 0.979) <= 0.005
     lam_hat = lambda_from_visibility(0.979)
@@ -178,8 +173,6 @@ def test_criterion_5_local_bound():
 
 def test_criterion_6_phase_tracking():
     """Synthetic scans at rate ratios 7 and 1 recover n to 0.2 and 0.05."""
-    from qutrit_bench.analysis import central_fringe_model
-
     def central_scan(n, seed):
         u = np.linspace(0.0, 5.0 * np.pi, 1600)
         counts = central_fringe_model(u, 500.0, 1.0, 1.0, n, 0.0, 0.0)

@@ -9,7 +9,6 @@ from qutrit_bench.analysis import (
     CglmpSettings,
     FringeScan,
     bell_threshold_visibility,
-    central_fringe_model,
     cglmp_value,
     fit_central_fringe,
     i3_from_probability_table,
@@ -23,13 +22,15 @@ from qutrit_bench.analysis import (
 )
 from qutrit_bench.core import DensityOperator, add_white_noise, maximally_entangled_pair
 from qutrit_bench.errors import DegenerateStateError, FitError, NoFringeError
-from qutrit_bench.source import fringe_probability
+from qutrit_bench.source import InterferometerConfig, step_distributions
+from test_references import central_fringe_model
 
 
 def equal_rate_scan(lam, n_points=2000, periods=2.0, total_counts=3000.0, noise_seed=None):
-    """Counts from the central fringe law with both phases driven equally."""
+    """Counts from the kernel's central table with both phases driven equally:
+    Alice's dials (u, 2u) give phi_r = phi_l = u."""
     u = np.linspace(0.0, periods * 2.0 * np.pi, n_points)
-    probs = np.array([fringe_probability(x, x, lam) for x in u])
+    probs = 3.0 * step_distributions(InterferometerConfig(), lam, np.stack([u, 2.0 * u], axis=1))[:, 2, 0, 0]
     counts = total_counts * probs * 9.0
     if noise_seed is not None:
         counts = np.random.default_rng(noise_seed).poisson(counts).astype(float)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from qutrit_bench import cli
-from qutrit_bench.analysis import load_scan
 from qutrit_bench.cli import CONFIG_SCHEMA, main
 from qutrit_bench.errors import DegenerateStateError, NoFringeError
 from qutrit_bench.timetags import simulate_run
@@ -78,6 +77,19 @@ class TestExitCodes:
         cfg = write_config(tmp_path, {"experiment": "histogram", "run": dict(BASE_RUN, duration_s=2e6)})
         assert run_cli(["histogram", "--config", cfg, "--out", tmp_path / "out"]) == 2
         assert "2**60 ps" in capsys.readouterr().err
+
+    def test_seed_beyond_64_bits_exits_2(self, tmp_path, capsys):
+        # Every command rejects the seed while loading its config, before --out exists.
+        cfg = write_config(tmp_path, {"experiment": "qkd", "run": BASE_RUN, "protocol_spec": {"rounds": 2000}})
+        for experiment in cli.EXPERIMENTS:
+            out = tmp_path / experiment
+            assert run_cli([experiment, "--config", cfg, "--out", out, "--seed", 2**64]) == 2
+            err = capsys.readouterr().err
+            assert "error_code=config_error" in err
+            assert f"config $.run.seed: {2**64} is greater than the maximum of {2**64 - 1}" in err
+            assert not out.exists()
+        assert run_cli(["qkd", "--config", cfg, "--out", tmp_path / "qkd", "--seed", 2**64 - 1]) == 0
+        assert json.loads((tmp_path / "qkd" / "manifest.json").read_text())["seed"] == 2**64 - 1
 
     def test_config_schema_is_valid(self):
         jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
@@ -233,9 +245,11 @@ class TestScanOutputs:
         out = tmp_path / "out"
         assert run_cli(["scan", "--config", cfg, "--out", out]) == 0
         for name in ("scan_central_00.csv", "scan_left_00.csv", "scan_right_00.csv"):
-            scan = load_scan(out / name)  # ingestion path accepts emitted files
-            assert len(scan) == 90
-            assert scan.counts.sum() > 0
+            assert (out / name).read_text().splitlines()[0] == "setpoint,count"
+            setpoints, counts = np.loadtxt(out / name, delimiter=",", skiprows=1, unpack=True)
+            assert len(setpoints) == 90
+            assert np.all(np.diff(setpoints) > 0)
+            assert counts.sum() > 0
         fits = json.loads((out / "fringe_fits.json").read_text())
         assert "central_00" in fits
         assert 0.0 <= fits["central_00"]["visibility"] <= 1.0

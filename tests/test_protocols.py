@@ -118,6 +118,12 @@ class TestHeraldState:
         st = herald_state("central", 0, cfg)
         assert abs(st.amplitudes[2]) == 0.0
 
+    def test_bad_peak_or_detector_rejected(self):
+        with pytest.raises(ValueError, match="peak must be"):
+            herald_state("up", 0, InterferometerConfig())
+        with pytest.raises(ValueError, match="detector index"):
+            herald_state("left", 3, InterferometerConfig())
+
 
 class TestQkd:
     def test_noiseless_qber_is_exactly_zero(self):

@@ -9,8 +9,14 @@ loop, the multi-start search for the CGLMP maximum, the `lexsort` stream
 assembly and `rng.choice` outcome draw of `simulate_run`, the greedy
 matching loop over every candidate pair of `find_coincidences`, the
 five-window `peak_areas`, the row-by-row `csv.writer` QKD trace and the
-eight gathered compares of the QKD trit draw.  They stay here as test
-oracles only.  `Generator.choice` is also the oracle of
+eight gathered compares of the QKD trit draw.  The closed-form fringe
+laws of symmetric couplers, the central law [3 + 2*lam*(cos phi_r +
+cos phi_l + cos(phi_r + phi_l))] / 27 and the satellite law
+[1 + lam*cos theta] / 9 with their phases, and the central fringe of a
+two-rate scan (`central_fringe_model`) are the source's former second
+model; the kernel replaced them, and the physics tests of the other
+modules read them from here.  They stay here as test oracles only.
+`Generator.choice` is also the oracle of
 the guide-table outcome sampler, draw for draw, and `joint_distribution`
 of each step's configuration the oracle of the batched step tables.  The
 oracle tests of `simulate_run`, its outcome draw and `find_coincidences`
@@ -65,14 +71,13 @@ from qutrit_bench.source import (
     ArmPhases,
     CouplerRatios,
     InterferometerConfig,
+    CLASS_PATH_PAIRS,
     central_state,
     class_weights,
-    detector_pair_phase_offsets,
     draw_below,
     draw_cells,
     joint_distribution,
-    satellite_phase,
-    satellite_state,
+    pair_amplitudes,
     step_distributions,
 )
 from qutrit_bench.timetags import (
@@ -119,8 +124,16 @@ def reference_joint_distribution(cfg, lam):
     return dist / dist.sum()
 
 
+def reference_phase_offsets(j, k):
+    """Coupler offsets (chi_m, chi_l) = (2*pi*(j+k)/3, 4*pi*(j+k)/3) of the mm
+    and ll terms relative to ss at detector pair (j, k), reduced to [0, 2*pi)."""
+    chi_m = (2.0 * np.pi * (j + k) / 3.0) % (2.0 * np.pi)
+    chi_l = (4.0 * np.pi * (j + k) / 3.0) % (2.0 * np.pi)
+    return chi_m, chi_l
+
+
 def reference_central_state(cfg, j, k):
-    chi_m, chi_l = detector_pair_phase_offsets(j, k)
+    chi_m, chi_l = reference_phase_offsets(j, k)
     weights = np.sqrt(cfg.alice_ratios.as_array() * cfg.bob_ratios.as_array())
     phases = np.array(
         [
@@ -138,8 +151,19 @@ def reference_central_state(cfg, j, k):
 _SATELLITE_PAIRS = {"left": ((1, 0), (2, 1)), "right": ((0, 1), (1, 2))}
 
 
+def reference_satellite_phase(side, cfg, j, k):
+    """Phase of lm relative to ms (left) or of ml relative to sm (right): the
+    dial phases of one side of the two-path superposition, chi_m and the
+    long-arm trim that survives on that side."""
+    chi_m, _ = reference_phase_offsets(j, k)
+    a, b = cfg.alice, cfg.bob
+    if side == "left":
+        return (a.phi_l - a.phi_m) + b.phi_m + chi_m + ALICE_LONG_ARM_TRIM
+    return a.phi_m + (b.phi_l - b.phi_m) + chi_m + BOB_LONG_ARM_TRIM
+
+
 def reference_satellite_state(side, cfg, j, k):
-    theta = satellite_phase(side, cfg, j, k)
+    theta = reference_satellite_phase(side, cfg, j, k)
     (a0, b0), (a1, b1) = _SATELLITE_PAIRS[side]
     pa = cfg.alice_ratios.as_array()
     pb = cfg.bob_ratios.as_array()
@@ -147,6 +171,36 @@ def reference_satellite_state(side, cfg, j, k):
     amps[joint_index(a0, b0)] = np.sqrt(pa[a0] * pb[b0])
     amps[joint_index(a1, b1)] = np.sqrt(pa[a1] * pb[b1]) * np.exp(1j * theta)
     return normalize(PureState(amps))
+
+
+def reference_fringe_probability(phi_r, phi_l, lam):
+    """The central law P = [3 + 2*lam*(cos phi_r + cos phi_l + cos(phi_r + phi_l))] / 27
+    of one detector pair, given a central coincidence, at symmetric couplers."""
+    return (3.0 + 2.0 * lam * (np.cos(phi_r) + np.cos(phi_l) + np.cos(phi_r + phi_l))) / 27.0
+
+
+def reference_central_probability(cfg, j, k, lam):
+    """P(j, k | central coincidence) at symmetric couplers: phi_r is the phase
+    of mm relative to ss and phi_l that of ll relative to mm."""
+    chi_m, _ = reference_phase_offsets(j, k)
+    a, b = cfg.alice, cfg.bob
+    phi_r = (a.phi_m + b.phi_m) + chi_m
+    phi_l = (a.phi_l - a.phi_m) + (b.phi_l - b.phi_m) + chi_m
+    return reference_fringe_probability(phi_r, phi_l, lam)
+
+
+def reference_satellite_probability(side, cfg, j, k, lam):
+    """P(j, k | satellite coincidence) at symmetric couplers: [1 + lam*cos theta] / 9."""
+    return (1.0 + lam * np.cos(reference_satellite_phase(side, cfg, j, k))) / 9.0
+
+
+def central_fringe_model(u, amplitude, lam, omega, n, phi0, phi1):
+    """Two-phase central fringe driven at rates omega and n*omega:
+    A * (3 + 2*lam*(cos(w u + phi0) + cos(n w u + phi1) + cos((n+1) w u + phi0 + phi1)))
+    """
+    w = omega * np.asarray(u, dtype=float)
+    tones = np.cos(w + phi0) + np.cos(n * w + phi1) + np.cos((n + 1.0) * w + phi0 + phi1)
+    return amplitude * (3.0 + 2.0 * lam * tones)
 
 
 _HERALD_PAIRS = {"central": ((0, 0), (1, 1), (2, 2)), **_SATELLITE_PAIRS}
@@ -493,7 +547,14 @@ def test_central_state_matches_reference(cfg, j, k):
 @settings(deadline=None)
 @given(st.sampled_from(["left", "right"]), configs(), detectors, detectors)
 def test_satellite_state_matches_reference(side, cfg, j, k):
-    assert_same_state(satellite_state(side, cfg, j, k), reference_satellite_state(side, cfg, j, k))
+    # The kernel's terms of the side's class at (j, k), with the reference
+    # term (ms or sm) made real and positive.
+    pairs = CLASS_PATH_PAIRS[PEAK_CLASS[side]]
+    amps = np.zeros((3, 3), dtype=complex)
+    for pa, pb in pairs:
+        amps[pa, pb] = pair_amplitudes(cfg)[pa, pb, j, k]
+    kernel = normalize(PureState(amps.reshape(9) * np.exp(-1j * np.angle(amps[pairs[0]]))))
+    assert_same_state(kernel, reference_satellite_state(side, cfg, j, k))
 
 
 @settings(deadline=None)

@@ -1,5 +1,17 @@
+"""The source model through its kernel: the central-peak state, the
+satellite terms and the fringe laws of the outcome tables.
+
+The closed-form laws of symmetric couplers are oracles in
+tests/test_references.py; the tests here check the physics they state
+(extrema, zeros, flat noise, normalization, degenerate classes and the
+term phases) on `joint_distribution`, `step_distributions` and
+`central_state`, the code every command runs.
+"""
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qutrit_bench.core import (
     PureState,
@@ -9,23 +21,21 @@ from qutrit_bench.core import (
     tritter,
     wrap_phase,
 )
-from qutrit_bench.errors import DegenerateStateError, UnsupportedConfigurationError
+from qutrit_bench.errors import DegenerateStateError
+from qutrit_bench.protocols import herald_state
 from qutrit_bench.source import (
     CLASS_PATH_PAIRS,
+    PEAK_CLASS,
     ArmPhases,
     CouplerRatios,
     InterferometerConfig,
     central_state,
     class_weights,
-    coincidence_prob_central,
-    coincidence_prob_satellite,
-    detector_pair_phase_offsets,
-    effective_phases,
-    fringe_probability,
     joint_distribution,
-    phases_for_fringe_targets,
-    satellite_state,
+    pair_amplitudes,
+    step_distributions,
 )
+from test_references import reference_central_probability, reference_satellite_probability
 
 TWO_PI_THIRD = 2.0 * np.pi / 3.0
 
@@ -37,30 +47,59 @@ def random_config(rng):
     )
 
 
+def term_phase(state, path):
+    """Phase of the central state's term |path, path> relative to |ss>."""
+    return np.angle(state.amplitudes[joint_index(path, path)] / state.amplitudes[joint_index(0, 0)])
+
+
+def central_law(cfg, lam):
+    """P(j, k | central coincidence): the central class holds 1/3 at symmetric couplers."""
+    return 3.0 * joint_distribution(cfg, lam)[PEAK_CLASS["central"]]
+
+
+def satellite_law(side, cfg, lam):
+    """P(j, k | satellite coincidence): a satellite class holds 2/9 at symmetric couplers."""
+    return 4.5 * joint_distribution(cfg, lam)[PEAK_CLASS[side]]
+
+
+def satellite_terms(side, cfg):
+    """The kernel's two path-pair amplitudes of a satellite class at detectors
+    (0, 0), the reference term (ms or sm) first."""
+    amps = pair_amplitudes(cfg)
+    return [amps[pa, pb, 0, 0] for pa, pb in CLASS_PATH_PAIRS[PEAK_CLASS[side]]]
+
+
 class TestPhaseOffsets:
+    """The output couplers' offsets of the mm and ll terms at zero dials."""
+
     def test_zero_index_pair(self):
-        assert detector_pair_phase_offsets(0, 0) == (0.0, 0.0)
+        st0 = central_state(InterferometerConfig(), 0, 0)
+        assert term_phase(st0, 1) == pytest.approx(0.0, abs=1e-12)
+        assert term_phase(st0, 2) == pytest.approx(0.0, abs=1e-12)
 
     def test_one_zero_pair(self):
         # oracle: compose exp(i 2 pi j p / 3) output phases for p = 1, 2
-        chi_m, chi_l = detector_pair_phase_offsets(1, 0)
+        st10 = central_state(InterferometerConfig(), 1, 0)
         u = tritter()
-        expected_m = np.angle(u[1, 1] * u[0, 1] / (u[1, 0] * u[0, 0])) % (2 * np.pi)
-        expected_l = np.angle(u[1, 2] * u[0, 2] / (u[1, 0] * u[0, 0])) % (2 * np.pi)
-        assert chi_m == pytest.approx(expected_m, abs=1e-12)
-        assert chi_l == pytest.approx(expected_l, abs=1e-12)
-        assert chi_m == pytest.approx(TWO_PI_THIRD, abs=1e-12)
-        assert chi_l == pytest.approx(2 * TWO_PI_THIRD, abs=1e-12)
+        expected_m = np.angle(u[1, 1] * u[0, 1] / (u[1, 0] * u[0, 0]))
+        expected_l = np.angle(u[1, 2] * u[0, 2] / (u[1, 0] * u[0, 0]))
+        assert wrap_phase(term_phase(st10, 1) - expected_m) == pytest.approx(0.0, abs=1e-12)
+        assert wrap_phase(term_phase(st10, 2) - expected_l) == pytest.approx(0.0, abs=1e-12)
+        assert wrap_phase(term_phase(st10, 1) - TWO_PI_THIRD) == pytest.approx(0.0, abs=1e-12)
+        assert wrap_phase(term_phase(st10, 2) - 2 * TWO_PI_THIRD) == pytest.approx(0.0, abs=1e-12)
 
     def test_all_entries_are_two_pi_third_multiples(self):
         for j in range(3):
             for k in range(3):
-                for chi in detector_pair_phase_offsets(j, k):
+                st_jk = central_state(InterferometerConfig(), j, k)
+                for path in (1, 2):
+                    chi = term_phase(st_jk, path)
                     assert abs(wrap_phase(chi * 3.0)) < 1e-12  # 3*chi = 0 mod 2*pi
+                    assert abs(wrap_phase(chi - path * TWO_PI_THIRD * (j + k))) < 1e-12
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
-            detector_pair_phase_offsets(3, 0)
+            central_state(InterferometerConfig(), 3, 0)
 
 
 class TestCentralState:
@@ -104,48 +143,49 @@ class TestCentralState:
 
 class TestSatelliteState:
     def test_left_zero_phases(self):
-        st = satellite_state("left", InterferometerConfig(), 0, 0)
-        ms = st.amplitudes[joint_index(1, 0)]
-        lm = st.amplitudes[joint_index(2, 1)]
-        assert abs(ms) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+        ms, lm = satellite_terms("left", InterferometerConfig())
+        assert abs(lm) == pytest.approx(abs(ms), abs=1e-12)  # (|ms> + e^{i theta} |lm>) / sqrt(2)
         assert np.angle(lm / ms) == pytest.approx(-TWO_PI_THIRD, abs=1e-12)
 
     def test_right_zero_phases(self):
-        st = satellite_state("right", InterferometerConfig(), 0, 0)
-        sm = st.amplitudes[joint_index(0, 1)]
-        ml = st.amplitudes[joint_index(1, 2)]
-        assert abs(sm) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+        sm, ml = satellite_terms("right", InterferometerConfig())
+        assert abs(ml) == pytest.approx(abs(sm), abs=1e-12)
         assert np.angle(ml / sm) == pytest.approx(+TWO_PI_THIRD, abs=1e-12)
 
     def test_left_phase_cancellation(self):
         # alpha_l - alpha_m = 2 pi / 3 cancels the fixed offset
         cfg = InterferometerConfig(alice=ArmPhases(phi_m=0.0, phi_l=TWO_PI_THIRD))
-        st = satellite_state("left", cfg, 0, 0)
-        ms = st.amplitudes[joint_index(1, 0)]
-        lm = st.amplitudes[joint_index(2, 1)]
+        ms, lm = satellite_terms("left", cfg)
         assert np.angle(lm / ms) == pytest.approx(0.0, abs=1e-12)
-
-    def test_bad_side_rejected(self):
-        with pytest.raises(ValueError):
-            satellite_state("up", InterferometerConfig(), 0, 0)
 
     def test_all_weights_zero_rejected(self):
         # the left pairs ms and lm both need Alice's medium or long arm
         cfg = InterferometerConfig(alice_ratios=CouplerRatios(1.0, 0.0, 0.0))
+        assert satellite_terms("left", cfg) == [0.0, 0.0]
         with pytest.raises(DegenerateStateError):
-            satellite_state("left", cfg, 0, 0)
+            herald_state("left", 0, cfg)
 
 
 class TestEffectivePhases:
+    """phi_r, the mm phase, and phi_l, the ll phase relative to mm, of the central state."""
+
     def test_round_trip_through_targets(self):
+        # Alice's dials (phi_r, phi_r + phi_l), Bob's at zero, realize the
+        # targets at detector pair (0, 0): the dial rows of a scan.
         rng = np.random.default_rng(8)
         for _ in range(20):
             phi_r = rng.uniform(-np.pi, np.pi)
             phi_l = rng.uniform(-np.pi, np.pi)
-            cfg = InterferometerConfig(alice=phases_for_fringe_targets(phi_r, phi_l))
-            pair = effective_phases(cfg, 0, 0)
-            assert wrap_phase(pair.phi_r - phi_r) == pytest.approx(0.0, abs=1e-12)
-            assert wrap_phase(pair.phi_l - phi_l) == pytest.approx(0.0, abs=1e-12)
+            st00 = central_state(InterferometerConfig(alice=ArmPhases(phi_r, phi_r + phi_l)), 0, 0)
+            mm, ll = term_phase(st00, 1), term_phase(st00, 2)
+            assert wrap_phase(mm - phi_r) == pytest.approx(0.0, abs=1e-12)
+            assert wrap_phase(ll - mm - phi_l) == pytest.approx(0.0, abs=1e-12)
+
+    @staticmethod
+    def effective_phases(cfg, j, k):
+        chi_m = TWO_PI_THIRD * (j + k)
+        a, b = cfg.alice, cfg.bob
+        return (a.phi_m + b.phi_m) + chi_m, (a.phi_l - a.phi_m) + (b.phi_l - b.phi_m) + chi_m
 
     def test_long_long_term_carries_phase_sum(self):
         # property check against central_state for 50 random configs
@@ -153,44 +193,38 @@ class TestEffectivePhases:
         for _ in range(50):
             cfg = random_config(rng)
             j, k = rng.integers(0, 3, size=2)
-            pair = effective_phases(cfg, j, k)
-            st = central_state(cfg, j, k)
-            ll_phase = np.angle(st.amplitudes[joint_index(2, 2)] / st.amplitudes[joint_index(0, 0)])
-            assert abs(wrap_phase(ll_phase - (pair.phi_r + pair.phi_l))) < 1e-12
+            phi_r, phi_l = self.effective_phases(cfg, j, k)
+            assert abs(wrap_phase(term_phase(central_state(cfg, j, k), 2) - (phi_r + phi_l))) < 1e-12
 
     def test_medium_medium_term_carries_phi_r(self):
         rng = np.random.default_rng(10)
         for _ in range(50):
             cfg = random_config(rng)
             j, k = rng.integers(0, 3, size=2)
-            pair = effective_phases(cfg, j, k)
-            st = central_state(cfg, j, k)
-            mm_phase = np.angle(st.amplitudes[joint_index(1, 1)] / st.amplitudes[joint_index(0, 0)])
-            assert abs(wrap_phase(mm_phase - pair.phi_r)) < 1e-12
+            phi_r, _ = self.effective_phases(cfg, j, k)
+            assert abs(wrap_phase(term_phase(central_state(cfg, j, k), 1) - phi_r)) < 1e-12
 
 
 class TestFringeLaw:
+    """The kernel's central table obeys [3 + 2*lam*(cos phi_r + cos phi_l + cos(phi_r + phi_l))] / 27."""
+
     def test_maximum_is_one_third(self):
-        assert fringe_probability(0.0, 0.0, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert central_law(InterferometerConfig(), 1.0)[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_zero_at_two_pi_third_constraint(self):
         # {phi_r, phi_l, phi_r + phi_l} all at +-2*pi/3
-        assert abs(fringe_probability(TWO_PI_THIRD, TWO_PI_THIRD, 1.0)) < 1e-12
+        cfg = InterferometerConfig(alice=ArmPhases(TWO_PI_THIRD, 2 * TWO_PI_THIRD))
+        assert abs(central_law(cfg, 1.0)[0, 0]) < 1e-12
 
     def test_flat_for_white_noise(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
-            p = fringe_probability(rng.uniform(-9, 9), rng.uniform(-9, 9), 0.0)
-            assert p == pytest.approx(1.0 / 9.0, abs=1e-12)
+            assert central_law(random_config(rng), 0.0) == pytest.approx(np.full((3, 3), 1.0 / 9.0), abs=1e-12)
 
     def test_detector_pairs_sum_to_one(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
-            cfg = random_config(rng)
-            lam = rng.uniform(0, 1)
-            total = sum(
-                coincidence_prob_central(cfg, j, k, lam) for j in range(3) for k in range(3)
-            )
+            total = central_law(random_config(rng), rng.uniform(0, 1)).sum()
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_coincidence_classes_are_degenerate(self):
@@ -203,45 +237,40 @@ class TestFringeLaw:
         ]
         rng = np.random.default_rng(14)
         for _ in range(20):
-            cfg = random_config(rng)
-            lam = rng.uniform(0, 1)
+            law = central_law(random_config(rng), rng.uniform(0, 1))
             for cls in classes:
-                values = [coincidence_prob_central(cfg, j, k, lam) for j, k in cls]
+                values = [law[j, k] for j, k in cls]
                 assert max(values) - min(values) < 1e-12
 
     def test_single_phase_scan_min_positive_off_constraint(self):
         # fixing one phase anywhere off the +-2*pi/3 constraint leaves the
         # minimum over the other phase strictly positive (grid at 1e-3 rad)
         grid = np.arange(0.0, 2.0 * np.pi, 1e-3)
-        for fixed in (0.0, 0.3, 1.0, np.pi):
-            values = [fringe_probability(fixed, x, 1.0) for x in grid]
-            assert min(values) > 1e-9
-        constrained = [fringe_probability(TWO_PI_THIRD, x, 1.0) for x in grid]
-        assert min(constrained) < 1e-6
 
-    def test_asymmetric_ratios_rejected(self):
-        cfg = InterferometerConfig(alice_ratios=CouplerRatios(0.5, 0.25, 0.25))
-        with pytest.raises(UnsupportedConfigurationError):
-            coincidence_prob_central(cfg, 0, 0, 1.0)
+        def scan(phi_r):
+            dials = np.stack([np.full_like(grid, phi_r), phi_r + grid], axis=1)
+            return 3.0 * step_distributions(InterferometerConfig(), 1.0, dials)[:, PEAK_CLASS["central"], 0, 0]
+
+        for fixed in (0.0, 0.3, 1.0, np.pi):
+            assert scan(fixed).min() > 1e-9
+        assert scan(TWO_PI_THIRD).min() < 1e-6
 
 
 class TestSatelliteLaw:
+    """The kernel's satellite tables obey [1 + lam*cos theta] / 9."""
+
     def test_two_path_maximum(self):
         cfg = InterferometerConfig(alice=ArmPhases(phi_m=0.0, phi_l=TWO_PI_THIRD))
-        assert coincidence_prob_satellite("left", cfg, 0, 0, 1.0) == pytest.approx(
-            2.0 / 9.0, abs=1e-12
-        )
+        assert satellite_law("left", cfg, 1.0)[0, 0] == pytest.approx(2.0 / 9.0, abs=1e-12)
 
     def test_destructive_zero(self):
         cfg = InterferometerConfig(alice=ArmPhases(phi_m=0.0, phi_l=TWO_PI_THIRD + np.pi))
-        assert coincidence_prob_satellite("left", cfg, 0, 0, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert satellite_law("left", cfg, 1.0)[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_flat_for_white_noise(self):
         rng = np.random.default_rng(15)
         cfg = random_config(rng)
-        assert coincidence_prob_satellite("right", cfg, 1, 2, 0.0) == pytest.approx(
-            1.0 / 9.0, abs=1e-12
-        )
+        assert satellite_law("right", cfg, 0.0)[1, 2] == pytest.approx(1.0 / 9.0, abs=1e-12)
 
     def test_detector_pairs_sum_to_one(self):
         rng = np.random.default_rng(16)
@@ -249,12 +278,7 @@ class TestSatelliteLaw:
             cfg = random_config(rng)
             lam = rng.uniform(0, 1)
             for side in ("left", "right"):
-                total = sum(
-                    coincidence_prob_satellite(side, cfg, j, k, lam)
-                    for j in range(3)
-                    for k in range(3)
-                )
-                assert total == pytest.approx(1.0, abs=1e-12)
+                assert satellite_law(side, cfg, lam).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPeakWeights:
@@ -280,27 +304,19 @@ class TestPeakWeights:
 
 
 class TestJointDistribution:
-    def test_matches_closed_form_laws(self):
-        rng = np.random.default_rng(21)
-        for _ in range(20):
-            cfg = random_config(rng)
-            lam = rng.uniform(0, 1)
-            dist = joint_distribution(cfg, lam)
-            assert dist.sum() == pytest.approx(1.0, abs=1e-9)
-            central = dist[2] / dist[2].sum()
-            left = dist[3] / dist[3].sum()
-            right = dist[1] / dist[1].sum()
-            for j in range(3):
-                for k in range(3):
-                    assert central[j, k] == pytest.approx(
-                        coincidence_prob_central(cfg, j, k, lam), abs=1e-10
-                    )
-                    assert left[j, k] == pytest.approx(
-                        coincidence_prob_satellite("left", cfg, j, k, lam), abs=1e-10
-                    )
-                    assert right[j, k] == pytest.approx(
-                        coincidence_prob_satellite("right", cfg, j, k, lam), abs=1e-10
-                    )
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4), st.floats(0.0, 1.0))
+    def test_matches_closed_form_laws(self, dials, lam):
+        # symmetric couplers, unreduced dial phases for both parties
+        cfg = InterferometerConfig(alice=ArmPhases(*dials[:2]), bob=ArmPhases(*dials[2:]))
+        dist = joint_distribution(cfg, lam)
+        central, left, right = (dist[c] / dist[c].sum() for c in (2, 3, 1))
+        for j in range(3):
+            for k in range(3):
+                assert central[j, k] == pytest.approx(reference_central_probability(cfg, j, k, lam), abs=1e-10)
+                for side, table in (("left", left), ("right", right)):
+                    expected = reference_satellite_probability(side, cfg, j, k, lam)
+                    assert table[j, k] == pytest.approx(expected, abs=1e-10)
 
     def test_class_weights_follow_peak_weights(self):
         rng = np.random.default_rng(22)
@@ -310,8 +326,8 @@ class TestJointDistribution:
             assert list(dist.sum(axis=(1, 2))) == pytest.approx([1 / 9, 2 / 9, 3 / 9, 2 / 9, 1 / 9], abs=1e-10)
 
     def test_central_law_equals_born_rule_first_principles(self):
-        # analytic fringe law vs first-principles coupler propagation for
-        # 100 random configurations
+        # the kernel's central table vs first-principles coupler propagation
+        # for 100 random configurations
         u = tritter()
         rng = np.random.default_rng(23)
         for _ in range(100):
@@ -329,7 +345,7 @@ class TestJointDistribution:
             j, k = rng.integers(0, 3, size=2)
             outcome = PureState(np.kron(np.conj(u[j, :]), np.conj(u[k, :])))
             assert born_probability(rho, outcome) == pytest.approx(
-                coincidence_prob_central(cfg, j, k, lam), abs=1e-10
+                central_law(cfg, lam)[j, k], abs=1e-10
             )
 
     def test_general_ratios_supported(self):

@@ -85,13 +85,14 @@ def test_central_fit_loads_no_scipy(tmp_path):
         import json, os, sys
         import numpy as np
         from qutrit_bench import cli
-        from qutrit_bench.analysis import FringeScan, central_fringe_model, fit_central_fringe
+        from qutrit_bench.analysis import FringeScan, fit_central_fringe
         root = sys.argv[1]
         code = cli.main(["scan", "--config", os.path.join(root, "scan.json"), "--out", os.path.join(root, "scan")])
         with open(os.path.join(root, "scan", "fringe_fits.json")) as fh:
             central = json.load(fh)["central_00"]
         u = np.linspace(0.0, 4.0, 400)
-        scan = FringeScan(u, central_fringe_model(u, 50.0, 0.9, 2 * np.pi, 1.0, 0.3, -0.4))
+        w, phi0, phi1 = 2 * np.pi * u, 0.3, -0.4  # the central fringe at equal rates, lam = 0.9
+        scan = FringeScan(u, 50.0 * (3.0 + 1.8 * (np.cos(w + phi0) + np.cos(w + phi1) + np.cos(2 * w + phi0 + phi1))))
         fit = fit_central_fringe(scan, (2.02 * np.pi, 1.0))  # start 1% off the drive rate
         print(json.dumps({{"code": code, "central": central, "scipy": {SCIPY_LOADED}, "lam": fit.lambda_hat}}))
         """,

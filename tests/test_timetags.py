@@ -284,17 +284,19 @@ class TestPostSelect:
         assert np.max(np.abs(counts - total / 9)) < 3.5 * sigma
 
     def test_satellite_cells_match_analytic_law(self):
-        from qutrit_bench.source import coincidence_prob_satellite
+        from qutrit_bench.source import PEAK_CLASS, joint_distribution
 
         itf = InterferometerConfig(alice=ArmPhases(0.4, 1.1), bob=ArmPhases(-0.3, 0.2))
         cfg = ideal_config(duration_s=1.0, seed=23, interferometer=itf)
         coincidences = run_and_match(cfg)
+        dist = joint_distribution(itf, 1.0)
         for side in ("left", "right"):
             counts = post_select(coincidences, side, 150.0, UNIT_PS)
             total = counts.sum()
+            law = dist[PEAK_CLASS[side]] / dist[PEAK_CLASS[side]].sum()  # P(j, k | side)
             for j in range(3):
                 for k in range(3):
-                    p = coincidence_prob_satellite(side, itf, j, k, 1.0)
+                    p = law[j, k]
                     sigma = np.sqrt(total * p * (1 - p)) if 0 < p < 1 else 1.0
                     assert abs(counts[j, k] - total * p) < 4 * sigma
 
