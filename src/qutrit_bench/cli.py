@@ -3,6 +3,11 @@
     qutrit-bench <histogram|scan|bell|qkd|toss> --config cfg.json --out DIR
                  [--seed N] [--override key=value ...]
 
+`CONFIG_SCHEMA` is the one description of the config: its keys, their
+bounds and enums, and as each key's `default` the value an omitted field
+takes; `DEFAULT_CONFIG` is derived from it.  The enums of QKD mode, basis
+and scan peak are the tables the protocols and the source dispatch on.
+
 Every run emits its data files (CSV/JSON, plot-ready, no rendering) plus a
 `manifest.json` recording the config hash, seed and output list; re-running
 the same config reproduces the data files byte-identically.
@@ -44,8 +49,15 @@ from .analysis import (
     visibility,
 )
 from .errors import ConfigurationError, DegenerateStateError, FitError, NoFringeError
-from .protocols import BASIS_IDS, EveModel, run_coin_toss, run_qkd
-from .source import ArmPhases, CouplerRatios, InterferometerConfig, step_distributions
+from .protocols import BASIS_IDS, QKD_MODES, EveModel, run_coin_toss, run_qkd
+from .source import (
+    PEAK_CLASS,
+    ArmPhases,
+    CouplerRatios,
+    InterferometerConfig,
+    class_weights,
+    step_distributions,
+)
 from .timetags import (
     PEAK_MULTIPLIER,
     DetectorModel,
@@ -65,12 +77,24 @@ _DETECTOR_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
-        "efficiency": {"type": "number", "minimum": 0, "maximum": 1},
-        "dark_rate_hz": {"type": "number", "minimum": 0},
-        "jitter_sigma_ps": {"type": "number", "minimum": 0},
+        "efficiency": {"type": "number", "minimum": 0, "maximum": 1, "default": 1.0},
+        "dark_rate_hz": {"type": "number", "minimum": 0, "default": 0.0},
+        "jitter_sigma_ps": {"type": "number", "minimum": 0, "default": 0.0},
     },
 }
 
+_DIALS_SCHEMA = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2, "default": [0.0, 0.0]}
+
+_RATIOS_SCHEMA = {
+    "type": "array",
+    "items": {"type": "number", "minimum": 0},
+    "minItems": 3,
+    "maxItems": 3,
+    "default": [1.0 / 3.0] * 3,
+}
+
+# The defaults reproduce the source's operating regime: 1.2 ns unit delay,
+# symmetric couplers, mixing weight 0.9688, 300 ps coincidence window.
 CONFIG_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -81,40 +105,20 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "pair_rate_hz": {"type": "number", "exclusiveMinimum": 0},
-                "duration_s": {"type": "number", "exclusiveMinimum": 0},
-                "seed": {"type": "integer", "minimum": 0, "maximum": 18446744073709551615},
-                "coincidence_window_ps": {"type": "number", "exclusiveMinimum": 0},
-                "lambda": {"type": "number", "minimum": 0, "maximum": 1},
+                "pair_rate_hz": {"type": "number", "exclusiveMinimum": 0, "default": 2.0e5},
+                "duration_s": {"type": "number", "exclusiveMinimum": 0, "default": 1.0},
+                "seed": {"type": "integer", "minimum": 0, "maximum": 18446744073709551615, "default": 20040901},
+                "coincidence_window_ps": {"type": "number", "exclusiveMinimum": 0, "default": 300.0},
+                "lambda": {"type": "number", "minimum": 0, "maximum": 1, "default": 0.9688},
                 "interferometer": {
                     "type": "object",
                     "additionalProperties": False,
                     "properties": {
-                        "unit_delay_ns": {"type": "number", "exclusiveMinimum": 0},
-                        "alice_phases_rad": {
-                            "type": "array",
-                            "items": {"type": "number"},
-                            "minItems": 2,
-                            "maxItems": 2,
-                        },
-                        "bob_phases_rad": {
-                            "type": "array",
-                            "items": {"type": "number"},
-                            "minItems": 2,
-                            "maxItems": 2,
-                        },
-                        "alice_ratios": {
-                            "type": "array",
-                            "items": {"type": "number", "minimum": 0},
-                            "minItems": 3,
-                            "maxItems": 3,
-                        },
-                        "bob_ratios": {
-                            "type": "array",
-                            "items": {"type": "number", "minimum": 0},
-                            "minItems": 3,
-                            "maxItems": 3,
-                        },
+                        "unit_delay_ns": {"type": "number", "exclusiveMinimum": 0, "default": 1.2},
+                        "alice_phases_rad": _DIALS_SCHEMA,
+                        "bob_phases_rad": _DIALS_SCHEMA,
+                        "alice_ratios": _RATIOS_SCHEMA,
+                        "bob_ratios": _RATIOS_SCHEMA,
                     },
                 },
                 "detectors": {
@@ -136,20 +140,21 @@ CONFIG_SCHEMA = {
                         "additionalProperties": False,
                         "required": ["peak", "j", "k"],
                         "properties": {
-                            "peak": {"enum": ["central", "left", "right"]},
+                            "peak": {"enum": sorted(PEAK_CLASS)},
                             "j": {"type": "integer", "minimum": 0, "maximum": 2},
                             "k": {"type": "integer", "minimum": 0, "maximum": 2},
                         },
                     },
+                    "default": [{"peak": peak, "j": 0, "k": 0} for peak in ("central", "left", "right")],
                 },
                 "phase_drive": {
                     "type": "object",
                     "additionalProperties": False,
                     "properties": {
-                        "rate_r_rad_per_s": {"type": "number"},
-                        "rate_l_rad_per_s": {"type": "number"},
-                        "steps": {"type": "integer", "minimum": 2},
-                        "dwell_s": {"type": "number", "exclusiveMinimum": 0},
+                        "rate_r_rad_per_s": {"type": "number", "default": 2.0 * math.pi},
+                        "rate_l_rad_per_s": {"type": "number", "default": 2.0 * math.pi},
+                        "steps": {"type": "integer", "minimum": 2, "default": 180},
+                        "dwell_s": {"type": "number", "exclusiveMinimum": 0, "default": 0.02},
                     },
                 },
             },
@@ -158,63 +163,37 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "rounds": {"type": "integer", "minimum": 1},
-                "mode": {"enum": ["two_basis", "four_basis", "phase_only_three"]},
+                "rounds": {"type": "integer", "minimum": 1, "default": 100000},
+                "mode": {"enum": list(QKD_MODES), "default": "four_basis"},
                 "eve": {
                     "type": "object",
                     "additionalProperties": False,
+                    # basis_pool has no default: it applies only to intercept_resend.
                     "properties": {
-                        "kind": {"enum": ["none", "intercept_resend"]},
-                        "basis_pool": {
-                            "type": "array",
-                            "items": {
-                                "enum": ["computational", "fourier0", "fourier1", "fourier2"]
-                            },
-                        },
+                        "kind": {"enum": ["none", "intercept_resend"], "default": "none"},
+                        "basis_pool": {"type": "array", "items": {"enum": list(BASIS_IDS)}},
                     },
                 },
-                "trace": {"type": "boolean"},
+                "trace": {"type": "boolean", "default": False},
             },
         },
     },
 }
 
-# Defaults reproduce the source's operating regime: 1.2 ns unit delay,
-# symmetric couplers, mixing weight 0.9688, 300 ps coincidence window.
-DEFAULT_CONFIG = {
-    "run": {
-        "pair_rate_hz": 2.0e5,
-        "duration_s": 1.0,
-        "seed": 20040901,
-        "coincidence_window_ps": 300.0,
-        "lambda": 0.9688,
-        "interferometer": {
-            "unit_delay_ns": 1.2,
-            "alice_phases_rad": [0.0, 0.0],
-            "bob_phases_rad": [0.0, 0.0],
-            "alice_ratios": [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
-            "bob_ratios": [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
-        },
-        "detectors": {
-            "alice": {"efficiency": 1.0, "dark_rate_hz": 0.0, "jitter_sigma_ps": 0.0},
-            "bob": {"efficiency": 1.0, "dark_rate_hz": 0.0, "jitter_sigma_ps": 0.0},
-        },
-    },
-    "scan_spec": {
-        "channels": [
-            {"peak": "central", "j": 0, "k": 0},
-            {"peak": "left", "j": 0, "k": 0},
-            {"peak": "right", "j": 0, "k": 0},
-        ],
-        "phase_drive": {
-            "rate_r_rad_per_s": 2.0 * np.pi,
-            "rate_l_rad_per_s": 2.0 * np.pi,
-            "steps": 180,
-            "dwell_s": 0.02,
-        },
-    },
-    "protocol_spec": {"rounds": 100000, "mode": "four_basis", "eve": {"kind": "none"}, "trace": False},
-}
+
+def _defaults(schema: dict) -> dict:
+    """Each property's `default`, with objects filled in recursively."""
+    defaults = {}
+    for key, subschema in schema["properties"].items():
+        if "default" in subschema:
+            defaults[key] = copy.deepcopy(subschema["default"])
+        elif subschema.get("type") == "object":
+            defaults[key] = _defaults(subschema)
+    return defaults
+
+
+DEFAULT_CONFIG = _defaults(CONFIG_SCHEMA)
+
 
 def _is_type(value, name: str) -> bool:
     """JSON Schema type test: a bool is not a number, and 1.0 is an integer."""
@@ -243,7 +222,8 @@ def _schema_errors(value, schema: dict, path: tuple = ()):
     2020-12 semantics and messages, in jsonschema's order: schema keywords
     and `properties` in dict order, array items by index.  A numeric
     keyword ignores a non-number, an object or array keyword a value of
-    another type.
+    another type.  `default` is an annotation that checks nothing; any
+    other keyword raises NotImplementedError.
     """
     for keyword, arg in schema.items():
         if keyword == "type":
@@ -281,7 +261,7 @@ def _schema_errors(value, schema: dict, path: tuple = ()):
         elif keyword == "maxItems":
             if isinstance(value, list) and len(value) > arg:
                 yield path, f"{value!r} is too long"
-        else:
+        elif keyword != "default":
             raise NotImplementedError(f"schema keyword {keyword!r}")
 
 
@@ -310,8 +290,10 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 def load_config(path: str, overrides=(), seed=None, experiment=None) -> dict:
-    """Read, merge with defaults, apply overrides, and schema-validate.
+    """Read, apply overrides, fill in defaults, and schema-validate.
 
+    Defaults fill in after the overrides, so an override that replaces a
+    whole object still leaves every key it omits at its default.
     `experiment`, when given (the CLI subcommand), takes precedence over
     the config file's own `experiment` field.
     """
@@ -326,9 +308,9 @@ def load_config(path: str, overrides=(), seed=None, experiment=None) -> dict:
         raise ConfigurationError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{path}: top-level config must be a JSON object")
-    config = _deep_merge(DEFAULT_CONFIG, raw)
     for item in overrides:
-        config = _apply_override(config, item)
+        raw = _apply_override(raw, item)
+    config = _deep_merge(DEFAULT_CONFIG, raw)
     if seed is not None and isinstance(config["run"], dict):
         config["run"]["seed"] = int(seed)
     if experiment is not None:
@@ -336,8 +318,8 @@ def load_config(path: str, overrides=(), seed=None, experiment=None) -> dict:
     error = _config_error(config)
     if error is not None:
         raise ConfigurationError(error)
-    eve = config.get("protocol_spec", {}).get("eve", {})
-    if "basis_pool" in eve and eve.get("kind") != "intercept_resend":
+    eve = config["protocol_spec"]["eve"]
+    if "basis_pool" in eve and eve["kind"] != "intercept_resend":
         raise ConfigurationError(
             "config $.protocol_spec.eve: basis_pool applies only to kind 'intercept_resend'"
         )
@@ -411,20 +393,9 @@ def build_run_config(config: dict) -> RunConfig:
         raise ConfigurationError(str(exc)) from exc
 
 
-class _JsonEncoder(json.JSONEncoder):
-    def default(self, obj):
-        if isinstance(obj, (np.integer,)):
-            return int(obj)
-        if isinstance(obj, (np.floating,)):
-            return float(obj)
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-        return super().default(obj)
-
-
 def _write_json(payload: dict, path: str):
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, cls=_JsonEncoder)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -452,7 +423,8 @@ def _write_manifest(out_dir: str, config: dict, outputs, wall_time_s: float, err
 
 
 def cmd_histogram(config: dict, out_dir: str) -> list:
-    """Five-peak arrival-time-difference histogram plus peak-area summary."""
+    """Five-peak arrival-time-difference histogram plus peak-area summary,
+    with each peak's share set against its class weight at the couplers."""
     run_cfg = build_run_config(config)
     unit_ps = run_cfg.unit_delay_ps
     # The stream is dropped once matched, so binning runs without it.
@@ -462,7 +434,8 @@ def cmd_histogram(config: dict, out_dir: str) -> list:
     areas = peak_areas(coincidences, half_width, unit_ps)
 
     total = sum(areas.values())
-    ideal = {"outer_right": 1 / 9, "right": 2 / 9, "central": 3 / 9, "left": 2 / 9, "outer_left": 1 / 9}
+    weights = class_weights(run_cfg.interferometer)  # index m + 2 for dt = m unit delays
+    ideal = {p: float(weights[m + 2]) for p, m in PEAK_MULTIPLIER.items()}
     residual = (
         max(abs(areas[p] / total - ideal[p]) for p in areas) if total else float("nan")
     )
@@ -494,9 +467,10 @@ def _run_scan(config: dict, out_dir: str):
     The drive replaces Alice's dial trajectory (alpha_m = rate_r * t,
     alpha_l = (rate_r + rate_l) * t, so the two effective phases advance at
     rate_r and rate_l); Bob's dials stay at their configured values.  The
-    steps' outcome tables come from `step_distributions`, `_TABLE_STEPS`
-    steps a call.  Step i simulates under a 64-bit seed drawn from
-    SeedSequence((seed, i)), so different scan seeds share no step stream.
+    dials enter only through the steps' outcome tables, which come from
+    `step_distributions`, `_TABLE_STEPS` steps a call.  Step i simulates
+    under a 64-bit seed drawn from SeedSequence((seed, i)), so different
+    scan seeds share no step stream.
     """
     run_cfg = build_run_config(config)
     spec = config["scan_spec"]
@@ -515,14 +489,13 @@ def _run_scan(config: dict, out_dir: str):
     background = {ch: np.zeros(steps) for ch in channels}
     phi_r = rate_r * setpoints
     dials = np.stack([phi_r, phi_r + rate_l * setpoints], axis=1)
-    for i, (alpha_m, alpha_l) in enumerate(dials):
+    for i in range(steps):
         if i % _TABLE_STEPS == 0:
             outcome_tables = step_distributions(run_cfg.interferometer, run_cfg.lam, dials[i : i + _TABLE_STEPS])
         step_cfg = dataclasses.replace(
             run_cfg,
             duration_s=dwell,
             seed=int(np.random.SeedSequence((run_cfg.seed, i)).generate_state(1, np.uint64)[0]),
-            interferometer=dataclasses.replace(run_cfg.interferometer, alice=ArmPhases(alpha_m, alpha_l)),
         )
         stream = simulate_run(step_cfg, outcome_tables[i % _TABLE_STEPS])
         coincidences = find_coincidences(stream, max_delta_ps=3 * unit_ps)
@@ -630,16 +603,16 @@ def cmd_bell(config: dict, out_dir: str) -> list:
 
 def cmd_qkd(config: dict, out_dir: str) -> list:
     spec = config["protocol_spec"]
-    eve_spec = spec.get("eve", {"kind": "none"})
+    eve_spec = spec["eve"]
     eve = (
         EveModel.intercept_resend(eve_spec.get("basis_pool", BASIS_IDS))
-        if eve_spec.get("kind") == "intercept_resend"
+        if eve_spec["kind"] == "intercept_resend"
         else EveModel.none()
     )
-    trace_path = os.path.join(out_dir, "qkd_rounds.csv") if spec.get("trace") else None
+    trace_path = os.path.join(out_dir, "qkd_rounds.csv") if spec["trace"] else None
     summary = run_qkd(
         rounds=int(spec["rounds"]),
-        mode=spec.get("mode", "four_basis"),
+        mode=spec["mode"],
         lam=float(config["run"]["lambda"]),
         eve=eve,
         seed=int(config["run"]["seed"]),

@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import json
 import os
 import shutil
@@ -10,7 +11,8 @@ import pytest
 from qutrit_bench import cli
 from qutrit_bench.cli import CONFIG_SCHEMA, main
 from qutrit_bench.errors import DegenerateStateError, NoFringeError
-from qutrit_bench.timetags import simulate_run
+from qutrit_bench.source import class_weights
+from qutrit_bench.timetags import PEAK_MULTIPLIER, simulate_run
 
 BASE_RUN = {
     "pair_rate_hz": 2.0e5,
@@ -431,6 +433,37 @@ class TestOverrides:
         cfg = write_config(tmp_path, {"experiment": "qkd", "run": BASE_RUN})
         config = cli.load_config(cfg, overrides=["protocol_spec.mode=two_basis"])
         assert config["protocol_spec"]["mode"] == "two_basis"
+
+
+class TestConfigDefaults:
+    def test_default_config_is_pinned(self):
+        # Canonical hash of the defaults derived from CONFIG_SCHEMA: a default
+        # that moves or vanishes changes it.
+        canonical = json.dumps(cli.DEFAULT_CONFIG, sort_keys=True)
+        digest = hashlib.sha256(canonical.encode()).hexdigest()
+        assert digest == "8ac9273cded18a75d8880677d692f91496c2c1337ecde0f76ae50fb5d21b9309"
+
+    def test_default_is_an_annotation_and_other_keywords_are_refused(self):
+        assert list(cli._schema_errors(5, {"default": 3})) == []
+        with pytest.raises(NotImplementedError, match="multipleOf"):
+            list(cli._schema_errors(5, {"multipleOf": 2}))
+
+    def test_whole_object_override_keeps_omitted_defaults(self, tmp_path):
+        cfg = write_config(tmp_path, {"experiment": "qkd"})
+        config = cli.load_config(cfg, overrides=['protocol_spec={"rounds": 2000}'])
+        assert config["protocol_spec"] == dict(cli.DEFAULT_CONFIG["protocol_spec"], rounds=2000)
+        out = tmp_path / "out"
+        assert run_cli(["qkd", "--config", cfg, "--out", out, "--override", 'protocol_spec={"rounds": 2000}']) == 0
+
+    def test_histogram_ideal_weights_follow_the_couplers(self, tmp_path):
+        # Outer right to outer left 1/6, 4/15, 1/3, 1/6, 1/15 here, not 1:2:3:2:1 over 9.
+        run = {"interferometer": {"alice_ratios": [0.5, 0.3, 0.2]}}
+        cfg = write_config(tmp_path, {"experiment": "histogram", "run": run})
+        assert run_cli(["histogram", "--config", cfg, "--out", tmp_path / "out", "--seed", 7]) == 0
+        peaks = json.loads((tmp_path / "out" / "peaks.json").read_text())
+        weights = class_weights(cli.build_interferometer(cli.load_config(cfg)))
+        assert peaks["ideal_weights"] == {p: float(weights[m + 2]) for p, m in PEAK_MULTIPLIER.items()}
+        assert peaks["max_weight_residual"] < 0.01
 
 
 class TestProtocolCommands:
