@@ -49,7 +49,7 @@ from .analysis import (
     visibility,
 )
 from .errors import ConfigurationError, DegenerateStateError, FitError, NoFringeError
-from .protocols import BASIS_IDS, QKD_MODES, EveModel, run_coin_toss, run_qkd
+from .protocols import BASIS_IDS, EVE_KINDS, QKD_MODES, EveModel, run_coin_toss, run_qkd
 from .source import (
     PEAK_CLASS,
     ArmPhases,
@@ -170,7 +170,7 @@ CONFIG_SCHEMA = {
                     "additionalProperties": False,
                     # basis_pool has no default: it applies only to intercept_resend.
                     "properties": {
-                        "kind": {"enum": ["none", "intercept_resend"], "default": "none"},
+                        "kind": {"enum": list(EVE_KINDS), "default": "none"},
                         "basis_pool": {"type": "array", "items": {"enum": list(BASIS_IDS)}},
                     },
                 },

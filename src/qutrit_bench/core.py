@@ -31,11 +31,6 @@ def joint_index(alice_path: int, bob_path: int) -> int:
     return 3 * alice_path + bob_path
 
 
-def wrap_phase(phi):
-    """Wrap an angle (or array of angles) to the interval (-pi, pi]."""
-    return -np.remainder(-np.asarray(phi) + np.pi, 2.0 * np.pi) + np.pi
-
-
 @dataclass(frozen=True)
 class PureState:
     """A normalized or soon-to-be-normalized ket of dimension 3 or 9."""

@@ -48,6 +48,7 @@ QKD_MODES = {
     "four_basis": BASIS_IDS,
     "phase_only_three": ("fourier0", "fourier1", "fourier2"),
 }
+EVE_KINDS = ("none", "intercept_resend")
 
 _OMEGA = np.exp(2j * np.pi / 3.0)
 
@@ -116,7 +117,7 @@ class EveModel:
     basis_pool: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("none", "intercept_resend"):
+        if self.kind not in EVE_KINDS:
             raise ConfigurationError(f"unknown eavesdropper kind {self.kind!r}")
         pool = tuple(self.basis_pool)
         for name in pool:

@@ -13,7 +13,10 @@ the window.  Times are sorted, so a pair out of reach stays out of reach at
 every larger offset.  An Alice and a Bob tag in reach of each other, with
 no other tag within the window on either side, are matched at once; every
 other candidate goes through the nearest-first greedy loop (see
-`find_coincidences`).
+`find_coincidences`).  The records are counted first and gathered block by
+block into exact-size columns, so matching holds the stream, its records,
+a one-byte mask per tag and a few block-sized temporaries; the histogram and
+the peak areas bin the records a block at a time too.
 
 All times are integer picoseconds: comparisons are exact, binning is
 reproducible, and long runs accumulate no float drift.  Identical
@@ -73,9 +76,9 @@ _TIME_LIMIT_PS = 2**60
 # Generator.choice's tolerance on the sum of its probabilities.
 _P_SUM_TOL = float(np.sqrt(np.finfo(np.float64).eps))
 
-# Pairs per block of `simulate_run`'s draws, and neighbour steps per block of
-# `find_coincidences`' offset-1 pass: the temporaries of a block stay a few
-# hundred KB however long the run.
+# Pairs per block of `simulate_run`'s draws, neighbour steps per block of
+# `find_coincidences`' offset-1 pass and gather, and records per block of the
+# binning: the temporaries of a block stay a few hundred KB however long the run.
 _BLOCK = 1 << 16
 
 
@@ -310,63 +313,46 @@ def simulate_run(cfg: RunConfig, outcome_table: np.ndarray | None = None) -> Tim
     return TimeTagStream(party, detector, key)
 
 
-def find_coincidences(stream: TimeTagStream, max_delta_ps: float) -> CoincidenceSet:
-    """Pair Alice and Bob tags with |t_A - t_B| <= max_delta_ps.
+def _run_flags(t: np.ndarray, party: np.ndarray, max_delta_ps) -> tuple:
+    """The runs of two tags that are candidates, as a mask over each pair's
+    first tag, and the sorted first positions of the close steps in longer
+    runs.  A step back in time raises OrderingError.
 
-    Raw pairing, no peak-center logic: candidate pairs are matched greedily
-    nearest-first (ties broken by Alice time, then Bob time, then stream
-    order), each tag consumed at most once.  Records are ordered by Alice
-    time, equal times in greedy order.  Input must be time-sorted, and
-    `max_delta_ps` a non-negative number of ps (int or float); a negative
-    or NaN window raises ValueError.
-
-    The candidates come from offset passes over the one merged stream.
-    Times are sorted, so tags p and p + k are in reach of each other only if
-    every step between neighbours from p to p + k is: each candidate lies
-    inside a run of consecutive tags linked by steps in reach, and the
-    greedy pass splits along these runs.  A run of two tags of different
-    parties is a candidate with no rival and is always matched, so all of
-    these are taken at once.  In the longer runs, pass k takes the pairs
-    (p, p + k) in reach whose parties differ, pass k + 1 looks only at the
-    pairs pass k found in reach, and the passes end at the first k with
-    none.  These candidates go through the nearest-first loop in the order
-    (|t_A - t_B|, t_A, t_B, Alice position, Bob position), and its picks are
-    merged into the runs of two by Alice stream position: Alice tags at one
-    time see the same Bob tags, so the earlier one in the stream is matched
-    first.
+    Offset 1, `_BLOCK` steps at a time: close[p] when tags p and p + 1 are in
+    reach.  A run of two tags is a close p whose neighbours p - 1 and p + 1
+    are not, and it is a candidate only when the parties differ.  Each block
+    reads the one step on either side of it, so only the mask is full size.
     """
-    if not max_delta_ps >= 0:
-        raise ValueError(f"max_delta_ps must be a non-negative number of ps, got {max_delta_ps!r}")
-    if not stream.is_sorted():
-        raise OrderingError("time-tag stream must be sorted by time")
-    t, party = stream.time_ps, stream.party
-    # Offset 1, `_BLOCK` steps at a time: close[p] when tags p and p + 1 are in
-    # reach.  A run of two tags is a close p whose neighbours p - 1 and p + 1 are not.
-    close = np.empty(max(t.size - 1, 0), dtype=bool)
-    for start in range(0, close.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        np.less_equal(t[1:][block] - t[:-1][block], max_delta_ps, out=close[block])
-    alone = close.copy()
-    alone[1:] &= ~close[:-1]
-    alone[:-1] &= ~close[1:]
-    near = np.flatnonzero(close & ~alone)
-    del close
-    alone &= party[:-1] != party[1:]  # a candidate only when the parties differ
+    n_steps = max(t.size - 1, 0)
+    alone = np.empty(n_steps, dtype=bool)
+    near = [np.empty(0, dtype=np.intp)]
+    for start in range(0, n_steps, _BLOCK):
+        stop = min(start + _BLOCK, n_steps)
+        lo, hi = max(start - 1, 0), min(stop + 1, n_steps)
+        step = t[lo + 1 : hi + 1] - t[lo:hi]
+        if step.min() < 0:
+            raise OrderingError("time-tag stream must be sorted by time")
+        # close[start - 1 : stop + 1]; the steps past either end of the stream are not.
+        close = np.zeros(stop - start + 2, dtype=bool)
+        np.less_equal(step, max_delta_ps, out=close[lo - start + 1 : hi - start + 1])
+        linked = close[:-2] | close[2:]
+        np.greater(close[1:-1], linked, out=alone[start:stop])
+        linked &= close[1:-1]
+        near.append(np.flatnonzero(linked) + start)
+        alone[start:stop] &= party[start:stop] != party[start + 1 : stop + 1]
+    return alone, np.concatenate(near)
 
-    # From each pair's first tag p: where Bob is first, the Alice tag is p + 1.
-    pos_b = np.flatnonzero(alone)
-    bob_first = party[pos_b]
-    pos_a = pos_b + bob_first
-    pos_b += 1
-    pos_b -= bob_first
-    del alone, bob_first
 
+def _greedy_picks(t: np.ndarray, party: np.ndarray, near: np.ndarray, max_delta_ps) -> tuple:
+    """The nearest-first loop's (Alice, Bob) position pairs in the runs of
+    three or more tags, whose close steps start at the sorted positions
+    `near`; sorted by Alice position (see `find_coincidences`)."""
     run_a, run_b, picked = [], [], []
     k = 1
     while near.size:
         bob_first = party[near]
         cross = bob_first != party[k:][near]
-        # As for the pairs: where Bob is first, the Alice tag is k ahead.
+        # Where Bob is first, the Alice tag is k ahead.
         left, shift = near[cross], k * bob_first[cross].astype(np.intp)
         run_a.append(left + shift)
         run_b.append(left + (k - shift))
@@ -387,19 +373,88 @@ def find_coincidences(stream: TimeTagStream, max_delta_ps: float) -> Coincidence
             used.add(a)
             used.add(b)
             picked.append((a, b))
-    if picked:
-        # Alice positions are distinct; the sorted picks go in among the pairs' sorted ones.
-        picked_a, picked_b = np.array(sorted(picked), dtype=np.intp).T
-        at = pos_a.searchsorted(picked_a)
-        pos_a = np.insert(pos_a, at, picked_a)
-        pos_b = np.insert(pos_b, at, picked_b)
-    # Each position array is released once its columns are gathered.
-    abs_time = t[pos_a]
-    alice_detector = stream.detector[pos_a]
-    del pos_a
-    delta_t = t[pos_b]
-    np.subtract(abs_time, delta_t, out=delta_t)
-    return CoincidenceSet(alice_detector, stream.detector[pos_b], delta_t, abs_time)
+    picked.sort()  # Alice positions are distinct
+    return np.array(picked, dtype=np.intp).reshape(-1, 2).T
+
+
+def find_coincidences(stream: TimeTagStream, max_delta_ps: float) -> CoincidenceSet:
+    """Pair Alice and Bob tags with |t_A - t_B| <= max_delta_ps.
+
+    Raw pairing, no peak-center logic: candidate pairs are matched greedily
+    nearest-first (ties broken by Alice time, then Bob time, then stream
+    order), each tag consumed at most once.  Records are ordered by Alice
+    time, equal times in greedy order.  Input must be time-sorted
+    (OrderingError otherwise), and `max_delta_ps` a non-negative number of
+    ps (int or float); a negative or NaN window raises ValueError.
+
+    The candidates come from offset passes over the one merged stream.
+    Times are sorted, so tags p and p + k are in reach of each other only if
+    every step between neighbours from p to p + k is: each candidate lies
+    inside a run of consecutive tags linked by steps in reach, and the
+    greedy pass splits along these runs.  A run of two tags of different
+    parties is a candidate with no rival and is always matched, so all of
+    these are taken at once.  In the longer runs, pass k takes the pairs
+    (p, p + k) in reach whose parties differ, pass k + 1 looks only at the
+    pairs pass k found in reach, and the passes end at the first k with
+    none.  These candidates go through the nearest-first loop in the order
+    (|t_A - t_B|, t_A, t_B, Alice position, Bob position), and its picks are
+    merged into the runs of two by Alice stream position: Alice tags at one
+    time see the same Bob tags, so the earlier one in the stream is matched
+    first.
+    """
+    if not max_delta_ps >= 0:
+        raise ValueError(f"max_delta_ps must be a non-negative number of ps, got {max_delta_ps!r}")
+    t, party, detector = stream.time_ps, stream.party, stream.detector
+    alone, near = _run_flags(t, party, max_delta_ps)
+    picked_a, picked_b = _greedy_picks(t, party, near, max_delta_ps)
+    del near
+
+    # The records, counted first, are gathered block by block straight into
+    # their columns.  A block's pairs have their Alice tag at p or p + 1, so
+    # the picks with an Alice tag up to the block's end go in among them.
+    size = np.count_nonzero(alone) + picked_a.size
+    abs_time, delta_t = np.empty(size, dtype=t.dtype), np.empty(size, dtype=t.dtype)
+    alice_detector, bob_detector = np.empty(size, dtype=detector.dtype), np.empty(size, dtype=detector.dtype)
+    end = taken = 0
+    for start in range(0, alone.size, _BLOCK):
+        stop = start + _BLOCK
+        # From each pair's first tag p: where Bob is first, the Alice tag is p + 1.
+        pos = np.flatnonzero(alone[start:stop])
+        pos += start
+        bob_first = party[pos]
+        pos += bob_first
+        last = taken
+        if taken < picked_a.size and picked_a[taken] <= stop:
+            last = picked_a.searchsorted(stop, side="right")
+        rows = slice(end, end + pos.size + last - taken)
+        end = rows.stop
+        gather = pos
+        if last > taken:
+            # Each pick's row comes before the pairs whose Alice tags follow
+            # its own; a block with no picks is not merged.
+            slots = pos.searchsorted(picked_a[taken:last])
+            slots += np.arange(last - taken)
+            pairs = np.ones(rows.stop - rows.start, dtype=bool)
+            pairs[slots] = False
+            gather = np.empty(pairs.size, dtype=np.intp)
+            gather[slots] = picked_a[taken:last]
+            gather[pairs] = pos
+        # Every position is in range, so "clip" only spares `take` a buffered output.
+        t.take(gather, out=abs_time[rows], mode="clip")
+        detector.take(gather, out=alice_detector[rows], mode="clip")
+        # The Bob tag is the pair's other one: p + 1 - bob_first.
+        pos -= bob_first
+        pos -= bob_first
+        pos += 1
+        if last > taken:
+            gather[slots] = picked_b[taken:last]
+            gather[pairs] = pos
+        t.take(gather, out=delta_t[rows], mode="clip")
+        np.subtract(abs_time[rows], delta_t[rows], out=delta_t[rows])
+        detector.take(gather, out=bob_detector[rows], mode="clip")
+        del pos, bob_first, gather  # before the next block's are made
+        taken = last
+    return CoincidenceSet(alice_detector, bob_detector, delta_t, abs_time)
 
 
 def build_histogram(coincidences: CoincidenceSet, unit_delay_ps: int) -> Histogram:
@@ -407,16 +462,23 @@ def build_histogram(coincidences: CoincidenceSet, unit_delay_ps: int) -> Histogr
 
     With w = unit / 12, the bin index floor((dt + w/2) / w) is computed
     exactly in integers as (24 dt + unit) // (2 unit); dt values so large
-    that this overflows an int64 are rejected.
+    that this overflows an int64 are rejected.  Records are binned `_BLOCK`
+    at a time and the blocks' counts summed.
     """
     if not (isinstance(unit_delay_ps, (int, np.integer)) and unit_delay_ps > 0):
         raise ConfigurationError(f"unit delay must be a positive integer of ps, got {unit_delay_ps!r}")
     dt = coincidences.delta_t_ps
     if dt.size and max(-int(dt.min()), int(dt.max())) > (2**63 - 1 - unit_delay_ps) // (2 * BINS_PER_UNIT):
         raise ValueError("dt values too large to bin in int64")
-    idx = (2 * BINS_PER_UNIT * dt + unit_delay_ps) // (2 * unit_delay_ps)
-    uniq, counts = np.unique(idx, return_counts=True)
-    return Histogram(unit_delay_ps / BINS_PER_UNIT, {int(i): int(c) for i, c in zip(uniq, counts)})
+    counts = {}
+    for start in range(0, dt.size, _BLOCK):
+        idx = dt[start : start + _BLOCK] * (2 * BINS_PER_UNIT)
+        idx += unit_delay_ps
+        idx //= 2 * unit_delay_ps
+        bins, n = np.unique(idx, return_counts=True)
+        for i, c in zip(bins.tolist(), n.tolist()):
+            counts[i] = counts.get(i, 0) + c
+    return Histogram(unit_delay_ps / BINS_PER_UNIT, dict(sorted(counts.items())))
 
 
 def window_counts(coincidences: CoincidenceSet, center_ps: float, half_width_ps: float) -> np.ndarray:
@@ -468,16 +530,25 @@ def peak_areas(
 ) -> dict:
     """Total counts inside each of the five peak windows.
 
-    One pass: each record takes its nearest peak index by integer rounding
-    and counts if it lies within `half_width_ps` of that peak.  Windows
-    narrower than half the unit delay are disjoint, so this equals
-    `post_select(...).sum()` for each peak.
+    One pass, `_BLOCK` records at a time: each record takes its nearest peak
+    index by integer rounding and counts if it lies within `half_width_ps`
+    of that peak.  Windows narrower than half the unit delay are disjoint,
+    so this equals `post_select(...).sum()` for each peak.
     """
     _check_peak_half_width(half_width_ps, unit_delay_ps)
     dt = coincidences.delta_t_ps
-    nearest = (dt + unit_delay_ps // 2) // unit_delay_ps
-    inside = (np.abs(nearest) <= 2) & (np.abs(dt - nearest * unit_delay_ps) <= half_width_ps)
-    counts = np.bincount(nearest[inside] + 2, minlength=5)
+    counts = np.zeros(5, dtype=np.int64)
+    for start in range(0, dt.size, _BLOCK):
+        block = dt[start : start + _BLOCK]
+        nearest = block + unit_delay_ps // 2
+        nearest //= unit_delay_ps
+        off = nearest * unit_delay_ps
+        np.subtract(block, off, out=off)
+        inside = np.abs(off, out=off) <= half_width_ps
+        inside &= np.abs(nearest, out=off) <= 2
+        del off
+        nearest += 2
+        counts += np.bincount(nearest[inside], minlength=5)
     return {peak: int(counts[m + 2]) for peak, m in PEAK_MULTIPLIER.items()}
 
 

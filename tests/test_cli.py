@@ -10,7 +10,8 @@ import pytest
 
 from qutrit_bench import cli
 from qutrit_bench.cli import CONFIG_SCHEMA, main
-from qutrit_bench.errors import DegenerateStateError, NoFringeError
+from qutrit_bench.errors import ConfigurationError, DegenerateStateError, NoFringeError
+from qutrit_bench.protocols import EVE_KINDS, EveModel
 from qutrit_bench.source import class_weights
 from qutrit_bench.timetags import PEAK_MULTIPLIER, simulate_run
 
@@ -442,6 +443,15 @@ class TestConfigDefaults:
         canonical = json.dumps(cli.DEFAULT_CONFIG, sort_keys=True)
         digest = hashlib.sha256(canonical.encode()).hexdigest()
         assert digest == "8ac9273cded18a75d8880677d692f91496c2c1337ecde0f76ae50fb5d21b9309"
+
+    def test_eve_kinds_come_from_the_protocol_table(self, tmp_path, capsys):
+        eve = CONFIG_SCHEMA["properties"]["protocol_spec"]["properties"]["eve"]
+        assert eve["properties"]["kind"]["enum"] == list(EVE_KINDS)
+        cfg = write_config(tmp_path, {"experiment": "qkd", "protocol_spec": {"eve": {"kind": "mitm"}}})
+        assert run_cli(["qkd", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert "'mitm' is not one of ['none', 'intercept_resend']" in capsys.readouterr().err
+        with pytest.raises(ConfigurationError, match="unknown eavesdropper kind 'mitm'"):
+            EveModel("mitm")
 
     def test_default_is_an_annotation_and_other_keywords_are_refused(self):
         assert list(cli._schema_errors(5, {"default": 3})) == []

@@ -10,9 +10,9 @@ from qutrit_bench.core import (
     maximally_entangled_pair,
     normalize,
     tritter,
-    wrap_phase,
 )
 from qutrit_bench.errors import DegenerateStateError
+from test_source import wrap_phase
 
 
 class TestTritter:

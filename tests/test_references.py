@@ -8,8 +8,9 @@ the peak-state and herald constructors, the per-element CGLMP probability
 loop, the multi-start search for the CGLMP maximum, the `lexsort` stream
 assembly and `rng.choice` outcome draw of `simulate_run`, the greedy
 matching loop over every candidate pair of `find_coincidences`, the
-five-window `peak_areas`, the row-by-row `csv.writer` QKD trace and the
-eight gathered compares of the QKD trit draw.  The closed-form fringe
+one-shot `np.unique` binning of `build_histogram`, the five-window
+`peak_areas`, the row-by-row `csv.writer` QKD trace and the eight
+gathered compares of the QKD trit draw.  The closed-form fringe
 laws of symmetric couplers, the central law [3 + 2*lam*(cos phi_r +
 cos phi_l + cos(phi_r + phi_l))] / 27 and the satellite law
 [1 + lam*cos theta] / 9 with their phases, and the central fringe of a
@@ -19,13 +20,14 @@ modules read them from here.  They stay here as test oracles only.
 `Generator.choice` is also the oracle of
 the guide-table outcome sampler, draw for draw, and `joint_distribution`
 of each step's configuration the oracle of the batched step tables.  The
-oracle tests of `simulate_run`, its outcome draw and `find_coincidences`
-run again with blocks of 7 pairs, and the shared draws of `source` with
-blocks of 7 uniforms, so that small examples cross the block edges of the
-draws and the neighbour pass.  The blocked Bernoulli draw is checked
-against the one `rng.random(n) < p` call it stands for.  The
-built-in config validator is checked against the jsonschema validator and
-`best_match` choice it replaced.
+oracle tests of `simulate_run`, its outcome draw, `find_coincidences` and
+the binning run again with blocks of 7 pairs, steps or records, and the
+shared draws of `source` with blocks of 7 uniforms, so that small examples
+cross the block edges of the draws, the neighbour pass, the gather and the
+binning.  The blocked Bernoulli draw is checked against the one
+`rng.random(n) < p` call it stands for.  The built-in config validator is
+checked against the jsonschema validator and `best_match` choice it
+replaced.
 """
 
 import contextlib
@@ -86,6 +88,7 @@ from qutrit_bench.timetags import (
     RunConfig,
     TimeTagStream,
     _draw_outcomes,
+    build_histogram,
     find_coincidences,
     peak_areas,
     post_select,
@@ -388,6 +391,13 @@ def reference_find_coincidences(stream, max_delta_ps):
         (t_a[a_sel] - t_b[b_sel]).astype(np.int64),
         t_a[a_sel].astype(np.int64),
     )
+
+
+def reference_histogram_bins(coincidences, unit_delay_ps):
+    """Every record's bin index (24 dt + unit) // (2 unit) counted by one `np.unique`."""
+    idx = (24 * coincidences.delta_t_ps + unit_delay_ps) // (2 * unit_delay_ps)
+    uniq, counts = np.unique(idx, return_counts=True)
+    return {int(i): int(c) for i, c in zip(uniq, counts)}
 
 
 def reference_peak_areas(coincidences, half_width_ps, unit_delay_ps):
@@ -779,6 +789,19 @@ def tags_at(*tags):
     )
 
 
+@st.composite
+def straddling_runs(draw):
+    """Runs of two to five tags, 100 ps apart: with blocks of 7 steps, runs of
+    three or more straddle block edges and put greedy picks on both sides."""
+    tags, start = [], 0
+    for _ in range(draw(st.integers(1, 12))):
+        spacing = draw(st.integers(0, 3))
+        n = draw(st.integers(2, 5))
+        tags.extend((start + i * spacing, draw(st.integers(0, 1)), draw(st.integers(0, 2))) for i in range(n))
+        start += n * spacing + 100
+    return tags_at(*tags)
+
+
 @settings(max_examples=500, deadline=None)
 @given(tag_streams(), st.integers(0, 12))
 # Six alternating tags in one window: the nearest pairs take the inner tags,
@@ -797,7 +820,7 @@ def test_find_coincidences_matches_reference_loop(stream, max_delta_ps):
 
 
 @settings(max_examples=300, deadline=None)
-@given(tag_streams(), st.integers(0, 12))
+@given(tag_streams() | straddling_runs(), st.integers(0, 12))
 # Steps 5-7 link tags 5-8, a run of four across the edge between steps 6 and
 # 7; tags 13 and 14 are a run of two on the edge between steps 13 and 14.
 @example(
@@ -806,6 +829,12 @@ def test_find_coincidences_matches_reference_loop(stream, max_delta_ps):
         (50, 1, 0), (51, 0, 1), (52, 1, 2), (53, 0, 0),
         (70, 1, 1), (80, 0, 2), (90, 1, 0), (100, 0, 1), (110, 1, 2), (111, 0, 0), (130, 1, 1),
     ),
+    2,
+)
+# Eight tags, seven steps: the run of three that ends the stream puts its
+# pick's Alice tag on the last tag, at the end of the last block.
+@example(
+    tags_at((0, 0, 0), (100, 1, 0), (200, 0, 1), (300, 1, 1), (400, 0, 2), (500, 1, 0), (501, 1, 1), (502, 0, 2)),
     2,
 )
 def test_find_coincidences_matches_reference_loop_across_block_edges(stream, max_delta_ps):
@@ -862,10 +891,10 @@ def test_find_coincidences_matches_reference_with_darks_and_jitter():
 
 
 def test_find_coincidences_memory_is_bounded():
-    # 172k tags give 72k records (1.3 MB).  The passes peak at 1.9 MB, the
-    # Alice positions released before the Bob times are read; merging the
-    # picks by concatenate and argsort and gathering from every position
-    # array at once took 4.4 MB.
+    # 172k tags give 72k records (1.3 MB), three blocks.  Gathered block by
+    # block, the matcher peaks at 2.0 MB; full-size position arrays peaked at
+    # 1.9 MB, and merging the picks by concatenate and argsort and gathering
+    # from every position array at once took 4.4 MB.
     stream, max_delta_ps = realistic_stream()
     found, peak = traced_peak(find_coincidences, stream, max_delta_ps)
     assert len(found) > 70_000
@@ -884,16 +913,33 @@ def test_simulate_run_memory_is_bounded_at_full_size():
 
 
 def test_find_coincidences_memory_is_bounded_at_full_size():
-    # 1.7M tags give 723k records (13 MB); the passes peak at 1.5 times that,
-    # where a fresh array at each step took 3.4 times.
+    # 1.7M tags give 723k records (13 MB).  Gathered block by block into
+    # exact-size columns, next to a 1.7 MB mask of runs of two, the matcher
+    # peaks at 1.18 times the records; full-size position arrays with the
+    # picks inserted peaked at 1.48 times, a fresh array at each step at 3.4.
     stream, max_delta_ps = realistic_stream(5.0)
     found, peak = traced_peak(find_coincidences, stream, max_delta_ps)
     assert len(found) > 700_000
-    assert peak < 2.5 * nbytes(found, ("alice_detector", "bob_detector", "delta_t_ps", "abs_time_ps"))
+    assert peak < 1.2 * nbytes(found, ("alice_detector", "bob_detector", "delta_t_ps", "abs_time_ps"))
+
+
+def test_binning_memory_is_bounded_at_full_size():
+    # Binned a block at a time, the 723k records of the full run cost 1.2 MB
+    # (`build_histogram`) and 1.2 MB (`peak_areas`) on top of the records;
+    # full-size int64 temporaries peaked at 13.0 MB and 18.1 MB.
+    stream, max_delta_ps = realistic_stream(5.0)
+    found = find_coincidences(stream, max_delta_ps)
+    del stream
+    unit = max_delta_ps // 3
+    _, histogram_peak = traced_peak(build_histogram, found, unit)
+    _, areas_peak = traced_peak(peak_areas, found, 150.0, unit)
+    assert len(found) > 700_000
+    assert histogram_peak < 2_000_000
+    assert areas_peak < 2_000_000
 
 
 # --------------------------------------------------------------------------
-# Peak areas
+# Binning: histogram and peak areas
 # --------------------------------------------------------------------------
 
 
@@ -925,6 +971,17 @@ def test_peak_areas_match_five_window_reference(records):
     coincidences, half_width, unit = records
     got = peak_areas(coincidences, half_width, unit)
     assert list(got.items()) == list(reference_peak_areas(coincidences, half_width, unit).items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(peak_window_records())
+def test_binning_matches_references_across_block_edges(records):
+    coincidences, half_width, unit = records
+    with blocks_of_seven():
+        histogram = build_histogram(coincidences, unit)
+        areas = peak_areas(coincidences, half_width, unit)
+    assert list(histogram.bins.items()) == list(reference_histogram_bins(coincidences, unit).items())
+    assert list(areas.items()) == list(reference_peak_areas(coincidences, half_width, unit).items())
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from qutrit_bench.core import (
     born_probability,
     joint_index,
     tritter,
-    wrap_phase,
 )
 from qutrit_bench.errors import DegenerateStateError
 from qutrit_bench.protocols import herald_state
@@ -38,6 +37,11 @@ from qutrit_bench.source import (
 from test_references import reference_central_probability, reference_satellite_probability
 
 TWO_PI_THIRD = 2.0 * np.pi / 3.0
+
+
+def wrap_phase(phi):
+    """Wrap an angle (or array of angles) to the interval (-pi, pi]."""
+    return -np.remainder(-np.asarray(phi) + np.pi, 2.0 * np.pi) + np.pi
 
 
 def random_config(rng):
