@@ -394,8 +394,9 @@ def build_run_config(config: dict) -> RunConfig:
 
 
 def _write_json(payload: dict, path: str):
+    """Write `payload` as strict JSON: a NaN or an infinity raises ValueError."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -436,9 +437,8 @@ def cmd_histogram(config: dict, out_dir: str) -> list:
     total = sum(areas.values())
     weights = class_weights(run_cfg.interferometer)  # index m + 2 for dt = m unit delays
     ideal = {p: float(weights[m + 2]) for p, m in PEAK_MULTIPLIER.items()}
-    residual = (
-        max(abs(areas[p] / total - ideal[p]) for p in areas) if total else float("nan")
-    )
+    # An empty run has no shares, and JSON has no NaN: its residual is null.
+    residual = max(abs(areas[p] / total - ideal[p]) for p in areas) if total else None
     hist_path = os.path.join(out_dir, "histogram.csv")
     write_histogram_csv(histogram, hist_path)
     peaks_path = os.path.join(out_dir, "peaks.json")

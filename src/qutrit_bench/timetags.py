@@ -13,10 +13,10 @@ the window.  Times are sorted, so a pair out of reach stays out of reach at
 every larger offset.  An Alice and a Bob tag in reach of each other, with
 no other tag within the window on either side, are matched at once; every
 other candidate goes through the nearest-first greedy loop (see
-`find_coincidences`).  The records are counted first and gathered block by
-block into exact-size columns, so matching holds the stream, its records,
-a one-byte mask per tag and a few block-sized temporaries; the histogram and
-the peak areas bin the records a block at a time too.
+`find_coincidences`).  Each record is one offset in an array of one byte
+per tag, read in stream order a block at a time into exact-size columns, so
+matching holds the stream, its records, that array and a few block-sized
+temporaries; the histogram and the peak areas bin a block at a time too.
 
 All times are integer picoseconds: comparisons are exact, binning is
 reproducible, and long runs accumulate no float drift.  Identical
@@ -314,9 +314,9 @@ def simulate_run(cfg: RunConfig, outcome_table: np.ndarray | None = None) -> Tim
 
 
 def _run_flags(t: np.ndarray, party: np.ndarray, max_delta_ps) -> tuple:
-    """The runs of two tags that are candidates, as a mask over each pair's
-    first tag, and the sorted first positions of the close steps in longer
-    runs.  A step back in time raises OrderingError.
+    """The runs of two tags that are candidates, as a mask over the tags with
+    True at each pair's first tag, and the sorted first positions of the
+    close steps in longer runs.  A step back in time raises OrderingError.
 
     Offset 1, `_BLOCK` steps at a time: close[p] when tags p and p + 1 are in
     reach.  A run of two tags is a close p whose neighbours p - 1 and p + 1
@@ -324,7 +324,7 @@ def _run_flags(t: np.ndarray, party: np.ndarray, max_delta_ps) -> tuple:
     reads the one step on either side of it, so only the mask is full size.
     """
     n_steps = max(t.size - 1, 0)
-    alone = np.empty(n_steps, dtype=bool)
+    alone = np.zeros(t.size, dtype=bool)
     near = [np.empty(0, dtype=np.intp)]
     for start in range(0, n_steps, _BLOCK):
         stop = min(start + _BLOCK, n_steps)
@@ -346,7 +346,9 @@ def _run_flags(t: np.ndarray, party: np.ndarray, max_delta_ps) -> tuple:
 def _greedy_picks(t: np.ndarray, party: np.ndarray, near: np.ndarray, max_delta_ps) -> tuple:
     """The nearest-first loop's (Alice, Bob) position pairs in the runs of
     three or more tags, whose close steps start at the sorted positions
-    `near`; sorted by Alice position (see `find_coincidences`)."""
+    `near`, in the order the loop picks them (see `find_coincidences`); and
+    the last offset k with tags p and p + k in reach, which bounds |b - a|
+    (0 when there are no longer runs)."""
     run_a, run_b, picked = [], [], []
     k = 1
     while near.size:
@@ -373,8 +375,7 @@ def _greedy_picks(t: np.ndarray, party: np.ndarray, near: np.ndarray, max_delta_
             used.add(a)
             used.add(b)
             picked.append((a, b))
-    picked.sort()  # Alice positions are distinct
-    return np.array(picked, dtype=np.intp).reshape(-1, 2).T
+    return (*np.array(picked, dtype=np.intp).reshape(-1, 2).T, k - 1)
 
 
 def find_coincidences(stream: TimeTagStream, max_delta_ps: float) -> CoincidenceSet:
@@ -397,63 +398,54 @@ def find_coincidences(stream: TimeTagStream, max_delta_ps: float) -> Coincidence
     (p, p + k) in reach whose parties differ, pass k + 1 looks only at the
     pairs pass k found in reach, and the passes end at the first k with
     none.  These candidates go through the nearest-first loop in the order
-    (|t_A - t_B|, t_A, t_B, Alice position, Bob position), and its picks are
-    merged into the runs of two by Alice stream position: Alice tags at one
-    time see the same Bob tags, so the earlier one in the stream is matched
-    first.
+    (|t_A - t_B|, t_A, t_B, Alice position, Bob position).
+
+    Each record is a nonzero offset at its key tag p in one array over the
+    tags: +1 at a run of two's first tag (the mask, viewed as int8), b - a at
+    a pick's Alice tag a.  Alice is p + party[p], Bob p - party[p] plus the
+    offset.  No record has a tag inside a run of two, so the key tags come in
+    the order of the Alice tags: Alice tags at one time see the same Bob
+    tags, so the earlier one in the stream is matched first.  The array is
+    int8 unless a candidate's offset needs a wider type.
     """
     if not max_delta_ps >= 0:
         raise ValueError(f"max_delta_ps must be a non-negative number of ps, got {max_delta_ps!r}")
     t, party, detector = stream.time_ps, stream.party, stream.detector
     alone, near = _run_flags(t, party, max_delta_ps)
-    picked_a, picked_b = _greedy_picks(t, party, near, max_delta_ps)
+    picked_a, picked_b, widest = _greedy_picks(t, party, near, max_delta_ps)
     del near
+    size = np.count_nonzero(alone) + picked_a.size
+    offsets = alone.view(np.int8)
+    if widest > np.iinfo(np.int8).max:
+        offsets = offsets.astype(np.min_scalar_type(-1 - widest))
+    picked_b -= picked_a
+    offsets[picked_a] = picked_b
+    del alone, picked_a, picked_b
 
     # The records, counted first, are gathered block by block straight into
-    # their columns.  A block's pairs have their Alice tag at p or p + 1, so
-    # the picks with an Alice tag up to the block's end go in among them.
-    size = np.count_nonzero(alone) + picked_a.size
+    # their columns, in the order of their key tags.
     abs_time, delta_t = np.empty(size, dtype=t.dtype), np.empty(size, dtype=t.dtype)
     alice_detector, bob_detector = np.empty(size, dtype=detector.dtype), np.empty(size, dtype=detector.dtype)
-    end = taken = 0
-    for start in range(0, alone.size, _BLOCK):
-        stop = start + _BLOCK
-        # From each pair's first tag p: where Bob is first, the Alice tag is p + 1.
-        pos = np.flatnonzero(alone[start:stop])
+    end = 0
+    for start in range(0, offsets.size, _BLOCK):
+        block = offsets[start : start + _BLOCK]
+        pos = np.flatnonzero(block)
+        offset = block[pos]
         pos += start
+        rows = slice(end, end + pos.size)
+        end = rows.stop
         bob_first = party[pos]
         pos += bob_first
-        last = taken
-        if taken < picked_a.size and picked_a[taken] <= stop:
-            last = picked_a.searchsorted(stop, side="right")
-        rows = slice(end, end + pos.size + last - taken)
-        end = rows.stop
-        gather = pos
-        if last > taken:
-            # Each pick's row comes before the pairs whose Alice tags follow
-            # its own; a block with no picks is not merged.
-            slots = pos.searchsorted(picked_a[taken:last])
-            slots += np.arange(last - taken)
-            pairs = np.ones(rows.stop - rows.start, dtype=bool)
-            pairs[slots] = False
-            gather = np.empty(pairs.size, dtype=np.intp)
-            gather[slots] = picked_a[taken:last]
-            gather[pairs] = pos
         # Every position is in range, so "clip" only spares `take` a buffered output.
-        t.take(gather, out=abs_time[rows], mode="clip")
-        detector.take(gather, out=alice_detector[rows], mode="clip")
-        # The Bob tag is the pair's other one: p + 1 - bob_first.
+        t.take(pos, out=abs_time[rows], mode="clip")
+        detector.take(pos, out=alice_detector[rows], mode="clip")
         pos -= bob_first
         pos -= bob_first
-        pos += 1
-        if last > taken:
-            gather[slots] = picked_b[taken:last]
-            gather[pairs] = pos
-        t.take(gather, out=delta_t[rows], mode="clip")
+        pos += offset
+        t.take(pos, out=delta_t[rows], mode="clip")
         np.subtract(abs_time[rows], delta_t[rows], out=delta_t[rows])
-        detector.take(gather, out=bob_detector[rows], mode="clip")
-        del pos, bob_first, gather  # before the next block's are made
-        taken = last
+        detector.take(pos, out=bob_detector[rows], mode="clip")
+        del pos, offset, bob_first  # before the next block's are made
     return CoincidenceSet(alice_detector, bob_detector, delta_t, abs_time)
 
 

@@ -42,6 +42,24 @@ class TestExitCodes:
         assert (out / "peaks.json").exists()
         assert (out / "manifest.json").exists()
 
+    def test_histogram_of_an_empty_run_writes_strict_json(self, tmp_path):
+        # No coincidences: no peak shares, so the residual is null, not NaN.
+        run = {"duration_s": 0.01, "detectors": {"alice": {"efficiency": 0.0}}}
+        cfg = write_config(tmp_path, {"run": run})
+        out = tmp_path / "out"
+        assert run_cli(["histogram", "--config", cfg, "--out", out]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        peaks = json.loads((out / "peaks.json").read_text(), parse_constant=refuse)
+        assert peaks["total_coincidences"] == 0
+        assert peaks["max_weight_residual"] is None
+
+    def test_write_json_refuses_non_finite_numbers(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli._write_json({"x": float("inf")}, str(tmp_path / "x.json"))
+
     def test_invalid_duration_exits_2(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, {"experiment": "histogram", "run": dict(BASE_RUN, duration_s=0.0)}

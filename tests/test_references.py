@@ -813,6 +813,10 @@ def straddling_runs(draw):
 @example(tags_at((3, 1, 0), (3, 1, 1), (3, 0, 0), (3, 0, 1), (20, 1, 2), (20, 0, 1)), 3)
 # A zero window: Alice tags at one time tie for one Bob tag; tags 1 ps apart stay unmatched.
 @example(tags_at((0, 0, 0), (0, 0, 1), (0, 1, 2), (1, 1, 0), (2, 0, 2)), 0)
+# 200 Alice tags, then 200 Bob tags 1000 ps later, in one run: the nearest
+# pairs nest outwards, and the last pick's Bob tag is 399 tags past its
+# Alice tag, beyond the int8 offsets of the runs of two.
+@example(tags_at(*[(i, 0, i % 3) for i in range(200)], *[(1000 + i, 1, i % 3) for i in range(200)]), 3600)
 def test_find_coincidences_matches_reference_loop(stream, max_delta_ps):
     assert_same_coincidences(
         find_coincidences(stream, max_delta_ps), reference_find_coincidences(stream, max_delta_ps)
@@ -891,10 +895,11 @@ def test_find_coincidences_matches_reference_with_darks_and_jitter():
 
 
 def test_find_coincidences_memory_is_bounded():
-    # 172k tags give 72k records (1.3 MB), three blocks.  Gathered block by
-    # block, the matcher peaks at 2.0 MB; full-size position arrays peaked at
-    # 1.9 MB, and merging the picks by concatenate and argsort and gathering
-    # from every position array at once took 4.4 MB.
+    # 172k tags give 72k records (1.3 MB), three blocks.  Read from one byte
+    # of offset per tag, block by block, the matcher peaks at 1.8 MB; merging
+    # the picks into each block's runs of two peaked at 2.0 MB, full-size
+    # position arrays at 1.9 MB, and merging the picks by concatenate and
+    # argsort and gathering from every position array at once took 4.4 MB.
     stream, max_delta_ps = realistic_stream()
     found, peak = traced_peak(find_coincidences, stream, max_delta_ps)
     assert len(found) > 70_000
@@ -914,9 +919,10 @@ def test_simulate_run_memory_is_bounded_at_full_size():
 
 def test_find_coincidences_memory_is_bounded_at_full_size():
     # 1.7M tags give 723k records (13 MB).  Gathered block by block into
-    # exact-size columns, next to a 1.7 MB mask of runs of two, the matcher
-    # peaks at 1.18 times the records; full-size position arrays with the
-    # picks inserted peaked at 1.48 times, a fresh array at each step at 3.4.
+    # exact-size columns from a 1.7 MB array of one offset byte per tag, the
+    # matcher peaks at 1.16 times the records; a mask of runs of two with the
+    # picks merged in by block peaked at 1.18 times, full-size position arrays
+    # with the picks inserted at 1.48 times, a fresh array at each step at 3.4.
     stream, max_delta_ps = realistic_stream(5.0)
     found, peak = traced_peak(find_coincidences, stream, max_delta_ps)
     assert len(found) > 700_000
