@@ -9,27 +9,37 @@
 3. a measured net visibility is converted into a violation significance.
 """
 
+import itertools
+
 import numpy as np
 
 from qutrit_bench.analysis import (
     bell_threshold_visibility,
     cglmp_value,
+    i3_from_probability_table,
     lambda_from_visibility,
-    local_deterministic_values,
     optimize_cglmp,
     sigma_violation,
     visibility_from_lambda,
 )
-from qutrit_bench.core import add_white_noise, maximally_entangled_pair
 
 print("I3 maximum of the maximally entangled pair (closed form):")
 optimum = optimize_cglmp()
-rho = add_white_noise(maximally_entangled_pair(), 1.0)
+psi = np.eye(3).reshape(9) / np.sqrt(3.0)  # (|ss> + |mm> + |ll>) / sqrt(3)
+rho = np.outer(psi, psi)
 print(f"  I3 max          : {optimum.value:.6f}")
 print(f"  at its settings : {cglmp_value(rho, optimum.settings):.6f}")
 print(f"  alice phases    : {np.round(optimum.settings.alice, 4).tolist()}")
 print(f"  bob phases      : {np.round(optimum.settings.bob, 4).tolist()}")
-print(f"  local bound     : {local_deterministic_values().max():.1f} (81 strategies)")
+
+# A deterministic local strategy answers a fixed trit per setting: Alice a1
+# or a2, Bob b1 or b2, so each setting pair has one certain outcome.
+local = []
+for a1, a2, b1, b2 in itertools.product(range(3), repeat=4):
+    table = np.zeros((2, 2, 3, 3))
+    table[0, 0, a1, b1] = table[0, 1, a1, b2] = table[1, 0, a2, b1] = table[1, 1, a2, b2] = 1.0
+    local.append(i3_from_probability_table(table))
+print(f"  local bound     : {max(local):.1f} ({len(local)} strategies)")
 
 lambda_crit, v_bell = bell_threshold_visibility()
 print(f"\nthreshold chain:")

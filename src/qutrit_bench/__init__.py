@@ -1,7 +1,7 @@
 """Desk-scale simulator and analysis toolkit for energy-time entangled qutrits.
 
 Submodules:
-    core      -- qutrit/two-qutrit linear algebra, the 3x3 coupler, Born rule
+    core      -- qutrit/two-qutrit kets and the 3x3 coupler
     source    -- interferometer model: one amplitude kernel, its outcome tables and
                  central-peak state, and the seeded draws from them
     timetags  -- seeded Monte Carlo time-tag streams, coincidences, histograms
@@ -17,18 +17,10 @@ import os
 # numpy's OpenBLAS starts nproc - 1 worker threads when it loads; on a 2-core
 # host that adds 50-90 ms of wall time (about 70 ms of CPU) to every process.
 # No BLAS call here can use a second thread: the largest are the 240 x 7
-# tone-fit designs and a 9 x 9 eigvalsh. A value the user set is kept.
+# tone-fit designs. A value the user set is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .core import (
-    DensityOperator,
-    PureState,
-    add_white_noise,
-    born_probability,
-    maximally_entangled_pair,
-    normalize,
-    tritter,
-)
+from .core import PureState, normalize, tritter
 from .source import (
     ArmPhases,
     CouplerRatios,

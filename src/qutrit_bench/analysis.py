@@ -16,13 +16,12 @@ violation.  All plain numpy.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityOperator, tritter
+from .core import tritter
 from .errors import DegenerateStateError, FitError, NoFringeError
 
 _IRLS_PASSES = 4  # passes weighted by 1/model after the unweighted one
@@ -56,9 +55,6 @@ class FringeScan:
         ct.setflags(write=False)
         object.__setattr__(self, "setpoints", sp)
         object.__setattr__(self, "counts", ct)
-
-    def __len__(self) -> int:
-        return self.setpoints.size
 
 
 @dataclass(frozen=True)
@@ -349,15 +345,16 @@ def _outcome_matrix(phases: np.ndarray) -> np.ndarray:
 _BOB_RELABEL = np.array([(3 - k) % 3 for k in range(3)])
 
 
-def cglmp_probability_table(rho: DensityOperator, settings: CglmpSettings) -> np.ndarray:
-    """P[a, b, alice_trit, bob_trit] for the four setting combinations."""
-    if rho.dim != 9:
-        raise ValueError("Bell functional needs a two-qutrit (9-dimensional) state")
+def cglmp_probability_table(rho: np.ndarray, settings: CglmpSettings) -> np.ndarray:
+    """P[a, b, alice_trit, bob_trit] for the four setting combinations of a
+    two-qutrit density matrix `rho` (9 x 9, in the product basis)."""
+    if np.shape(rho) != (9, 9):
+        raise ValueError(f"Bell functional needs a 9 x 9 density matrix, got shape {np.shape(rho)}")
     mats_a = np.array([_outcome_matrix(phases) for phases in settings.alice])
     mats_b = np.array([_outcome_matrix(phases) for phases in settings.bob])
     # Outcome amplitude rows <j_a, k_b| as 9-vectors, indexed [a, b, j, k].
     rows = np.einsum("ajp,bkq->abjkpq", mats_a, mats_b).reshape(2, 2, 3, 3, 9)
-    probs = np.einsum("abjkx,xy,abjky->abjk", rows, rho.matrix, rows.conj()).real
+    probs = np.einsum("abjkx,xy,abjky->abjk", rows, rho, rows.conj()).real
     table = np.empty((2, 2, 3, 3))
     table[..., _BOB_RELABEL] = probs
     return table
@@ -374,19 +371,9 @@ def i3_from_probability_table(table: np.ndarray) -> float:
     return float(plus - minus)
 
 
-def cglmp_value(rho: DensityOperator, settings: CglmpSettings) -> float:
+def cglmp_value(rho: np.ndarray, settings: CglmpSettings) -> float:
     """Bell value I3 of `rho` at the given measurement settings."""
     return i3_from_probability_table(cglmp_probability_table(rho, settings))
-
-
-def local_deterministic_values() -> np.ndarray:
-    """I3 of all 81 deterministic local strategies (exact integers)."""
-    values = []
-    for a1, a2, b1, b2 in itertools.product(range(3), repeat=4):
-        table = np.zeros((2, 2, 3, 3))
-        table[0, 0, a1, b1] = table[0, 1, a1, b2] = table[1, 0, a2, b1] = table[1, 1, a2, b2] = 1.0
-        values.append(i3_from_probability_table(table))
-    return np.array(values)
 
 
 @dataclass(frozen=True)

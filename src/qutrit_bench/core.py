@@ -20,16 +20,6 @@ import numpy as np
 
 from .errors import DegenerateStateError
 
-# Tolerances: algebraic identities are checked to 1e-12; eigenvalue
-# positivity to 1e-10 (accumulated rounding in 9x9 diagonalization).
-ALGEBRA_TOL = 1e-12
-POSITIVITY_TOL = 1e-10
-
-
-def joint_index(alice_path: int, bob_path: int) -> int:
-    """Index of |alice_path, bob_path> in the 9-dimensional product basis."""
-    return 3 * alice_path + bob_path
-
 
 @dataclass(frozen=True)
 class PureState:
@@ -60,34 +50,6 @@ class PureState:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def projector(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
-
-
-@dataclass(frozen=True)
-class DensityOperator:
-    """A trace-one, Hermitian, positive-semidefinite operator."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] not in (3, 9):
-            raise ValueError(f"density operator must be 3x3 or 9x9, got shape {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > ALGEBRA_TOL:
-            raise ValueError("density operator is not Hermitian")
-        if abs(np.trace(mat).real - 1.0) > ALGEBRA_TOL:
-            raise ValueError(f"density operator trace {np.trace(mat).real!r} != 1")
-        if np.linalg.eigvalsh(mat).min() < -POSITIVITY_TOL:
-            raise ValueError("density operator has a significantly negative eigenvalue")
-        mat = mat.copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 _TRITTER = np.exp(2j * np.pi * np.outer(np.arange(3), np.arange(3)) / 3.0) / np.sqrt(3.0)
 _TRITTER.setflags(write=False)
@@ -103,14 +65,6 @@ def tritter() -> np.ndarray:
     return _TRITTER
 
 
-def maximally_entangled_pair() -> PureState:
-    """(|ss> + |mm> + |ll>) / sqrt(3) in the 9-dimensional product basis."""
-    amps = np.zeros(9, dtype=complex)
-    for p in range(3):
-        amps[joint_index(p, p)] = 1.0 / np.sqrt(3.0)
-    return PureState(amps)
-
-
 def normalize(state: PureState) -> PureState:
     """Scale `state` to unit norm, preserving its direction.
 
@@ -120,34 +74,3 @@ def normalize(state: PureState) -> PureState:
     if n < 1e-300:
         raise DegenerateStateError("cannot normalize a zero state vector")
     return PureState(state.amplitudes / n)
-
-
-def add_white_noise(psi: PureState, lam: float) -> DensityOperator:
-    """Mix a pure state with symmetric noise: lam |psi><psi| + (1-lam) I/dim.
-
-    `lam` = 1 returns the pure projector, `lam` = 0 the maximally mixed
-    state; the map is affine in `lam` entrywise.
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"mixing weight must lie in [0, 1], got {lam!r}")
-    if abs(psi.norm() - 1.0) > 1e-9:
-        psi = normalize(psi)
-    dim = psi.dim
-    mat = lam * psi.projector() + (1.0 - lam) * np.eye(dim) / dim
-    return DensityOperator(mat)
-
-
-def born_probability(rho: DensityOperator, outcome: PureState) -> float:
-    """Probability <outcome| rho |outcome>, clamped to [0, 1].
-
-    `outcome` must be normalized and match the operator's dimension.
-    """
-    if rho.dim != outcome.dim:
-        raise ValueError(f"dimension mismatch: operator {rho.dim}, outcome {outcome.dim}")
-    if abs(outcome.norm() - 1.0) > 1e-9:
-        raise ValueError("outcome state must be normalized")
-    v = outcome.amplitudes
-    p = float(np.real(np.vdot(v, rho.matrix @ v)))
-    if p < -POSITIVITY_TOL or p > 1.0 + POSITIVITY_TOL:
-        raise ValueError(f"Born probability {p!r} outside [0, 1] beyond tolerance")
-    return min(max(p, 0.0), 1.0)

@@ -14,7 +14,8 @@ every larger offset.  An Alice and a Bob tag in reach of each other, with
 no other tag within the window on either side, are matched at once; every
 other candidate goes through the nearest-first greedy loop (see
 `find_coincidences`).  Each record is one offset in an array of one byte
-per tag, read in stream order a block at a time into exact-size columns, so
+per tag, read in stream order a block at a time into three exact-size
+columns: Alice's detector, Bob's and dt = t_A - t_B, 10 bytes a record.  So
 matching holds the stream, its records, that array and a few block-sized
 temporaries; the histogram and the peak areas bin a block at a time too.
 
@@ -164,22 +165,19 @@ class TimeTagStream:
     def __len__(self) -> int:
         return self.time_ps.size
 
-    def is_sorted(self) -> bool:
-        t = self.time_ps
-        return bool(np.all(t[1:] >= t[:-1]))
-
 
 @dataclass(frozen=True)
 class CoincidenceSet:
-    """Matched Alice/Bob detection pairs, column-wise."""
+    """Matched Alice/Bob detection pairs, column-wise, in Alice-time order:
+    the two detectors and the arrival-time difference, all that the
+    histogram, the peak areas and the post-selection read."""
 
     alice_detector: np.ndarray
     bob_detector: np.ndarray
     delta_t_ps: np.ndarray  # t_A - t_B
-    abs_time_ps: np.ndarray  # t_A
 
     def __post_init__(self):
-        for name in ("alice_detector", "bob_detector", "delta_t_ps", "abs_time_ps"):
+        for name in ("alice_detector", "bob_detector", "delta_t_ps"):
             getattr(self, name).setflags(write=False)
 
     def __len__(self) -> int:
@@ -197,9 +195,6 @@ class Histogram:
 
     bin_width_ps: float
     bins: dict
-
-    def total(self) -> int:
-        return int(sum(self.bins.values()))
 
     def bin_center_ps(self, index: int) -> float:
         return index * self.bin_width_ps
@@ -423,8 +418,9 @@ def find_coincidences(stream: TimeTagStream, max_delta_ps: float) -> Coincidence
     del alone, picked_a, picked_b
 
     # The records, counted first, are gathered block by block straight into
-    # their columns, in the order of their key tags.
-    abs_time, delta_t = np.empty(size, dtype=t.dtype), np.empty(size, dtype=t.dtype)
+    # their columns, in the order of their key tags; a block's Alice times
+    # are held only to form its dt.
+    delta_t = np.empty(size, dtype=t.dtype)
     alice_detector, bob_detector = np.empty(size, dtype=detector.dtype), np.empty(size, dtype=detector.dtype)
     end = 0
     for start in range(0, offsets.size, _BLOCK):
@@ -437,16 +433,16 @@ def find_coincidences(stream: TimeTagStream, max_delta_ps: float) -> Coincidence
         bob_first = party[pos]
         pos += bob_first
         # Every position is in range, so "clip" only spares `take` a buffered output.
-        t.take(pos, out=abs_time[rows], mode="clip")
         detector.take(pos, out=alice_detector[rows], mode="clip")
+        t_a = t.take(pos)
         pos -= bob_first
         pos -= bob_first
         pos += offset
         t.take(pos, out=delta_t[rows], mode="clip")
-        np.subtract(abs_time[rows], delta_t[rows], out=delta_t[rows])
+        np.subtract(t_a, delta_t[rows], out=delta_t[rows])
         detector.take(pos, out=bob_detector[rows], mode="clip")
-        del pos, offset, bob_first  # before the next block's are made
-    return CoincidenceSet(alice_detector, bob_detector, delta_t, abs_time)
+        del pos, offset, bob_first, t_a  # before the next block's are made
+    return CoincidenceSet(alice_detector, bob_detector, delta_t)
 
 
 def build_histogram(coincidences: CoincidenceSet, unit_delay_ps: int) -> Histogram:

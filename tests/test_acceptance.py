@@ -18,8 +18,8 @@ from qutrit_bench.analysis import (
     FringeScan,
     bell_threshold_visibility,
     fit_central_fringe,
+    i3_from_probability_table,
     lambda_from_visibility,
-    local_deterministic_values,
     optimize_cglmp,
     phase_ratio,
     visibility,
@@ -41,7 +41,7 @@ from qutrit_bench.timetags import (
     post_select,
     simulate_run,
 )
-from test_references import central_fringe_model
+from test_references import central_fringe_model, local_strategy_tables
 
 UNIT_PS = 1200
 PEAK_WEIGHTS = {"outer_right": 1 / 9, "right": 2 / 9, "central": 3 / 9, "left": 2 / 9, "outer_left": 1 / 9}
@@ -166,7 +166,7 @@ def test_criterion_4_bell_threshold_chain():
 
 def test_criterion_5_local_bound():
     """All 81 deterministic local strategies give I3 <= 2, exactly."""
-    values = local_deterministic_values()
+    values = np.array([i3_from_probability_table(table) for table in local_strategy_tables()])
     ok = values.size == 81 and np.all(values <= 2.0) and np.max(values) == 2.0
     report(5, ok, f"{values.size} strategies, max I3 = {np.max(values)} (local bound 2)")
 

@@ -13,17 +13,15 @@ from qutrit_bench.analysis import (
     fit_central_fringe,
     i3_from_probability_table,
     lambda_from_visibility,
-    local_deterministic_values,
     optimize_cglmp,
     phase_ratio,
     sigma_violation,
     visibility,
     visibility_from_lambda,
 )
-from qutrit_bench.core import DensityOperator, add_white_noise, maximally_entangled_pair
 from qutrit_bench.errors import DegenerateStateError, FitError, NoFringeError
 from qutrit_bench.source import InterferometerConfig, step_distributions
-from test_references import central_fringe_model
+from test_references import MAXENT_PAIR, central_fringe_model, local_strategy_tables, white_noise_mixture
 
 
 def equal_rate_scan(lam, n_points=2000, periods=2.0, total_counts=3000.0, noise_seed=None):
@@ -245,7 +243,7 @@ class TestPhaseRatio:
 
     def test_flat_scan_rejected(self):
         left = self.satellite_scan(2.0)
-        flat = FringeScan(left.setpoints, np.full(len(left), 55.0))
+        flat = FringeScan(left.setpoints, np.full(left.setpoints.size, 55.0))
         with pytest.raises(NoFringeError):
             phase_ratio(left, flat, self.rates(2.0, 2.0))
 
@@ -295,7 +293,7 @@ MAXENT_I3 = 4.0 / (6.0 * np.sqrt(3.0) - 9.0)  # closed form of the qutrit maximu
 
 class TestBellFunctional:
     def test_white_noise_gives_zero(self):
-        rho = DensityOperator(np.eye(9) / 9.0)
+        rho = np.eye(9) / 9.0
         rng = np.random.default_rng(3)
         for _ in range(5):
             settings = CglmpSettings(rng.uniform(0, 2 * np.pi, (2, 3)), rng.uniform(0, 2 * np.pi, (2, 3)))
@@ -308,7 +306,7 @@ class TestBellFunctional:
 
     def test_optimum_settings_reach_optimum_value(self):
         optimum = optimize_cglmp()
-        rho = add_white_noise(maximally_entangled_pair(), 1.0)
+        rho = white_noise_mixture(MAXENT_PAIR, 1.0)
         assert cglmp_value(rho, optimum.settings) == pytest.approx(optimum.value, abs=1e-12)
 
     def test_known_linear_settings_reach_maximum(self):
@@ -321,29 +319,34 @@ class TestBellFunctional:
             alice=np.array([linear(0.0), linear(np.pi / 3)]),
             bob=np.array([linear(np.pi / 6), linear(-np.pi / 6)]),
         )
-        rho = add_white_noise(maximally_entangled_pair(), 1.0)
+        rho = white_noise_mixture(MAXENT_PAIR, 1.0)
         assert cglmp_value(rho, settings) == pytest.approx(MAXENT_I3, abs=1e-9)
 
     def test_affine_in_mixing_weight(self):
         rng = np.random.default_rng(17)
-        psi = maximally_entangled_pair()
         for _ in range(5):
             settings = CglmpSettings(rng.uniform(0, 2 * np.pi, (2, 3)), rng.uniform(0, 2 * np.pi, (2, 3)))
-            pure = cglmp_value(add_white_noise(psi, 1.0), settings)
+            pure = cglmp_value(white_noise_mixture(MAXENT_PAIR, 1.0), settings)
             for lam in (0.2, 0.7):
-                mixed = cglmp_value(add_white_noise(psi, lam), settings)
+                mixed = cglmp_value(white_noise_mixture(MAXENT_PAIR, lam), settings)
                 assert mixed == pytest.approx(lam * pure, abs=1e-10)
 
     def test_random_settings_never_beat_optimum(self):
         rng = np.random.default_rng(23)
-        rho = add_white_noise(maximally_entangled_pair(), 1.0)
+        rho = white_noise_mixture(MAXENT_PAIR, 1.0)
         best = optimize_cglmp().value
         for _ in range(200):
             settings = CglmpSettings(rng.uniform(0, 2 * np.pi, (2, 3)), rng.uniform(0, 2 * np.pi, (2, 3)))
             assert cglmp_value(rho, settings) <= best + 1e-9
 
+    def test_needs_a_nine_by_nine_matrix(self):
+        optimum = optimize_cglmp()
+        for rho in (np.eye(3) / 3.0, MAXENT_PAIR, np.eye(9)[None] / 9.0):
+            with pytest.raises(ValueError, match="9 x 9"):
+                cglmp_value(rho, optimum.settings)
+
     def test_local_deterministic_bound(self):
-        values = local_deterministic_values()
+        values = np.array([i3_from_probability_table(table) for table in local_strategy_tables()])
         assert values.size == 81
         assert np.max(values) == pytest.approx(2.0, abs=1e-12)
         assert np.all(values <= 2.0 + 1e-9)

@@ -1,17 +1,9 @@
 import numpy as np
 import pytest
 
-from qutrit_bench.core import (
-    DensityOperator,
-    PureState,
-    add_white_noise,
-    born_probability,
-    joint_index,
-    maximally_entangled_pair,
-    normalize,
-    tritter,
-)
+from qutrit_bench.core import PureState, normalize, tritter
 from qutrit_bench.errors import DegenerateStateError
+from test_references import MAXENT_PAIR, born_probability, joint_index, white_noise_mixture
 from test_source import wrap_phase
 
 
@@ -73,74 +65,71 @@ class TestNormalize:
         assert np.max(np.abs(ratio - ratio[0])) < 1e-12
 
 
+# The white-noise mixture and Born probability oracles that the Bell, source
+# and protocol tests read from tests/test_references.py.
+
+
+def random_ket(rng):
+    return normalize(PureState(rng.normal(size=9) + 1j * rng.normal(size=9))).amplitudes
+
+
 class TestAddWhiteNoise:
     def test_pure_limit(self):
-        psi = maximally_entangled_pair()
-        rho = add_white_noise(psi, 1.0)
-        assert np.max(np.abs(rho.matrix - psi.projector())) < 1e-12
+        rho = white_noise_mixture(MAXENT_PAIR, 1.0)
+        assert np.max(np.abs(rho - np.outer(MAXENT_PAIR, MAXENT_PAIR))) < 1e-12
 
     def test_flat_limit_is_state_independent(self):
         rng = np.random.default_rng(5)
         for _ in range(3):
-            psi = normalize(PureState(rng.normal(size=9) + 1j * rng.normal(size=9)))
-            rho = add_white_noise(psi, 0.0)
-            assert np.max(np.abs(rho.matrix - np.eye(9) / 9.0)) < 1e-12
+            rho = white_noise_mixture(random_ket(rng), 0.0)
+            assert np.max(np.abs(rho - np.eye(9) / 9.0)) < 1e-12
 
     def test_affine_in_mixing_weight(self):
-        psi = maximally_entangled_pair()
-        full = add_white_noise(psi, 1.0).matrix
-        flat = add_white_noise(psi, 0.0).matrix
+        full = white_noise_mixture(MAXENT_PAIR, 1.0)
+        flat = white_noise_mixture(MAXENT_PAIR, 0.0)
         for lam in (0.1, 0.5, 0.9688):
-            mixed = add_white_noise(psi, lam).matrix
+            mixed = white_noise_mixture(MAXENT_PAIR, lam)
             assert np.max(np.abs(mixed - (lam * full + (1 - lam) * flat))) < 1e-12
 
     def test_operator_invariants(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
-            psi = normalize(PureState(rng.normal(size=9) + 1j * rng.normal(size=9)))
-            rho = add_white_noise(psi, rng.uniform(0, 1))
-            mat = rho.matrix
+            mat = white_noise_mixture(random_ket(rng), rng.uniform(0, 1))
             assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
             assert np.trace(mat).real == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.eigvalsh(mat).min() > -1e-10
 
     def test_out_of_range_weight_rejected(self):
-        psi = maximally_entangled_pair()
         with pytest.raises(ValueError):
-            add_white_noise(psi, 1.5)
+            white_noise_mixture(MAXENT_PAIR, 1.5)
         with pytest.raises(ValueError):
-            add_white_noise(psi, -0.1)
+            white_noise_mixture(MAXENT_PAIR, -0.1)
 
 
 class TestBornProbability:
     def test_projector_on_own_state(self):
-        psi = PureState(np.eye(9)[0])
-        rho = add_white_noise(psi, 1.0)
+        psi = np.eye(9)[0]
+        rho = white_noise_mixture(psi, 1.0)
         assert born_probability(rho, psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_flat_state_gives_one_ninth(self):
-        rho = DensityOperator(np.eye(9) / 9.0)
         rng = np.random.default_rng(7)
         for _ in range(5):
-            outcome = normalize(PureState(rng.normal(size=9) + 1j * rng.normal(size=9)))
-            assert born_probability(rho, outcome) == pytest.approx(1.0 / 9.0, abs=1e-12)
+            assert born_probability(np.eye(9) / 9.0, random_ket(rng)) == pytest.approx(1.0 / 9.0, abs=1e-12)
 
     def test_half_mixture_on_target_state(self):
-        psi = maximally_entangled_pair()
-        rho = add_white_noise(psi, 0.5)
+        rho = white_noise_mixture(MAXENT_PAIR, 0.5)
         expected = 0.5 * 1.0 + 0.5 / 9.0  # direct matrix arithmetic
-        assert born_probability(rho, psi) == pytest.approx(expected, abs=1e-12)
+        assert born_probability(rho, MAXENT_PAIR) == pytest.approx(expected, abs=1e-12)
 
     def test_dimension_mismatch_rejected(self):
-        rho = DensityOperator(np.eye(3) / 3.0)
         with pytest.raises(ValueError):
-            born_probability(rho, PureState(np.eye(9)[0]))
+            born_probability(np.eye(3) / 3.0, np.eye(9)[0])
 
     def test_complete_basis_sums_to_one(self):
         rng = np.random.default_rng(13)
-        psi = normalize(PureState(rng.normal(size=9) + 1j * rng.normal(size=9)))
-        rho = add_white_noise(psi, 0.7)
+        rho = white_noise_mixture(random_ket(rng), 0.7)
         # random orthonormal 9-basis from a QR decomposition
         q, _ = np.linalg.qr(rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
-        total = sum(born_probability(rho, PureState(q[:, i])) for i in range(9))
+        total = sum(born_probability(rho, q[:, i]) for i in range(9))
         assert total == pytest.approx(1.0, abs=1e-10)

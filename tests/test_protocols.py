@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qutrit_bench.core import DensityOperator, PureState, add_white_noise, born_probability
 from qutrit_bench.errors import ConfigurationError
 from qutrit_bench.protocols import (
     BASIS_IDS,
@@ -17,18 +16,16 @@ from qutrit_bench.protocols import (
     run_qkd,
 )
 from qutrit_bench.source import ArmPhases, CouplerRatios, InterferometerConfig, central_state
+from test_references import born_probability, white_noise_mixture
 
 LAMBDAS = (1.0, 0.9688, 0.8)
 
 
 def born_table(cfg, lam, alice, bob):
     """P(t, u): the noisy central path state on Alice's ket t and conj(Bob's ket u)."""
-    rho = add_white_noise(central_state(cfg, 0, 0), lam)
+    rho = white_noise_mixture(central_state(cfg, 0, 0).amplitudes, lam)
     return np.array(
-        [
-            [born_probability(rho, PureState(np.kron(alice.vectors[t], bob.vectors[u].conj()))) for u in range(3)]
-            for t in range(3)
-        ]
+        [[born_probability(rho, np.kron(alice.vectors[t], bob.vectors[u].conj())) for u in range(3)] for t in range(3)]
     )
 
 
@@ -297,11 +294,9 @@ class TestCoinToss:
         lam = 0.7
         # oracle: Born probability on the mixed herald state confined to the
         # two-dimensional subspace
-        h = herald_state("left", 0, InterferometerConfig())
-        support = np.abs(h.amplitudes) > 0
-        rho = DensityOperator(
-            lam * h.projector() + (1 - lam) * np.diag(support.astype(complex)) / 2.0
-        )
+        h = herald_state("left", 0, InterferometerConfig()).amplitudes
+        support = np.diag(np.abs(h) > 0)
+        rho = lam * np.outer(h, h.conj()) + (1 - lam) * support / 2.0
         expected = born_probability(rho, h)
         assert expected == pytest.approx((1 + lam) / 2, abs=1e-12)
         summary = run_coin_toss(rounds=200000, lam=lam, seed=2)
@@ -317,10 +312,10 @@ class TestCoinToss:
         cfg = InterferometerConfig(alice=ArmPhases(phi_m=delta, phi_l=2.0 * delta))
         expected = (1.0 + lam * np.cos(delta)) / 2.0
         for side in ("left", "right"):
-            h = herald_state(side, 0, cfg)
-            support = np.diag((np.abs(h.amplitudes) > 0).astype(complex))
-            rho = DensityOperator(lam * h.projector() + (1.0 - lam) * support / 2.0)
-            assert born_probability(rho, herald_state(side, 0, InterferometerConfig())) == pytest.approx(
+            h = herald_state(side, 0, cfg).amplitudes
+            support = np.diag(np.abs(h) > 0)
+            rho = lam * np.outer(h, h.conj()) + (1.0 - lam) * support / 2.0
+            assert born_probability(rho, herald_state(side, 0, InterferometerConfig()).amplitudes) == pytest.approx(
                 expected, abs=1e-12
             )
         summary = run_coin_toss(rounds=200000, lam=lam, seed=24, interferometer=cfg)

@@ -16,7 +16,9 @@ cos phi_l + cos(phi_r + phi_l))] / 27 and the satellite law
 [1 + lam*cos theta] / 9 with their phases, and the central fringe of a
 two-rate scan (`central_fringe_model`) are the source's former second
 model; the kernel replaced them, and the physics tests of the other
-modules read them from here.  They stay here as test oracles only.
+modules read them from here.  They stay here as test oracles only, as do
+the white-noise mixture, the Born probability and the 81 deterministic
+local strategies, in plain numpy, that `core` and `analysis` once held.
 `Generator.choice` is also the oracle of
 the guide-table outcome sampler, draw for draw, and `joint_distribution`
 of each step's configuration the oracle of the batched step tables.  The
@@ -34,6 +36,7 @@ import contextlib
 import copy
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -54,15 +57,7 @@ from qutrit_bench.analysis import (
     optimize_cglmp,
 )
 from qutrit_bench.cli import CONFIG_SCHEMA, DEFAULT_CONFIG, _config_error, _deep_merge
-from qutrit_bench.core import (
-    DensityOperator,
-    PureState,
-    add_white_noise,
-    joint_index,
-    maximally_entangled_pair,
-    normalize,
-    tritter,
-)
+from qutrit_bench.core import PureState, normalize, tritter
 from qutrit_bench.errors import OrderingError
 from qutrit_bench import protocols, source, timetags
 from qutrit_bench.protocols import BASIS_IDS, QKD_MODES, EveModel, herald_state, run_qkd
@@ -100,6 +95,36 @@ U = tritter()
 # --------------------------------------------------------------------------
 # Frozen reference implementations
 # --------------------------------------------------------------------------
+
+
+def joint_index(alice_path, bob_path):
+    """Index of |alice_path, bob_path> in the 9-dimensional product basis."""
+    return 3 * alice_path + bob_path
+
+
+MAXENT_PAIR = np.eye(3).reshape(9) / np.sqrt(3.0)  # (|ss> + |mm> + |ll>) / sqrt(3)
+
+
+def white_noise_mixture(psi, lam):
+    """lam |psi><psi| + (1 - lam) I / dim of a unit ket `psi`, as a matrix."""
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"mixing weight must lie in [0, 1], got {lam!r}")
+    psi = np.asarray(psi, dtype=complex)
+    return lam * np.outer(psi, psi.conj()) + (1.0 - lam) * np.eye(psi.size) / psi.size
+
+
+def born_probability(rho, outcome):
+    """<outcome| rho |outcome> of a density matrix and a unit ket."""
+    return float(np.vdot(outcome, rho @ outcome).real)
+
+
+def local_strategy_tables():
+    """P[a, b, alice_trit, bob_trit] of the 81 deterministic local strategies:
+    Alice answers a1 at her setting 0 and a2 at 1, Bob b1 and b2."""
+    tables = np.zeros((81, 2, 2, 3, 3))
+    for i, (a1, a2, b1, b2) in enumerate(itertools.product(range(3), repeat=4)):
+        tables[i, 0, 0, a1, b1] = tables[i, 0, 1, a1, b2] = tables[i, 1, 0, a2, b1] = tables[i, 1, 1, a2, b2] = 1.0
+    return tables
 
 
 def _arm_amplitudes(cfg):
@@ -234,8 +259,7 @@ def reference_cglmp_probability_table(rho, cglmp_settings):
                 ket_a = mats_a[a][j].conj()
                 for k in range(3):
                     ket = np.kron(ket_a, mats_b[b][k].conj())
-                    p = float(np.real(np.vdot(ket, rho.matrix @ ket)))
-                    table[a, b, j, _BOB_RELABEL[k]] = p
+                    table[a, b, j, _BOB_RELABEL[k]] = born_probability(rho, ket)
     return table
 
 
@@ -347,7 +371,7 @@ def reference_simulate_run(cfg):
 
 def reference_find_coincidences(stream, max_delta_ps):
     """Greedy nearest-first matching, one Python step per candidate pair."""
-    if not stream.is_sorted():
+    if np.any(np.diff(stream.time_ps) < 0):
         raise OrderingError("time-tag stream must be sorted by time")
     is_a = stream.party == 0
     t_a = stream.time_ps[is_a]
@@ -360,10 +384,7 @@ def reference_find_coincidences(stream, max_delta_ps):
     counts = hi - lo
     total = int(counts.sum())
     if total == 0:
-        empty_i = np.empty(0, dtype=np.int64)
-        return CoincidenceSet(
-            np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.uint8), empty_i, empty_i.copy()
-        )
+        return CoincidenceSet(np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64))
     ai = np.repeat(np.arange(t_a.size), counts)
     bi = np.repeat(lo, counts) + (np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts))
     dist = np.abs(t_a[ai] - t_b[bi])
@@ -385,12 +406,7 @@ def reference_find_coincidences(stream, max_delta_ps):
     time_order = np.argsort(t_a[a_sel], kind="stable")
     a_sel = a_sel[time_order]
     b_sel = b_sel[time_order]
-    return CoincidenceSet(
-        d_a[a_sel],
-        d_b[b_sel],
-        (t_a[a_sel] - t_b[b_sel]).astype(np.int64),
-        t_a[a_sel].astype(np.int64),
-    )
+    return CoincidenceSet(d_a[a_sel], d_b[b_sel], (t_a[a_sel] - t_b[b_sel]).astype(np.int64))
 
 
 def reference_histogram_bins(coincidences, unit_delay_ps):
@@ -582,8 +598,8 @@ def test_herald_state_matches_reference(peak, detector, cfg):
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
 def test_cglmp_table_matches_reference_loop(seed, lam):
     rng = np.random.default_rng(seed)
-    psi = PureState(rng.normal(size=9) + 1j * rng.normal(size=9))
-    rho = add_white_noise(normalize(psi), lam)
+    psi = normalize(PureState(rng.normal(size=9) + 1j * rng.normal(size=9)))
+    rho = white_noise_mixture(psi.amplitudes, lam)
     angles = rng.uniform(-10.0, 10.0, (4, 3))
     cglmp_settings = CglmpSettings(angles[:2], angles[2:])
     table = cglmp_probability_table(rho, cglmp_settings)
@@ -599,7 +615,7 @@ def test_search_never_beats_closed_form_and_reaches_it():
 
 
 def test_search_objective_agrees_with_table_path():
-    rho = DensityOperator(maximally_entangled_pair().projector())
+    rho = white_noise_mixture(MAXENT_PAIR, 1.0)
     optimum = optimize_cglmp()
     flat = np.concatenate([optimum.settings.alice, optimum.settings.bob]).ravel()
     table = cglmp_probability_table(rho, optimum.settings)
@@ -775,7 +791,7 @@ def test_simulate_run_matches_reference_near_the_time_limit():
 
 
 def assert_same_coincidences(found, reference):
-    for name in ("alice_detector", "bob_detector", "delta_t_ps", "abs_time_ps"):
+    for name in ("alice_detector", "bob_detector", "delta_t_ps"):
         got, want = getattr(found, name), getattr(reference, name)
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
@@ -895,11 +911,13 @@ def test_find_coincidences_matches_reference_with_darks_and_jitter():
 
 
 def test_find_coincidences_memory_is_bounded():
-    # 172k tags give 72k records (1.3 MB), three blocks.  Read from one byte
-    # of offset per tag, block by block, the matcher peaks at 1.8 MB; merging
-    # the picks into each block's runs of two peaked at 2.0 MB, full-size
-    # position arrays at 1.9 MB, and merging the picks by concatenate and
-    # argsort and gathering from every position array at once took 4.4 MB.
+    # 172k tags give 72k records (0.72 MB), three blocks.  Read from one byte
+    # of offset per tag, block by block, the matcher peaks at 1.5 MB; with
+    # the Alice time as a fourth column (1.3 MB of records) it peaked at
+    # 1.8 MB, merging the picks into each block's runs of two at 2.0 MB,
+    # full-size position arrays at 1.9 MB, and merging the picks by
+    # concatenate and argsort and gathering from every position array at
+    # once took 4.4 MB.
     stream, max_delta_ps = realistic_stream()
     found, peak = traced_peak(find_coincidences, stream, max_delta_ps)
     assert len(found) > 70_000
@@ -918,15 +936,18 @@ def test_simulate_run_memory_is_bounded_at_full_size():
 
 
 def test_find_coincidences_memory_is_bounded_at_full_size():
-    # 1.7M tags give 723k records (13 MB).  Gathered block by block into
-    # exact-size columns from a 1.7 MB array of one offset byte per tag, the
-    # matcher peaks at 1.16 times the records; a mask of runs of two with the
-    # picks merged in by block peaked at 1.18 times, full-size position arrays
+    # 1.7M tags give 723k records of three columns (7.2 MB).  Gathered block
+    # by block into exact-size columns from a 1.7 MB array of one offset byte
+    # per tag, the matcher peaks at 9.6 MB, against a bound of 9.9 MB.  With
+    # the Alice time as a fourth column the records were 13 MB and the peak
+    # 1.16 times them; a mask of runs of two with the picks merged in by
+    # block peaked at 1.18 times those records, full-size position arrays
     # with the picks inserted at 1.48 times, a fresh array at each step at 3.4.
     stream, max_delta_ps = realistic_stream(5.0)
     found, peak = traced_peak(find_coincidences, stream, max_delta_ps)
     assert len(found) > 700_000
-    assert peak < 1.2 * nbytes(found, ("alice_detector", "bob_detector", "delta_t_ps", "abs_time_ps"))
+    # The records, one offset byte per tag and 1 MB of block temporaries.
+    assert peak < nbytes(found, ("alice_detector", "bob_detector", "delta_t_ps")) + len(stream) + 1_000_000
 
 
 def test_binning_memory_is_bounded_at_full_size():
@@ -966,7 +987,6 @@ def peak_window_records(draw):
         (np.arange(n) % 3).astype(np.uint8),
         (np.arange(n) // 3 % 3).astype(np.uint8),
         np.array(dt, dtype=np.int64),
-        np.arange(n, dtype=np.int64),
     )
     return coincidences, half_width, unit
 

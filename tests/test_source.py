@@ -13,13 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qutrit_bench.core import (
-    PureState,
-    add_white_noise,
-    born_probability,
-    joint_index,
-    tritter,
-)
+from qutrit_bench.core import tritter
 from qutrit_bench.errors import DegenerateStateError
 from qutrit_bench.protocols import herald_state
 from qutrit_bench.source import (
@@ -34,7 +28,13 @@ from qutrit_bench.source import (
     pair_amplitudes,
     step_distributions,
 )
-from test_references import reference_central_probability, reference_satellite_probability
+from test_references import (
+    born_probability,
+    joint_index,
+    reference_central_probability,
+    reference_satellite_probability,
+    white_noise_mixture,
+)
 
 TWO_PI_THIRD = 2.0 * np.pi / 3.0
 
@@ -345,9 +345,9 @@ class TestJointDistribution:
             )
             for p in range(3):
                 amps[joint_index(p, p)] = np.exp(1j * pre_phases[p]) / np.sqrt(3.0)
-            rho = add_white_noise(PureState(amps), lam)
+            rho = white_noise_mixture(amps, lam)
             j, k = rng.integers(0, 3, size=2)
-            outcome = PureState(np.kron(np.conj(u[j, :]), np.conj(u[k, :])))
+            outcome = np.kron(np.conj(u[j, :]), np.conj(u[k, :]))
             assert born_probability(rho, outcome) == pytest.approx(
                 central_law(cfg, lam)[j, k], abs=1e-10
             )

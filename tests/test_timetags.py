@@ -97,7 +97,7 @@ class TestSimulateRun:
 
     def test_stream_is_time_sorted(self):
         stream = simulate_run(ideal_config(duration_s=0.1, seed=3))
-        assert stream.is_sorted()
+        assert np.all(np.diff(stream.time_ps) >= 0)
 
     def test_central_zero_phase_detector_fraction(self):
         # at zero phases the (0,0) cell takes 1/3 of the central peak
@@ -121,7 +121,6 @@ class TestFindCoincidences:
         assert found.delta_t_ps[0] == +1200  # t_A - t_B
         assert found.alice_detector[0] == 1
         assert found.bob_detector[0] == 2
-        assert found.abs_time_ps[0] == 1_001_200
 
     def test_isolated_singles_do_not_pair(self):
         stream = TimeTagStream(
@@ -220,7 +219,7 @@ class TestHistogram:
         cfg = ideal_config(duration_s=0.2, seed=5)
         coincidences = run_and_match(cfg)
         hist = build_histogram(coincidences, UNIT_PS)
-        assert hist.total() == len(coincidences)
+        assert sum(hist.bins.values()) == len(coincidences)
 
     def test_ideal_run_peaks_sit_exactly_on_centers(self):
         # with zero jitter the five dominant bins sit exactly on the peak
@@ -230,7 +229,7 @@ class TestHistogram:
         by_count = sorted(hist.bins, key=hist.bins.get, reverse=True)
         top_centers = {hist.bin_center_ps(i) for i in by_count[:5]}
         assert top_centers == {-2400.0, -1200.0, 0.0, 1200.0, 2400.0}
-        top_share = sum(hist.bins[i] for i in by_count[:5]) / hist.total()
+        top_share = sum(hist.bins[i] for i in by_count[:5]) / sum(hist.bins.values())
         assert top_share > 0.998
 
     @settings(max_examples=300, deadline=None)
@@ -241,7 +240,7 @@ class TestHistogram:
         unit, dts = records
         dt = np.array(dts, dtype=np.int64)
         empty = np.zeros(dt.size, dtype=np.uint8)
-        hist = build_histogram(CoincidenceSet(empty, empty, dt, dt), unit)
+        hist = build_histogram(CoincidenceSet(empty, empty, dt), unit)
         assert hist.bins == dict(Counter(exact_bin(d, unit) for d in dts))
 
     def test_dt_beyond_int64_binning_range_rejected(self):
@@ -249,7 +248,7 @@ class TestHistogram:
         dt = np.array([0, -limit - 1], dtype=np.int64)
         empty = np.zeros(2, dtype=np.uint8)
         with pytest.raises(ValueError, match="int64"):
-            build_histogram(CoincidenceSet(empty, empty, dt, dt), UNIT_PS)
+            build_histogram(CoincidenceSet(empty, empty, dt), UNIT_PS)
 
     def test_unit_delay_must_be_a_positive_integer(self):
         coincidences = run_and_match(ideal_config(duration_s=0.01))
@@ -314,7 +313,7 @@ class TestCsvExports:
         lines = hist_path.read_text().strip().splitlines()
         assert lines[0] == "bin_center_ps,count"
         total = sum(int(line.split(",")[1]) for line in lines[1:])
-        assert total == hist.total()
+        assert total == sum(hist.bins.values())
 
 
 class TestDetectorImperfections:
