@@ -6,13 +6,13 @@ two-outcome projection in that subspace fixes the coin.  Honest execution is
 exact at full purity and degrades linearly with white noise.
 """
 
-from qutrit_bench.protocols import herald_state, run_coin_toss
-from qutrit_bench.source import InterferometerConfig
+from qutrit_bench.protocols import run_coin_toss
+from qutrit_bench.source import InterferometerConfig, herald_state
 
 print("satellite herald states (Bob's paths s, m, l), nominal interferometer:")
 for side in ("left", "right"):
     for detector in range(3):
-        amps = herald_state(side, detector, InterferometerConfig()).amplitudes
+        amps = herald_state(side, detector, InterferometerConfig())
         terms = " + ".join(
             f"({a.real:+.3f}{a.imag:+.3f}i)|{p}>" for p, a in zip("sml", amps) if abs(a) > 1e-12
         )

@@ -1,12 +1,13 @@
 """Desk-scale simulator and analysis toolkit for energy-time entangled qutrits.
 
 Submodules:
-    core      -- qutrit/two-qutrit kets and the 3x3 coupler
-    source    -- interferometer model: one amplitude kernel, its outcome tables and
-                 central-peak state, and the seeded draws from them
+    source    -- interferometer model: the 3x3 coupler, one amplitude kernel, its
+                 outcome tables, the central-peak and heralded states as plain
+                 arrays, and the seeded draws from them
     timetags  -- seeded Monte Carlo time-tag streams, coincidences, histograms
     analysis  -- visibility extraction, fringe fits, Bell-threshold inference
-    protocols -- heralded-qutrit key distribution and coin tossing
+    protocols -- mutually unbiased bases, heralded-qutrit key distribution and
+                 coin tossing
     cli       -- the `qutrit-bench` experiment runner
 """
 
@@ -20,16 +21,17 @@ import os
 # tone-fit designs. A value the user set is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .core import PureState, normalize, tritter
 from .source import (
     ArmPhases,
     CouplerRatios,
     InterferometerConfig,
     central_state,
     class_weights,
+    herald_state,
     joint_distribution,
     pair_amplitudes,
     step_distributions,
+    tritter,
 )
 from .timetags import (
     DetectorModel,
@@ -56,7 +58,6 @@ from .analysis import (
 )
 from .protocols import (
     EveModel,
-    herald_state,
     mub_bases,
     qber_thresholds,
     run_coin_toss,

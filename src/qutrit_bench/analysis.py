@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import tritter
 from .errors import DegenerateStateError, FitError, NoFringeError
+from .source import tritter
 
 _IRLS_PASSES = 4  # passes weighted by 1/model after the unweighted one
 _MODEL_FLOOR = 0.01  # of the mean count: the least model value a weight is taken from
@@ -59,15 +59,21 @@ class FringeScan:
 
 @dataclass(frozen=True)
 class FringeFit:
-    """Fringe extrema and contrast; the optional fields are filled by the central fit."""
+    """Fringe extrema and contrast."""
 
     i_max: float
     i_min: float
     visibility: float
-    lambda_hat: float = None
-    sigma_lambda: float = None
-    n_hat: float = None
-    residual: float = None
+
+
+@dataclass(frozen=True)
+class CentralFit:
+    """Central-fringe fit: lam-hat, its sigma, the rate ratio n-hat and the relative RMS residual."""
+
+    lambda_hat: float
+    sigma_lambda: float
+    n_hat: float
+    residual: float
 
 
 @dataclass(frozen=True)
@@ -259,7 +265,7 @@ def phase_ratio(left_scan: FringeScan, right_scan: FringeScan, rates: tuple) -> 
 # --------------------------------------------------------------------------
 
 
-def fit_central_fringe(scan: FringeScan, start: tuple) -> FringeFit:
+def fit_central_fringe(scan: FringeScan, start: tuple) -> CentralFit:
     """Fit of a central-peak scan to the two-phase fringe law from the drive
     rates `start` = (omega, n): the rates (|omega|, n*|omega|) are refined
     by `_refine_rates` (n = 1, the two-tone case, stays fixed), and lam and
@@ -299,16 +305,7 @@ def fit_central_fringe(scan: FringeScan, start: tuple) -> FringeFit:
             f"central fringe fit rejected: relative residual {rel_residual:.3f} > 0.2 "
             f"(lam={lam:.3f}, n={n_hat:.3f})"
         )
-    a = coef[0] / 3.0  # fringe-law extrema A*(3 + 6*lam) and A*(3 - 3*lam)
-    return FringeFit(
-        i_max=a * (3.0 + 6.0 * lam),
-        i_min=a * (3.0 - 3.0 * lam),
-        visibility=visibility_from_lambda(lam),
-        lambda_hat=lam,
-        sigma_lambda=sigma_lam,
-        n_hat=n_hat,
-        residual=rel_residual,
-    )
+    return CentralFit(lambda_hat=lam, sigma_lambda=sigma_lam, n_hat=n_hat, residual=rel_residual)
 
 
 # --------------------------------------------------------------------------

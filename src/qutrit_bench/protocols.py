@@ -26,17 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PureState, normalize
 from .errors import ConfigurationError
 from .source import (
-    CLASS_PATH_PAIRS,
     PEAK_CLASS,
     InterferometerConfig,
     central_state,
     class_weights,
     draw_below,
     draw_cells,
-    pair_amplitudes,
+    herald_state,
     substream,
 )
 
@@ -53,55 +51,18 @@ EVE_KINDS = ("none", "intercept_resend")
 _OMEGA = np.exp(2j * np.pi / 3.0)
 
 
-@dataclass(frozen=True)
-class Basis:
-    """An orthonormal qutrit basis; rows of `vectors` are the kets."""
-
-    id: str
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.vectors, dtype=complex)
-        if arr.shape != (3, 3):
-            raise ValueError("a qutrit basis needs three 3-vectors")
-        arr.setflags(write=False)
-        object.__setattr__(self, "vectors", arr)
-
-
-def mub_bases() -> tuple:
+def mub_bases() -> np.ndarray:
     """The computational basis plus three superposition bases, all pairwise
     mutually unbiased: any cross-basis overlap has |<e|f>|^2 = 1/3.
 
-    Superposition basis b has kets (|0> + w^t |1> + w^{2t+b} |2>)/sqrt(3),
-    w = exp(2*pi*i/3), t = 0..2.
+    A read-only (4, 3, 3) array in `BASIS_IDS` order; row t of basis b is
+    its ket t.  Superposition basis b has kets
+    (|0> + w^t |1> + w^{2t+b} |2>)/sqrt(3), w = exp(2*pi*i/3), t = 0..2.
     """
-    bases = [Basis("computational", np.eye(3, dtype=complex))]
-    for b in range(3):
-        vectors = np.array(
-            [[1.0, _OMEGA**t, _OMEGA ** (2 * t + b)] for t in range(3)], dtype=complex
-        ) / np.sqrt(3.0)
-        bases.append(Basis(f"fourier{b}", vectors))
-    return tuple(bases)
-
-
-def herald_state(alice_peak: str, alice_detector: int, cfg: InterferometerConfig) -> PureState:
-    """Bob's conditional single-photon state given Alice's detection.
-
-    A central-peak herald projects Bob onto a three-path superposition whose
-    phases follow Alice's dials and the coupler offsets; a satellite herald
-    projects onto the corresponding two-path subspace.
-    """
-    if alice_detector not in (0, 1, 2):
-        raise ValueError(f"detector index must be in {{0, 1, 2}}, got {alice_detector!r}")
-    if alice_peak not in PEAK_CLASS:
-        raise ValueError(f"peak must be 'central', 'left' or 'right', got {alice_peak!r}")
-    # Bob's detector 0 sees every path with the same factor 1/sqrt(3), so
-    # its slice of the kernel is Bob's path amplitudes up to normalization.
-    kernel = pair_amplitudes(cfg)
-    amps = np.zeros(3, dtype=complex)
-    for pa, pb in CLASS_PATH_PAIRS[PEAK_CLASS[alice_peak]]:
-        amps[pb] = kernel[pa, pb, alice_detector, 0]
-    return normalize(PureState(amps))
+    kets = [[[1.0, _OMEGA**t, _OMEGA ** (2 * t + b)] for t in range(3)] for b in range(3)]
+    bases = np.concatenate([np.eye(3, dtype=complex)[None], np.array(kets, dtype=complex) / np.sqrt(3.0)])
+    bases.setflags(write=False)
+    return bases
 
 
 # --------------------------------------------------------------------------
@@ -173,11 +134,11 @@ def _trit_tables(lam: float, cfg: InterferometerConfig, pool: tuple, eve: EveMod
     photon, with v from Bob's basis or, under attack, from Eve's.  Eve
     resends conj(e_s), which Bob's conj(b_u) then finds with |<e_s|b_u>|^2.
     """
-    vectors = np.stack([basis.vectors for basis in mub_bases()])
-    psi = central_state(cfg, 0, 0).amplitudes.reshape(3, 3)
-    ours = vectors[[BASIS_IDS.index(name) for name in pool]]
+    bases = mub_bases()
+    psi = central_state(cfg, 0, 0).reshape(3, 3)
+    ours = bases[[BASIS_IDS.index(name) for name in pool]]
     attacked = eve.kind == "intercept_resend"
-    first = vectors[[BASIS_IDS.index(name) for name in eve.basis_pool]] if attacked else ours
+    first = bases[[BASIS_IDS.index(name) for name in eve.basis_pool]] if attacked else ours
     tables = lam * np.abs(np.einsum("atp,pq,buq->abtu", ours.conj(), psi, first)) ** 2 + (1.0 - lam) / 9.0
     if attacked:
         resend = np.abs(np.einsum("esq,buq->ebsu", first.conj(), ours)) ** 2
@@ -340,7 +301,7 @@ def run_coin_toss(
         raise ConfigurationError("the coupler ratios leave a satellite peak empty")
     nominal = InterferometerConfig()
     p_left, p_right = (
-        lam * abs(herald_state(side, 0, nominal).overlap(herald_state(side, 0, interferometer))) ** 2
+        lam * abs(complex(np.vdot(herald_state(side, 0, nominal), herald_state(side, 0, interferometer)))) ** 2
         + (1.0 - lam) / 2.0
         for side in ("left", "right")
     )

@@ -33,6 +33,16 @@ and long two-photon terms acquire detector-dependent offsets
 coincidence probability depends on the detector pair (j, k) only through
 (j + k) mod 3.
 
+States are plain complex arrays.  A two-photon state is a 9-vector in the
+basis (ss, sm, sl, ms, mm, ml, ls, lm, ll): Alice's path is the major index
+and paths are ordered short < medium < long.  All modules share this
+ordering.  A heralded single-photon state is a 3-vector over Bob's paths.
+
+The symmetric 3x3 output coupler is the 3-dimensional discrete Fourier
+unitary `tritter`, entry (j, p) = exp(i 2*pi j p / 3) / sqrt(3).  Any
+lossless symmetric coupler is equivalent to this choice up to port
+relabeling and fixed port phases, which the arm phases absorb.
+
 `timetags` and `protocols` sample the model through the draws at the end:
 `substream` seeds each named draw, `draw_cells` is the one guide-table
 inverse CDF and `draw_below` the one blocked Bernoulli draw.
@@ -57,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PureState, normalize, tritter
+from .errors import DegenerateStateError
 
 # Path pairs (alice_path, bob_path) of each dt class, index 0..4 for
 # dt = -2..+2 unit delays, in ascending Alice path: the first pair is the
@@ -76,6 +86,20 @@ ALICE_LONG_ARM_TRIM = -2.0 * np.pi / 3.0
 BOB_LONG_ARM_TRIM = +2.0 * np.pi / 3.0
 
 _RATIO_TOL = 1e-12
+
+_TRITTER = np.exp(2j * np.pi * np.outer(np.arange(3), np.arange(3)) / 3.0) / np.sqrt(3.0)
+_TRITTER.setflags(write=False)
+
+
+def tritter() -> np.ndarray:
+    """The symmetric 3x3 coupler unitary (discrete Fourier convention).
+
+    Entry (j, p) = exp(i 2*pi j p / 3) / sqrt(3); all magnitudes 1/sqrt(3),
+    relative phases are integer multiples of 2*pi/3.  The matrix is built
+    once at import and returned read-only.
+    """
+    return _TRITTER
+
 
 # Output-coupler factors U[j, pa] * U[k, pb] of each path pair, indexed [pa, pb, j, k].
 _COUPLER_PAIRS = tritter().T[:, None, :, None] * tritter().T[None, :, None, :]
@@ -177,10 +201,18 @@ def pair_amplitudes(cfg: InterferometerConfig) -> np.ndarray:
     return _pair_amplitudes(*_arm_amplitudes(cfg))[0]
 
 
-def central_state(cfg: InterferometerConfig, j: int, k: int) -> PureState:
+def _unit(amps: np.ndarray) -> np.ndarray:
+    """`amps` scaled to unit norm; raises DegenerateStateError on a zero vector."""
+    n = float(np.linalg.norm(amps))
+    if n < 1e-300:
+        raise DegenerateStateError("cannot normalize a zero state vector")
+    return amps / n
+
+
+def central_state(cfg: InterferometerConfig, j: int, k: int) -> np.ndarray:
     """Post-selected two-photon state of the central peak at detectors (j, k).
 
-    Supported on {ss, mm, ll}:
+    A unit 9-vector supported on {ss, mm, ll}:
 
         sqrt(pA_s pB_s) |ss>
       + sqrt(pA_m pB_m) e^{i(alpha_m + beta_m + chi_m)} |mm>
@@ -192,7 +224,27 @@ def central_state(cfg: InterferometerConfig, j: int, k: int) -> PureState:
     if j not in (0, 1, 2) or k not in (0, 1, 2):
         raise ValueError(f"detector indices must be in {{0, 1, 2}}, got ({j!r}, {k!r})")
     diagonal = np.diagonal(pair_amplitudes(cfg)[:, :, j, k])  # ss, mm, ll: the central class
-    return normalize(PureState(np.diag(diagonal).reshape(9)))
+    return _unit(np.diag(diagonal).reshape(9))
+
+
+def herald_state(alice_peak: str, alice_detector: int, cfg: InterferometerConfig) -> np.ndarray:
+    """Bob's conditional single-photon state given Alice's detection, a unit 3-vector.
+
+    A central-peak herald projects Bob onto a three-path superposition whose
+    phases follow Alice's dials and the coupler offsets; a satellite herald
+    projects onto the corresponding two-path subspace.
+    """
+    if alice_detector not in (0, 1, 2):
+        raise ValueError(f"detector index must be in {{0, 1, 2}}, got {alice_detector!r}")
+    if alice_peak not in PEAK_CLASS:
+        raise ValueError(f"peak must be 'central', 'left' or 'right', got {alice_peak!r}")
+    # Bob's detector 0 sees every path with the same factor 1/sqrt(3), so
+    # its slice of the kernel is Bob's path amplitudes up to normalization.
+    kernel = pair_amplitudes(cfg)
+    amps = np.zeros(3, dtype=complex)
+    for pa, pb in CLASS_PATH_PAIRS[PEAK_CLASS[alice_peak]]:
+        amps[pb] = kernel[pa, pb, alice_detector, 0]
+    return _unit(amps)
 
 
 def _class_weights(amp_a: np.ndarray, amp_b: np.ndarray) -> np.ndarray:

@@ -27,12 +27,17 @@ from qutrit_bench.analysis import (
 from qutrit_bench.cli import main as cli_main
 from qutrit_bench.protocols import (
     EveModel,
-    herald_state,
     mub_bases,
     run_coin_toss,
     run_qkd,
 )
-from qutrit_bench.source import ArmPhases, InterferometerConfig, joint_distribution, step_distributions
+from qutrit_bench.source import (
+    ArmPhases,
+    InterferometerConfig,
+    herald_state,
+    joint_distribution,
+    step_distributions,
+)
 from qutrit_bench.timetags import (
     RunConfig,
     build_histogram,
@@ -229,8 +234,8 @@ def test_criterion_7_qkd():
 
     overlaps_ok = True
     for b1, b2 in itertools.combinations(mub_bases(), 2):
-        for v in b1.vectors:
-            for w in b2.vectors:
+        for v in b1:
+            for w in b2:
                 if abs(abs(np.vdot(v, w)) ** 2 - 1 / 3) > 1e-12:
                     overlaps_ok = False
 
@@ -263,7 +268,7 @@ def test_criterion_8_coin_toss():
     for side, paths in (("left", [1, 1, 0]), ("right", [0, 1, 1])):
         target = np.asarray(paths) / np.sqrt(2.0)
         for detector in range(3):
-            state = herald_state(side, detector, InterferometerConfig()).amplitudes
+            state = herald_state(side, detector, InterferometerConfig())
             if np.max(np.abs(np.abs(state) - target)) > 1e-12:
                 forms_ok = False
 

@@ -9,13 +9,12 @@ from qutrit_bench.protocols import (
     BASIS_IDS,
     EveModel,
     _write_qkd_trace,
-    herald_state,
     mub_bases,
     qber_thresholds,
     run_coin_toss,
     run_qkd,
 )
-from qutrit_bench.source import ArmPhases, CouplerRatios, InterferometerConfig, central_state
+from qutrit_bench.source import ArmPhases, CouplerRatios, InterferometerConfig, central_state, herald_state
 from test_references import born_probability, white_noise_mixture
 
 LAMBDAS = (1.0, 0.9688, 0.8)
@@ -23,10 +22,8 @@ LAMBDAS = (1.0, 0.9688, 0.8)
 
 def born_table(cfg, lam, alice, bob):
     """P(t, u): the noisy central path state on Alice's ket t and conj(Bob's ket u)."""
-    rho = white_noise_mixture(central_state(cfg, 0, 0).amplitudes, lam)
-    return np.array(
-        [[born_probability(rho, np.kron(alice.vectors[t], bob.vectors[u].conj())) for u in range(3)] for t in range(3)]
-    )
+    rho = white_noise_mixture(central_state(cfg, 0, 0), lam)
+    return np.array([[born_probability(rho, np.kron(alice[t], bob[u].conj())) for u in range(3)] for t in range(3)])
 
 
 def matched_basis_qber(cfg, lam):
@@ -41,7 +38,7 @@ def intercept_resend_qber(cfg, lam):
     for b in mub_bases():
         for e in mub_bases():
             to_eve = born_table(cfg, lam, b, e)
-            resend = np.abs(e.vectors.conj() @ b.vectors.T) ** 2  # [s, u] = |<e_s|b_u>|^2
+            resend = np.abs(e.conj() @ b.T) ** 2  # [s, u] = |<e_s|b_u>|^2
             joint = to_eve @ resend
             errors.append(1.0 - np.trace(joint))
     return np.mean(errors)
@@ -55,19 +52,29 @@ def assert_within_3_sigma(rate, expected, n):
 class TestMubBases:
     def test_four_bases(self):
         bases = mub_bases()
-        assert [b.id for b in bases] == ["computational", "fourier0", "fourier1", "fourier2"]
+        assert bases.shape == (4, 3, 3) and bases.dtype == complex
+        assert not bases.flags.writeable
+        # BASIS_IDS order: the computational basis, then fourier b with kets
+        # (|0> + w^t |1> + w^(2t+b) |2>) / sqrt(3)
+        assert BASIS_IDS == ("computational", "fourier0", "fourier1", "fourier2")
+        assert np.array_equal(bases[0], np.eye(3))
+        omega = np.exp(2j * np.pi / 3.0)
+        for b in range(3):
+            for t in range(3):
+                ket = np.array([1.0, omega**t, omega ** (2 * t + b)]) / np.sqrt(3.0)
+                assert np.max(np.abs(bases[b + 1, t] - ket)) < 1e-12
 
     def test_each_gram_matrix_is_identity(self):
         for basis in mub_bases():
-            gram = basis.vectors @ basis.vectors.conj().T
+            gram = basis @ basis.conj().T
             assert np.max(np.abs(gram - np.eye(3))) < 1e-12
 
     def test_all_54_cross_overlaps_are_one_third(self):
         bases = mub_bases()
         checked = 0
         for b1, b2 in itertools.combinations(bases, 2):
-            for v in b1.vectors:
-                for w in b2.vectors:
+            for v in b1:
+                for w in b2:
                     overlap = abs(np.vdot(v, w)) ** 2
                     assert overlap == pytest.approx(1.0 / 3.0, abs=1e-12)
                     checked += 1
@@ -77,29 +84,29 @@ class TestMubBases:
 class TestHeraldState:
     def test_central_zero_phases_uniform(self):
         st = herald_state("central", 0, InterferometerConfig())
-        assert np.max(np.abs(np.abs(st.amplitudes) - 1.0 / np.sqrt(3.0))) < 1e-12
+        assert np.max(np.abs(np.abs(st) - 1.0 / np.sqrt(3.0))) < 1e-12
         # up to a global phase this is (|s> + |m> + |l>)/sqrt(3)
-        rel = st.amplitudes / st.amplitudes[0]
+        rel = st / st[0]
         assert np.max(np.abs(rel - 1.0)) < 1e-12
 
     def test_left_herald_spans_bob_short_medium(self):
         st = herald_state("left", 0, InterferometerConfig())
-        assert abs(st.amplitudes[2]) == 0.0  # Bob's long path cannot fire
-        assert abs(st.amplitudes[0]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
-        assert abs(st.amplitudes[1]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+        assert abs(st[2]) == 0.0  # Bob's long path cannot fire
+        assert abs(st[0]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+        assert abs(st[1]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
 
     def test_right_herald_spans_bob_medium_long(self):
         st = herald_state("right", 0, InterferometerConfig())
-        assert abs(st.amplitudes[0]) == 0.0
-        assert abs(st.amplitudes[1]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
-        assert abs(st.amplitudes[2]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+        assert abs(st[0]) == 0.0
+        assert abs(st[1]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+        assert abs(st[2]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
 
     def test_detector_index_shifts_relative_phase(self):
         cfg = InterferometerConfig()
         rel = []
         for j in range(3):
             st = herald_state("left", j, cfg)
-            rel.append(np.angle(st.amplitudes[1] / st.amplitudes[0]))
+            rel.append(np.angle(st[1] / st[0]))
         diffs = np.diff(rel)
         for d in diffs:
             assert abs((d - 2 * np.pi / 3 + np.pi) % (2 * np.pi) - np.pi) < 1e-12
@@ -107,13 +114,13 @@ class TestHeraldState:
     def test_central_herald_follows_alice_dials(self):
         cfg = InterferometerConfig(alice=ArmPhases(phi_m=0.8, phi_l=-0.4))
         st = herald_state("central", 0, cfg)
-        assert np.angle(st.amplitudes[1] / st.amplitudes[0]) == pytest.approx(0.8, abs=1e-12)
-        assert np.angle(st.amplitudes[2] / st.amplitudes[0]) == pytest.approx(-0.4, abs=1e-12)
+        assert np.angle(st[1] / st[0]) == pytest.approx(0.8, abs=1e-12)
+        assert np.angle(st[2] / st[0]) == pytest.approx(-0.4, abs=1e-12)
 
     def test_asymmetric_ratios_reweight_herald(self):
         cfg = InterferometerConfig(bob_ratios=CouplerRatios(0.6, 0.4, 0.0))
         st = herald_state("central", 0, cfg)
-        assert abs(st.amplitudes[2]) == 0.0
+        assert abs(st[2]) == 0.0
 
     def test_bad_peak_or_detector_rejected(self):
         with pytest.raises(ValueError, match="peak must be"):
@@ -294,7 +301,7 @@ class TestCoinToss:
         lam = 0.7
         # oracle: Born probability on the mixed herald state confined to the
         # two-dimensional subspace
-        h = herald_state("left", 0, InterferometerConfig()).amplitudes
+        h = herald_state("left", 0, InterferometerConfig())
         support = np.diag(np.abs(h) > 0)
         rho = lam * np.outer(h, h.conj()) + (1 - lam) * support / 2.0
         expected = born_probability(rho, h)
@@ -312,10 +319,10 @@ class TestCoinToss:
         cfg = InterferometerConfig(alice=ArmPhases(phi_m=delta, phi_l=2.0 * delta))
         expected = (1.0 + lam * np.cos(delta)) / 2.0
         for side in ("left", "right"):
-            h = herald_state(side, 0, cfg).amplitudes
+            h = herald_state(side, 0, cfg)
             support = np.diag(np.abs(h) > 0)
             rho = lam * np.outer(h, h.conj()) + (1.0 - lam) * support / 2.0
-            assert born_probability(rho, herald_state(side, 0, InterferometerConfig()).amplitudes) == pytest.approx(
+            assert born_probability(rho, herald_state(side, 0, InterferometerConfig())) == pytest.approx(
                 expected, abs=1e-12
             )
         summary = run_coin_toss(rounds=200000, lam=lam, seed=24, interferometer=cfg)

@@ -18,7 +18,8 @@ two-rate scan (`central_fringe_model`) are the source's former second
 model; the kernel replaced them, and the physics tests of the other
 modules read them from here.  They stay here as test oracles only, as do
 the white-noise mixture, the Born probability and the 81 deterministic
-local strategies, in plain numpy, that `core` and `analysis` once held.
+local strategies, in plain numpy, that `core` and `analysis` once held;
+the mixture and the Born probability are tested here too.
 `Generator.choice` is also the oracle of
 the guide-table outcome sampler, draw for draw, and `joint_distribution`
 of each step's configuration the oracle of the batched step tables.  The
@@ -57,10 +58,9 @@ from qutrit_bench.analysis import (
     optimize_cglmp,
 )
 from qutrit_bench.cli import CONFIG_SCHEMA, DEFAULT_CONFIG, _config_error, _deep_merge
-from qutrit_bench.core import PureState, normalize, tritter
 from qutrit_bench.errors import OrderingError
 from qutrit_bench import protocols, source, timetags
-from qutrit_bench.protocols import BASIS_IDS, QKD_MODES, EveModel, herald_state, run_qkd
+from qutrit_bench.protocols import BASIS_IDS, QKD_MODES, EveModel, run_qkd
 from qutrit_bench.source import (
     ALICE_LONG_ARM_TRIM,
     BOB_LONG_ARM_TRIM,
@@ -73,9 +73,11 @@ from qutrit_bench.source import (
     class_weights,
     draw_below,
     draw_cells,
+    herald_state,
     joint_distribution,
     pair_amplitudes,
     step_distributions,
+    tritter,
 )
 from qutrit_bench.timetags import (
     CoincidenceSet,
@@ -116,6 +118,12 @@ def white_noise_mixture(psi, lam):
 def born_probability(rho, outcome):
     """<outcome| rho |outcome> of a density matrix and a unit ket."""
     return float(np.vdot(outcome, rho @ outcome).real)
+
+
+def random_ket(rng):
+    """A random unit ket of dimension 9."""
+    ket = rng.normal(size=9) + 1j * rng.normal(size=9)
+    return ket / np.linalg.norm(ket)
 
 
 def local_strategy_tables():
@@ -173,7 +181,7 @@ def reference_central_state(cfg, j, k):
     amps = np.zeros(9, dtype=complex)
     for p in range(3):
         amps[joint_index(p, p)] = weights[p] * np.exp(1j * phases[p])
-    return normalize(PureState(amps))
+    return amps / np.linalg.norm(amps)
 
 
 _SATELLITE_PAIRS = {"left": ((1, 0), (2, 1)), "right": ((0, 1), (1, 2))}
@@ -198,7 +206,7 @@ def reference_satellite_state(side, cfg, j, k):
     amps = np.zeros(9, dtype=complex)
     amps[joint_index(a0, b0)] = np.sqrt(pa[a0] * pb[b0])
     amps[joint_index(a1, b1)] = np.sqrt(pa[a1] * pb[b1]) * np.exp(1j * theta)
-    return normalize(PureState(amps))
+    return amps / np.linalg.norm(amps)
 
 
 def reference_fringe_probability(phi_r, phi_l, lam):
@@ -239,7 +247,7 @@ def reference_herald_state(alice_peak, alice_detector, cfg):
     amps = np.zeros(3, dtype=complex)
     for pa, pb in _HERALD_PAIRS[alice_peak]:
         amps[pb] += amp_a[pa] * amp_b[pb] * U[alice_detector, pa]
-    return normalize(PureState(amps))
+    return amps / np.linalg.norm(amps)
 
 
 def _outcome_matrix(phases):
@@ -478,7 +486,7 @@ detectors = st.integers(0, 2)
 
 
 def assert_same_state(state, reference):
-    assert np.max(np.abs(state.amplitudes - reference.amplitudes)) < 1e-12
+    assert np.max(np.abs(state - reference)) < 1e-12
 
 
 # A tag stream is built from segments placed at random offsets, so one
@@ -532,6 +540,74 @@ def tag_streams(draw):
 
 
 # --------------------------------------------------------------------------
+# The white-noise mixture and Born probability oracles, which the Bell,
+# source and protocol tests read
+# --------------------------------------------------------------------------
+
+
+class TestAddWhiteNoise:
+    def test_pure_limit(self):
+        rho = white_noise_mixture(MAXENT_PAIR, 1.0)
+        assert np.max(np.abs(rho - np.outer(MAXENT_PAIR, MAXENT_PAIR))) < 1e-12
+
+    def test_flat_limit_is_state_independent(self):
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            rho = white_noise_mixture(random_ket(rng), 0.0)
+            assert np.max(np.abs(rho - np.eye(9) / 9.0)) < 1e-12
+
+    def test_affine_in_mixing_weight(self):
+        full = white_noise_mixture(MAXENT_PAIR, 1.0)
+        flat = white_noise_mixture(MAXENT_PAIR, 0.0)
+        for lam in (0.1, 0.5, 0.9688):
+            mixed = white_noise_mixture(MAXENT_PAIR, lam)
+            assert np.max(np.abs(mixed - (lam * full + (1 - lam) * flat))) < 1e-12
+
+    def test_operator_invariants(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            mat = white_noise_mixture(random_ket(rng), rng.uniform(0, 1))
+            assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
+            assert np.trace(mat).real == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.eigvalsh(mat).min() > -1e-10
+
+    def test_out_of_range_weight_rejected(self):
+        with pytest.raises(ValueError):
+            white_noise_mixture(MAXENT_PAIR, 1.5)
+        with pytest.raises(ValueError):
+            white_noise_mixture(MAXENT_PAIR, -0.1)
+
+
+class TestBornProbability:
+    def test_projector_on_own_state(self):
+        psi = np.eye(9)[0]
+        rho = white_noise_mixture(psi, 1.0)
+        assert born_probability(rho, psi) == pytest.approx(1.0, abs=1e-12)
+
+    def test_flat_state_gives_one_ninth(self):
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            assert born_probability(np.eye(9) / 9.0, random_ket(rng)) == pytest.approx(1.0 / 9.0, abs=1e-12)
+
+    def test_half_mixture_on_target_state(self):
+        rho = white_noise_mixture(MAXENT_PAIR, 0.5)
+        expected = 0.5 * 1.0 + 0.5 / 9.0  # direct matrix arithmetic
+        assert born_probability(rho, MAXENT_PAIR) == pytest.approx(expected, abs=1e-12)
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            born_probability(np.eye(3) / 3.0, np.eye(9)[0])
+
+    def test_complete_basis_sums_to_one(self):
+        rng = np.random.default_rng(13)
+        rho = white_noise_mixture(random_ket(rng), 0.7)
+        # random orthonormal 9-basis from a QR decomposition
+        q, _ = np.linalg.qr(rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
+        total = sum(born_probability(rho, q[:, i]) for i in range(9))
+        assert total == pytest.approx(1.0, abs=1e-10)
+
+
+# --------------------------------------------------------------------------
 # Kernel-derived source functions
 # --------------------------------------------------------------------------
 
@@ -579,7 +655,8 @@ def test_satellite_state_matches_reference(side, cfg, j, k):
     amps = np.zeros((3, 3), dtype=complex)
     for pa, pb in pairs:
         amps[pa, pb] = pair_amplitudes(cfg)[pa, pb, j, k]
-    kernel = normalize(PureState(amps.reshape(9) * np.exp(-1j * np.angle(amps[pairs[0]]))))
+    kernel = amps.reshape(9) * np.exp(-1j * np.angle(amps[pairs[0]]))
+    kernel /= np.linalg.norm(kernel)
     assert_same_state(kernel, reference_satellite_state(side, cfg, j, k))
 
 
@@ -598,8 +675,7 @@ def test_herald_state_matches_reference(peak, detector, cfg):
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
 def test_cglmp_table_matches_reference_loop(seed, lam):
     rng = np.random.default_rng(seed)
-    psi = normalize(PureState(rng.normal(size=9) + 1j * rng.normal(size=9)))
-    rho = white_noise_mixture(psi.amplitudes, lam)
+    rho = white_noise_mixture(random_ket(rng), lam)
     angles = rng.uniform(-10.0, 10.0, (4, 3))
     cglmp_settings = CglmpSettings(angles[:2], angles[2:])
     table = cglmp_probability_table(rho, cglmp_settings)

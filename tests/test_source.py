@@ -1,5 +1,6 @@
-"""The source model through its kernel: the central-peak state, the
-satellite terms and the fringe laws of the outcome tables.
+"""The source model through its kernel: the output coupler, the
+central-peak and herald states, the satellite terms and the fringe laws
+of the outcome tables.
 
 The closed-form laws of symmetric couplers are oracles in
 tests/test_references.py; the tests here check the physics they state
@@ -13,9 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qutrit_bench.core import tritter
 from qutrit_bench.errors import DegenerateStateError
-from qutrit_bench.protocols import herald_state
 from qutrit_bench.source import (
     CLASS_PATH_PAIRS,
     PEAK_CLASS,
@@ -24,12 +23,16 @@ from qutrit_bench.source import (
     InterferometerConfig,
     central_state,
     class_weights,
+    herald_state,
     joint_distribution,
     pair_amplitudes,
     step_distributions,
+    tritter,
 )
 from test_references import (
     born_probability,
+    configs,
+    detectors,
     joint_index,
     reference_central_probability,
     reference_satellite_probability,
@@ -53,7 +56,7 @@ def random_config(rng):
 
 def term_phase(state, path):
     """Phase of the central state's term |path, path> relative to |ss>."""
-    return np.angle(state.amplitudes[joint_index(path, path)] / state.amplitudes[joint_index(0, 0)])
+    return np.angle(state[joint_index(path, path)] / state[joint_index(0, 0)])
 
 
 def central_law(cfg, lam):
@@ -71,6 +74,51 @@ def satellite_terms(side, cfg):
     (0, 0), the reference term (ms or sm) first."""
     amps = pair_amplitudes(cfg)
     return [amps[pa, pb, 0, 0] for pa, pb in CLASS_PATH_PAIRS[PEAK_CLASS[side]]]
+
+
+class TestTritter:
+    def test_zero_phase_entry(self):
+        u = tritter()
+        assert u[0, 0] == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-15)
+        assert u[0, 0].imag == 0.0
+
+    def test_unitarity(self):
+        u = tritter()
+        assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-12
+
+    def test_entry_magnitudes(self):
+        assert np.max(np.abs(np.abs(tritter()) - 1.0 / np.sqrt(3.0))) < 1e-12
+
+    def test_row_phase_steps_are_two_pi_thirds(self):
+        # direct evaluation of exp(i 2 pi j p / 3): within row j=1, adjacent
+        # columns differ by 2 pi / 3
+        u = tritter()
+        diff = np.angle(u[1, 2]) - np.angle(u[1, 1])
+        assert wrap_phase(diff - 2.0 * np.pi / 3.0) == pytest.approx(0.0, abs=1e-12)
+
+    def test_rows_and_columns_orthonormal(self):
+        u = tritter()
+        assert np.max(np.abs(u @ u.conj().T - np.eye(3))) < 1e-12
+
+    def test_built_once_and_read_only(self):
+        assert tritter() is tritter()
+        assert not tritter().flags.writeable
+
+
+@settings(deadline=None)
+@given(configs(), detectors, detectors, st.sampled_from(["central", "left", "right"]))
+def test_states_are_unit_and_parallel_to_their_kernel_slice(cfg, j, k, peak):
+    # The central state is the diagonal of the kernel at (j, k); a herald
+    # state holds Bob's path terms of the peak's class at (j, 0).
+    kernel = pair_amplitudes(cfg)
+    central_slice = np.diag(np.diagonal(kernel[:, :, j, k])).reshape(9)
+    herald_slice = np.zeros(3, dtype=complex)
+    for pa, pb in CLASS_PATH_PAIRS[PEAK_CLASS[peak]]:
+        herald_slice[pb] = kernel[pa, pb, j, 0]
+    for state, raw in ((central_state(cfg, j, k), central_slice), (herald_state(peak, j, cfg), herald_slice)):
+        assert abs(np.linalg.norm(state) - 1.0) < 1e-12
+        norm = np.linalg.norm(raw)
+        assert np.max(np.abs(state * norm - raw)) < 1e-12 * norm
 
 
 class TestPhaseOffsets:
@@ -112,30 +160,30 @@ class TestCentralState:
         expected = np.zeros(9, dtype=complex)
         for p in range(3):
             expected[joint_index(p, p)] = 1 / np.sqrt(3)
-        assert np.max(np.abs(st.amplitudes - expected)) < 1e-12
+        assert np.max(np.abs(st - expected)) < 1e-12
 
     def test_pi_on_alice_medium_flips_sign(self):
         cfg = InterferometerConfig(alice=ArmPhases(phi_m=np.pi, phi_l=0.0))
         st = central_state(cfg, 0, 0)
-        assert st.amplitudes[joint_index(1, 1)] == pytest.approx(-1 / np.sqrt(3), abs=1e-12)
-        assert st.amplitudes[joint_index(0, 0)] == pytest.approx(1 / np.sqrt(3), abs=1e-12)
-        assert st.amplitudes[joint_index(2, 2)] == pytest.approx(1 / np.sqrt(3), abs=1e-12)
+        assert st[joint_index(1, 1)] == pytest.approx(-1 / np.sqrt(3), abs=1e-12)
+        assert st[joint_index(0, 0)] == pytest.approx(1 / np.sqrt(3), abs=1e-12)
+        assert st[joint_index(2, 2)] == pytest.approx(1 / np.sqrt(3), abs=1e-12)
 
     def test_blocked_medium_arm_gives_qubit_subspace(self):
         # direct construction: with p_m = 0 on Alice's side only ss and ll survive
         cfg = InterferometerConfig(alice_ratios=CouplerRatios(0.5, 0.0, 0.5))
         st = central_state(cfg, 0, 0)
-        assert st.amplitudes[joint_index(1, 1)] == 0.0
+        assert st[joint_index(1, 1)] == 0.0
         w = np.sqrt(0.5 / 3.0)
         norm = np.sqrt(2 * w**2)
-        assert abs(st.amplitudes[joint_index(0, 0)]) == pytest.approx(w / norm, abs=1e-12)
-        assert abs(st.amplitudes[joint_index(2, 2)]) == pytest.approx(w / norm, abs=1e-12)
+        assert abs(st[joint_index(0, 0)]) == pytest.approx(w / norm, abs=1e-12)
+        assert abs(st[joint_index(2, 2)]) == pytest.approx(w / norm, abs=1e-12)
 
     def test_support_only_on_diagonal_pairs(self):
         rng = np.random.default_rng(2)
         st = central_state(random_config(rng), 1, 2)
         off = [i for i in range(9) if i not in (0, 4, 8)]
-        assert np.max(np.abs(st.amplitudes[off])) == 0.0
+        assert np.max(np.abs(st[off])) == 0.0
 
     def test_all_weights_zero_rejected(self):
         cfg = InterferometerConfig(
