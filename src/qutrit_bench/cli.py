@@ -364,33 +364,27 @@ def _apply_override(config: dict, item: str) -> dict:
 def build_interferometer(config: dict) -> InterferometerConfig:
     """The interferometer of `run`; `qkd` and `toss` read no other stream setting."""
     itf = config["run"]["interferometer"]
-    try:
-        return InterferometerConfig(
-            alice=ArmPhases(*itf["alice_phases_rad"]),
-            bob=ArmPhases(*itf["bob_phases_rad"]),
-            alice_ratios=CouplerRatios(*itf["alice_ratios"]),
-            bob_ratios=CouplerRatios(*itf["bob_ratios"]),
-            unit_delay_ns=float(itf["unit_delay_ns"]),
-        )
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from exc
+    return InterferometerConfig(
+        alice=ArmPhases(*itf["alice_phases_rad"]),
+        bob=ArmPhases(*itf["bob_phases_rad"]),
+        alice_ratios=CouplerRatios(*itf["alice_ratios"]),
+        bob_ratios=CouplerRatios(*itf["bob_ratios"]),
+        unit_delay_ns=float(itf["unit_delay_ns"]),
+    )
 
 
 def build_run_config(config: dict) -> RunConfig:
     run = config["run"]
-    try:
-        return RunConfig(
-            pair_rate_hz=float(run["pair_rate_hz"]),
-            duration_s=float(run["duration_s"]),
-            seed=int(run["seed"]),
-            coincidence_window_ps=float(run["coincidence_window_ps"]),
-            lam=float(run["lambda"]),
-            interferometer=build_interferometer(config),
-            alice_detectors=DetectorModel(**run["detectors"]["alice"]),
-            bob_detectors=DetectorModel(**run["detectors"]["bob"]),
-        )
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from exc
+    return RunConfig(
+        pair_rate_hz=float(run["pair_rate_hz"]),
+        duration_s=float(run["duration_s"]),
+        seed=int(run["seed"]),
+        coincidence_window_ps=float(run["coincidence_window_ps"]),
+        lam=float(run["lambda"]),
+        interferometer=build_interferometer(config),
+        alice_detectors=DetectorModel(**run["detectors"]["alice"]),
+        bob_detectors=DetectorModel(**run["detectors"]["bob"]),
+    )
 
 
 def _write_json(payload: dict, path: str):

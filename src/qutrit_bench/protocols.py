@@ -160,9 +160,10 @@ def run_qkd(
     Each round is one coincidence, kept by post-selection with the central
     class weight of `interferometer` (a third at symmetric couplers).  Each
     kept round draws Alice's, Eve's and Bob's bases uniformly from their
-    pools, then its trit pair from that basis choice's Born table (see
-    `_trit_tables`) by `source.draw_cells`, the stream's sampler too.  Rounds
-    with matching bases are sifted and their disagreements are the QBER.
+    pools, then its trit pair from that basis choice's row of the Born
+    tables (see `_trit_tables`) by `source.draw_cells`, the stream's sampler
+    too: what `rng.choice(9, p=row / row.sum())` draws.  Rounds with
+    matching bases are sifted and their disagreements are the QBER.
     Deterministic for a given seed.
     """
     if rounds <= 0:
@@ -175,20 +176,16 @@ def run_qkd(
     if share == 0.0:
         raise ConfigurationError("the coupler ratios leave the central peak empty")
     pool = QKD_MODES[mode]
-    tables = _trit_tables(lam, interferometer, pool, eve)
-    # Inverse CDF: a round's cell is the number of its row's first eight CDF
-    # entries at or below its uniform.  The ninth entry, inf, is above them all.
-    cdf = np.cumsum(tables.reshape(-1, 9), axis=1)
-    cdf[:, 8] = np.inf
+    tables = _trit_tables(lam, interferometer, pool, eve).reshape(-1, 9)
 
     rng = substream(seed, "qkd")
     kept = draw_below(rng, share, rounds)
     n_kept = int(kept.sum())
-    choice = rng.integers(0, cdf.shape[0], size=n_kept)
-    alice_trit, bob_trit = np.divmod(draw_cells(cdf, choice, rng.random(n_kept)), 3)
+    choice = rng.integers(0, len(tables), size=n_kept)
+    alice_trit, bob_trit = np.divmod(draw_cells(rng, tables, choice, n_kept), 3)
     # A choice indexes the (alice, [eve,] bob) basis grid row-major.  Only the
     # per-round arrays the trace needs are left, so its blocks reuse freed memory.
-    alice_basis, bob_basis = choice // (cdf.shape[0] // len(pool)), choice % len(pool)
+    alice_basis, bob_basis = choice // (len(tables) // len(pool)), choice % len(pool)
     del choice
 
     sifted = alice_basis == bob_basis
@@ -308,7 +305,7 @@ def run_coin_toss(
     rng = substream(seed, "toss")
     left = draw_below(rng, w_left / (w_left + w_right), rounds)
     sign = np.where(draw_below(rng, 0.5, rounds), 1, -1)
-    agree = rng.random(rounds) < np.where(left, p_left, p_right)
+    agree = draw_below(rng, np.where(left, p_left, p_right), rounds)
     return CoinTossSummary(
         rounds=rounds,
         left_fraction=float(left.mean()),

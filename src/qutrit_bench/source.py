@@ -44,8 +44,9 @@ lossless symmetric coupler is equivalent to this choice up to port
 relabeling and fixed port phases, which the arm phases absorb.
 
 `timetags` and `protocols` sample the model through the draws at the end:
-`substream` seeds each named draw, `draw_cells` is the one guide-table
-inverse CDF and `draw_below` the one blocked Bernoulli draw.
+`substream` seeds each named draw, `draw_cells` draws cells of probability
+tables as `Generator.choice` does, by one guide-table inverse CDF, and
+`draw_below` is the one blocked Bernoulli draw.
 
 Convention notes
 ----------------
@@ -67,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStateError
+from .errors import ConfigurationError, DegenerateStateError
 
 # Path pairs (alice_path, bob_path) of each dt class, index 0..4 for
 # dt = -2..+2 unit delays, in ascending Alice path: the first pair is the
@@ -114,7 +115,7 @@ class ArmPhases:
 
     def __post_init__(self):
         if not (np.isfinite(self.phi_m) and np.isfinite(self.phi_l)):
-            raise ValueError("arm phases must be finite")
+            raise ConfigurationError("arm phases must be finite")
 
 
 @dataclass(frozen=True)
@@ -128,9 +129,9 @@ class CouplerRatios:
     def __post_init__(self):
         probs = (self.p_s, self.p_m, self.p_l)
         if any(p < 0.0 for p in probs):
-            raise ValueError(f"splitting ratios must be non-negative, got {probs}")
+            raise ConfigurationError(f"splitting ratios must be non-negative, got {probs}")
         if abs(sum(probs) - 1.0) > _RATIO_TOL:
-            raise ValueError(f"splitting ratios must sum to 1, got {sum(probs)!r}")
+            raise ConfigurationError(f"splitting ratios must sum to 1, got {sum(probs)!r}")
 
     @classmethod
     def symmetric(cls) -> "CouplerRatios":
@@ -152,7 +153,7 @@ class InterferometerConfig:
 
     def __post_init__(self):
         if not self.unit_delay_ns > 0.0:
-            raise ValueError(f"unit delay must be positive, got {self.unit_delay_ns!r}")
+            raise ConfigurationError(f"unit delay must be positive, got {self.unit_delay_ns!r}")
 
 
 def _arm_amplitudes(cfg: InterferometerConfig, alice_dials=None) -> tuple:
@@ -321,51 +322,66 @@ def substream(seed: int, name: str, extra: tuple = ()) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), _STREAM_TAGS[name]) + extra)))
 
 
-def draw_below(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
-    """`rng.random(n) < p` and the generator state after it, `_DRAW_BLOCK` uniforms a call."""
+def draw_below(rng: np.random.Generator, p, n: int) -> np.ndarray:
+    """`rng.random(n) < p` and the generator state after it, `_DRAW_BLOCK` uniforms a call.
+
+    `p` is one probability for all draws or one per draw.
+    """
     below = np.empty(n, dtype=bool)
     for start in range(0, n, _DRAW_BLOCK):
         block = below[start : start + _DRAW_BLOCK]
-        np.less(rng.random(block.size), p, out=block)
+        np.less(rng.random(block.size), p if np.ndim(p) == 0 else p[start : start + _DRAW_BLOCK], out=block)
     return below
 
 
-def draw_cells(cdf: np.ndarray, rows, u: np.ndarray) -> np.ndarray:
-    """Per uniform, the number of entries of its row of `cdf` at or below it, as uint8.
+def draw_cells(rng: np.random.Generator, tables: np.ndarray, rows, n: int) -> np.ndarray:
+    """Per draw, `rng.choice(width, p=row / row.sum())` of its row of `tables`, as uint8.
+
+    `tables` is an (R, width) array of probability rows, width <= 256, and
+    `rows` one row index for all n draws or one per draw.  Draw i is the one
+    `choice` makes from the i-th uniform of `rng.random(n)`, which is drawn
+    `_DRAW_BLOCK` uniforms a call and leaves the generator where one call
+    would.  `choice`'s checks on its probabilities are made on each row: a
+    NaN, a negative entry or a sum off 1 by more than sqrt(eps) raises
+    ValueError.
 
     A guide-table inverse CDF (Chen & Asau, AIIE Transactions 6, 163
-    (1974)).  `cdf` is an (R, width) array of sorted rows, each ending in an
-    entry above every u, and `rows` one row index or one per uniform.  A
+    (1974)) on `choice`'s CDF: the cumulative sum of the normalised row,
+    divided by its last entry, so that entry is 1 and above every u.  A
     row's guide cell g of `cells` (the least power of two >= 16 * width, so
     floor(u * cells) and the edges g / cells are exact) holds the number of
     its entries at or below g / cells.  A u in cell g has at least those
     entries at or below it, so its count starts there and steps forward past
-    each further entry at or below u: the count a binary search gives.
+    each further entry at or below u: the count `choice`'s binary search gives.
     """
+    total = tables.sum(axis=1)
+    if np.isnan(total).any():
+        raise ValueError("outcome probabilities contain NaN")
+    if (tables < 0.0).any():
+        raise ValueError("outcome probabilities are not non-negative")
+    off = np.abs(total - 1.0) > np.sqrt(np.finfo(np.float64).eps)
+    if off.any():
+        raise ValueError(f"outcome probabilities sum to {total[off][0]!r}, not 1")
+    cdf = (tables / total[:, None]).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
     width = cdf.shape[1]
     cells = 1 << (16 * width - 1).bit_length()
     edges = np.arange(cells) / cells
-    one_row = np.ndim(rows) == 0
-    if one_row:
-        flat = cdf[rows]
-        guide = flat.searchsorted(edges, side="right")
-    else:
-        # Guide entries are positions in the flattened table; no step leaves its row.
-        rows, flat = np.asarray(rows), cdf.ravel()
-        guide = np.concatenate([row.searchsorted(edges, side="right") + r * width for r, row in enumerate(cdf)])
-    out = np.empty(u.size, dtype=np.uint8)
-    for start in range(0, u.size, _DRAW_BLOCK):
-        block = slice(start, start + _DRAW_BLOCK)
-        v = u[block]
+    # Guide entries are positions in the flattened table; no step leaves its row.
+    flat = cdf.ravel()
+    guide = np.concatenate([row.searchsorted(edges, side="right") + r * width for r, row in enumerate(cdf)])
+    out = np.empty(n, dtype=np.uint8)
+    for start in range(0, n, _DRAW_BLOCK):
+        stop = min(start + _DRAW_BLOCK, n)
+        v = rng.random(stop - start)
+        row = rows if np.ndim(rows) == 0 else rows[start:stop]
         at = (v * cells).astype(np.intp)
-        if not one_row:
-            at += rows[block] * cells
+        at += row * cells
         at = guide[at]
         todo = np.flatnonzero(flat[at] <= v)
         while todo.size:
             at[todo] += 1
             todo = todo[flat[at[todo]] <= v[todo]]
-        if not one_row:
-            at -= rows[block] * width
-        out[block] = at
+        at -= row * width
+        out[start:stop] = at
     return out

@@ -41,12 +41,12 @@ jitter normals, Alice's then Bob's efficiency uniforms) is made in blocked
 calls, each generator called in the same order as one call per draw kind
 would be; numpy's generators give the same numbers either way.
 
-Outcomes are drawn by `source.draw_cells`, the guide-table inverse CDF of
-the QKD trit draw too, so a run draws exactly what `rng.choice(45, size=n,
-p=table / table.sum())` draws from the same generator: the uniforms of its
-`rng.random(n)` call, in blocks, through the same normalised cumulative
-sum.  A scan passes each step's row of `source.step_distributions` as
-`outcome_table`, so the amplitude kernel runs once per block of steps.
+Outcomes are drawn by `source.draw_cells`, the sampler of the QKD trit
+draw too, on the one-row table of the joint distribution, so a run draws
+exactly what `rng.choice(45, size=n, p=table / table.sum())` draws from the
+same generator.  A scan passes each step's row of
+`source.step_distributions` as `outcome_table`, so the amplitude kernel runs
+once per block of steps.
 """
 
 from __future__ import annotations
@@ -73,9 +73,6 @@ BINS_PER_UNIT = 12  # histogram bins per unit delay
 
 # Tag times must stay inside +-2**60 ps so the packed key fits an int64.
 _TIME_LIMIT_PS = 2**60
-
-# Generator.choice's tolerance on the sum of its probabilities.
-_P_SUM_TOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 # Pairs per block of `simulate_run`'s draws, neighbour steps per block of
 # `find_coincidences`' offset-1 pass and gather, and records per block of the
@@ -200,31 +197,6 @@ class Histogram:
         return index * self.bin_width_ps
 
 
-def _draw_outcomes(rng: np.random.Generator, table: np.ndarray, n: int) -> np.ndarray:
-    """`rng.choice(table.size, size=n, p=table / table.sum())`, draw for draw, as uint8.
-
-    `Generator.choice`'s checks on its probabilities are made on `table`: a
-    NaN, a negative entry or a sum off 1 by more than sqrt(eps) raises
-    ValueError.  The draws come from `draw_cells`, `_BLOCK` uniforms a call.
-    Outcomes are uint8, for tables of up to 256 entries.
-    """
-    total = table.sum()
-    if np.isnan(total):
-        raise ValueError("outcome probabilities contain NaN")
-    if (table < 0.0).any():
-        raise ValueError("outcome probabilities are not non-negative")
-    if abs(total - 1.0) > _P_SUM_TOL:
-        raise ValueError(f"outcome probabilities sum to {total!r}, not 1")
-    # cdf[-1] is exactly 1, above every uniform, as `draw_cells` needs.
-    cdf = (table / total).cumsum()
-    cdf /= cdf[-1]
-    outcome = np.empty(n, dtype=np.uint8)
-    for start in range(0, n, _BLOCK):
-        u = rng.random(min(_BLOCK, n - start))
-        outcome[start : start + u.size] = draw_cells(cdf[None], 0, u)
-    return outcome
-
-
 def simulate_run(cfg: RunConfig, outcome_table: np.ndarray | None = None) -> TimeTagStream:
     """Generate one acquisition run's detection stream.
 
@@ -251,8 +223,8 @@ def simulate_run(cfg: RunConfig, outcome_table: np.ndarray | None = None) -> Tim
 
     if outcome_table is None:
         outcome_table = joint_distribution(cfg.interferometer, cfg.lam)
-    table = np.asarray(outcome_table, dtype=float).reshape(45)
-    outcome = _draw_outcomes(substream(cfg.seed, "outcome"), table, n_pairs)
+    table = np.asarray(outcome_table, dtype=float).reshape(1, 45)
+    outcome = draw_cells(substream(cfg.seed, "outcome"), table, 0, n_pairs)
 
     # random() < 1.0 always holds, so perfect detectors skip the draws; one
     # imperfect party draws both masks, keeping Bob's draws where they were.

@@ -224,6 +224,7 @@ class TestExitCodes:
         [
             ("histogram", {"unit_delay_ns": 0.0004}, "below half the unit delay"),
             ("toss", {"alice_ratios": [0, 0, 1]}, "leave a satellite peak empty"),
+            ("qkd", {"alice_ratios": [0.5, 0.3, 0.1]}, "must sum to 1"),
         ],
     )
     def test_late_config_error_leaves_manifest(self, tmp_path, capsys, experiment, interferometer, reason):

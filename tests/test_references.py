@@ -84,7 +84,6 @@ from qutrit_bench.timetags import (
     DetectorModel,
     RunConfig,
     TimeTagStream,
-    _draw_outcomes,
     build_histogram,
     find_coincidences,
     peak_areas,
@@ -451,12 +450,30 @@ def reference_write_qkd_trace(path, kept, pool, alice_basis, bob_basis, alice_tr
             )
 
 
-def reference_trit_cells(cdf, choice, u):
-    """Per round, the entries of row `choice` of `cdf[:, :8]` at or below `u`."""
+def draw_cdf(tables):
+    """The CDF `Generator.choice` reads of each row of `tables`: the
+    cumulative sum of the normalised row, divided by its last entry."""
+    cdf = (tables / tables.sum(axis=1, keepdims=True)).cumsum(axis=1)
+    return cdf / cdf[:, -1:]
+
+
+def reference_trit_cells(tables, choice, u):
+    """Per round, the entries of row `choice` of `draw_cdf(tables)[:, :8]` at or below `u`."""
     cell = np.zeros(len(u), dtype=np.intp)
-    for column in cdf[:, :8].T:
+    for column in draw_cdf(tables)[:, :8].T:
         cell += u >= column[choice]
     return cell
+
+
+class PlannedUniforms:
+    """A generator stand-in whose `random(size)` hands out the planned uniforms in order."""
+
+    def __init__(self, u):
+        self.u, self.used = u, 0
+
+    def random(self, size):
+        self.used += size
+        return self.u[self.used - size : self.used]
 
 
 # --------------------------------------------------------------------------
@@ -778,7 +795,7 @@ def outcome_tables(draw, sizes=(1, 2, 3, 9, 45)):
 @given(outcome_tables(), st.sampled_from([0, 1, 100_000]) | st.integers(0, 5000), st.integers(0, 2**64 - 1))
 def test_outcome_draws_equal_generator_choice(p, n, seed):
     rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-    found = _draw_outcomes(rng, p, n)
+    found = draw_cells(rng, p[None], 0, n)
     assert np.array_equal(found, oracle.choice(p.size, size=n, p=p / p.sum()))
     assert rng.bit_generator.state == oracle.bit_generator.state
 
@@ -792,13 +809,14 @@ def blocks_of_seven():
         yield
 
 
+probabilities = st.sampled_from([0.0, 1.0, float(np.nextafter(1.0, 0.0))]) | st.floats(0.0, 1.0)
+
+
 @settings(max_examples=200, deadline=None)
-@given(
-    st.sampled_from([0.0, 1.0, float(np.nextafter(1.0, 0.0))]) | st.floats(0.0, 1.0),
-    st.sampled_from([0, 6, 7, 8, 14]) | st.integers(0, 300),
-    st.integers(0, 2**64 - 1),
-)
-def test_blocked_bernoulli_draw_equals_one_call(p, n, seed):
+@given(st.sampled_from([0, 6, 7, 8, 14]) | st.integers(0, 300), st.integers(0, 2**64 - 1), st.data())
+def test_blocked_bernoulli_draw_equals_one_call(n, seed, data):
+    # One p for all draws, or one per draw.
+    p = data.draw(probabilities | st.lists(probabilities, min_size=n, max_size=n).map(np.array))
     rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
     with blocks_of_seven():
         found = draw_below(rng, p, n)
@@ -820,7 +838,7 @@ def test_simulate_run_matches_lexsort_reference_across_block_edges(cfg):
 def test_outcome_draws_equal_generator_choice_across_block_edges(p, n, seed):
     rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
     with blocks_of_seven():
-        found = _draw_outcomes(rng, p, n)
+        found = draw_cells(rng, p[None], 0, n)
     assert np.array_equal(found, oracle.choice(p.size, size=n, p=p / p.sum()))
     assert rng.bit_generator.state == oracle.bit_generator.state
 
@@ -831,8 +849,9 @@ def test_outcome_draws_equal_generator_choice_across_block_edges(p, n, seed):
     st.sampled_from(["nan", "negative", "scaled"]),
     st.integers(0, 44),
     st.floats(1e-3, 1.0 - 1e-6) | st.floats(1.0 + 1e-6, 1e3),
+    st.integers(0, 3),
 )
-def test_invalid_outcome_tables_raise(p, fault, cell, factor):
+def test_invalid_outcome_tables_raise(p, fault, cell, factor, position):
     table = p.copy()
     if fault == "nan":
         table[cell] = np.nan
@@ -844,6 +863,10 @@ def test_invalid_outcome_tables_raise(p, fault, cell, factor):
         np.random.default_rng(0).choice(45, size=10, p=table)
     with pytest.raises(ValueError):
         simulate_run(RunConfig(pair_rate_hz=1e4, duration_s=1e-3, seed=0), table.reshape(5, 3, 3))
+    # One bad row among valid ones raises, though no draw reads it.
+    tables = np.insert(np.tile(p, (3, 1)), position, table, axis=0)
+    with pytest.raises(ValueError):
+        draw_cells(np.random.default_rng(0), tables, (position + 1) % 4, 10)
 
 
 def test_simulate_run_matches_reference_near_the_time_limit():
@@ -1175,14 +1198,15 @@ def test_qkd_trace_matches_csv_writer_at_digit_boundaries(tmp_path, pool):
 
 @st.composite
 def trit_draws(draw, one_row=False):
-    """(cdf, rows, u) for the QKD trit draw: rows is one per uniform, or one
-    for all of them.
+    """(tables, rows, u) for the QKD trit draw: rows is one per uniform, or
+    one for all of them.
 
-    CDF rows come from `_trit_tables` (lam 1 gives zero cells, so repeated
-    entries), from dyadic tables whose entries fall on guide edges, or from
-    random tables with zero cells.  A share of the uniforms is set exactly on
-    a CDF entry below 1, on a guide edge g/256, to 0 or to the largest
-    double below 1.  Round counts reach past one block of the draw.
+    Table rows come from `_trit_tables` (lam 1 gives zero cells, so repeated
+    CDF entries), from dyadic tables whose entries fall on guide edges, or
+    from random tables with zero cells.  A share of the uniforms is set
+    exactly on an entry below 1 of `draw_cdf(tables)`, on a guide edge
+    g/256, to 0 or to the largest double below 1.  Round counts reach past
+    one block of the draw.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**64 - 1)))
     kind = draw(st.sampled_from(["qkd", "dyadic", "random"]))
@@ -1201,7 +1225,7 @@ def trit_draws(draw, one_row=False):
         else:
             weights = rng.random((rows, 9)) * ~zeros
             tables = weights / weights.sum(axis=1, keepdims=True)
-    cdf = np.cumsum(tables, axis=1)
+    cdf = draw_cdf(tables)
     n = draw(st.sampled_from([0, 1, 100, source._DRAW_BLOCK + 3]))
     row = int(rng.integers(0, len(cdf)))
     choice = np.full(n, row) if one_row else rng.integers(0, len(cdf), n)
@@ -1216,19 +1240,17 @@ def trit_draws(draw, one_row=False):
     pick = rng.integers(0, 2 * len(special), n)  # half the uniforms stay random
     for k, values in enumerate(special):
         u = np.where(pick == k, values, u)
-    return cdf, row if one_row else choice, u
+    return tables, row if one_row else choice, u
 
 
 @settings(max_examples=300, deadline=None)
 @given(trit_draws() | trit_draws(one_row=True))
 def test_trit_draw_equals_eight_compares(draws):
-    cdf, rows, u = draws
-    with_sentinel = cdf.copy()
-    with_sentinel[:, 8] = np.inf
-    expected = reference_trit_cells(cdf, np.broadcast_to(rows, u.shape), u)
-    assert np.array_equal(draw_cells(with_sentinel, rows, u), expected)
+    tables, rows, u = draws
+    expected = reference_trit_cells(tables, np.broadcast_to(rows, u.shape), u)
+    assert np.array_equal(draw_cells(PlannedUniforms(u), tables, rows, u.size), expected)
     with blocks_of_seven():
-        assert np.array_equal(draw_cells(with_sentinel, rows, u), expected)
+        assert np.array_equal(draw_cells(PlannedUniforms(u), tables, rows, u.size), expected)
 
 
 # --------------------------------------------------------------------------

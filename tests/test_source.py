@@ -1,6 +1,6 @@
 """The source model through its kernel: the output coupler, the
-central-peak and herald states, the satellite terms and the fringe laws
-of the outcome tables.
+central-peak and herald states and their normalization, the satellite
+terms and the fringe laws of the outcome tables.
 
 The closed-form laws of symmetric couplers are oracles in
 tests/test_references.py; the tests here check the physics they state
@@ -21,6 +21,7 @@ from qutrit_bench.source import (
     ArmPhases,
     CouplerRatios,
     InterferometerConfig,
+    _unit,
     central_state,
     class_weights,
     herald_state,
@@ -103,6 +104,37 @@ class TestTritter:
     def test_built_once_and_read_only(self):
         assert tritter() is tritter()
         assert not tritter().flags.writeable
+
+
+class TestNormalize:
+    """The one normalization that `central_state` and `herald_state` share."""
+
+    def test_two_component_vector(self):
+        st = _unit(np.array([1.0, 1.0, 0.0], dtype=complex))
+        assert st[0] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-15)
+        assert st[1] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-15)
+
+    def test_two_term_nine_dim_state(self):
+        # |ms> + e^{i theta} |lm> normalizes to coefficients 1/sqrt(2)
+        theta = 0.7
+        amps = np.zeros(9, dtype=complex)
+        amps[joint_index(1, 0)] = 1.0
+        amps[joint_index(2, 1)] = np.exp(1j * theta)
+        st = _unit(amps)
+        assert abs(st[joint_index(1, 0)]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+        assert abs(st[joint_index(2, 1)]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+        assert np.linalg.norm(st) == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_vector_rejected(self):
+        with pytest.raises(DegenerateStateError):
+            _unit(np.zeros(3, dtype=complex))
+
+    def test_direction_preserved(self):
+        rng = np.random.default_rng(3)
+        raw = rng.normal(size=9) + 1j * rng.normal(size=9)
+        st = _unit(raw)
+        ratio = st / raw
+        assert np.max(np.abs(ratio - ratio[0])) < 1e-12
 
 
 @settings(deadline=None)
