@@ -6,7 +6,8 @@
    Massar, Popescu, PRL 88, 040404 (2002));
 2. white noise scales I3 linearly, so the local bound 2 fixes a critical
    mixing weight and hence a threshold fringe visibility v_bell;
-3. a measured net visibility is converted into a violation significance.
+3. a fitted mixing weight and its sigma are converted into a net
+   visibility and a violation significance.
 """
 
 import itertools
@@ -17,7 +18,6 @@ from qutrit_bench.analysis import (
     bell_threshold_visibility,
     cglmp_value,
     i3_from_probability_table,
-    lambda_from_visibility,
     optimize_cglmp,
     sigma_violation,
     visibility_from_lambda,
@@ -46,10 +46,10 @@ print(f"\nthreshold chain:")
 print(f"  lambda_crit = 2 / I3max        = {lambda_crit:.5f}")
 print(f"  v_bell      = 3 l / (2 + l)    = {v_bell:.5f}")
 
-v_net, sigma_v = 0.979, 0.006
-result = sigma_violation(v_net, sigma_v)
-print(f"\nmeasured net visibility {v_net} +- {sigma_v}:")
-print(f"  inferred mixing weight : {lambda_from_visibility(v_net):.5f}")
+lam_hat, sigma_lam = 0.9688, 0.0088
+result = sigma_violation(lam_hat, sigma_lam)
+print(f"\nfitted mixing weight {lam_hat} +- {sigma_lam}:")
+print(f"  net visibility V(lam)  : {result.v_net:.4f} +- {result.sigma_v:.4f}")
 print(f"  inferred I3            : {result.i3:.4f}  (> 2 violates locality)")
 print(f"  violation significance : {result.n_sigma:.1f} sigma")
 

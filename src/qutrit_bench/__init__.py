@@ -49,7 +49,6 @@ from .analysis import (
     bell_threshold_visibility,
     cglmp_value,
     fit_central_fringe,
-    lambda_from_visibility,
     optimize_cglmp,
     phase_ratio,
     sigma_violation,

@@ -5,13 +5,15 @@ a scan's counts to a constant plus a cosine and a sine at each angular
 frequency ("tone") the caller knows, with its covariance.  The central
 fringe at rates omega and n*omega has tones omega, n*omega and (n+1)*omega
 (omega and 2*omega at n = 1); the last has amplitude 2*A*lam at any phases
-and the constant is 3*A, so lam = 3*|c| / (2*c_0) and V = 3*lam / (2 + lam).
-Every rate starts from the drive and is refined by Gauss-Newton on that
-fit: the satellite rate ratio n = f_left / f_right and the central fit's
-(omega, n).  Also here: the d = 3 Bell functional of phase-plus-coupler
-measurements, its closed-form maximum (Collins, Gisin, Linden, Massar,
-Popescu, PRL 88, 040404 (2002)) and the visibility threshold of a
-violation.  All plain numpy.
+and the constant is 3*A plus the flat background b, so
+lam = 3*|c| / (2*(c_0 - b)) and V = 3*lam / (2 + lam).  Every rate starts
+from the drive and is refined by Gauss-Newton on that fit: the satellite
+rate ratio n = f_left / f_right and the central fit's (omega, n).
+`fit_central_fringe` is the one central-fringe estimator; the Bell verdict
+maps its lam-hat and sigma to V and sigma_V.  Also here: the d = 3 Bell
+functional of phase-plus-coupler measurements, its closed-form maximum
+(Collins, Gisin, Linden, Massar, Popescu, PRL 88, 040404 (2002)) and the
+visibility threshold of a violation.  All plain numpy.
 """
 
 from __future__ import annotations
@@ -168,26 +170,11 @@ def visibility(scan: FringeScan, tones) -> FringeFit:
     return FringeFit(i_max=i_max, i_min=i_min, visibility=v)
 
 
-def equal_rate_visibility(scan: FringeScan, omega: float, background: float = 0.0) -> tuple:
-    """(V, sigma_V) of a central scan with both phases driven at rate omega:
-    V(lam), lam from `_fringe_lambda` clamped to 1, and sigma_V = dV/dlam * sigma_lam."""
-    coef, cov, _ = tone_fit(scan.setpoints, scan.counts, (omega, 2.0 * omega))
-    lam, sigma_lam = _fringe_lambda(coef, cov, background)
-    return visibility_from_lambda(min(lam, 1.0)), 6.0 / (2.0 + lam) ** 2 * sigma_lam
-
-
 def visibility_from_lambda(lam: float) -> float:
     """V = 3*lam / (2 + lam): fringe-law extrema (3 + 6*lam vs 3 - 3*lam)."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {lam!r}")
     return 3.0 * lam / (2.0 + lam)
-
-
-def lambda_from_visibility(v: float) -> float:
-    """Inverse of visibility_from_lambda: lam = 2*v / (3 - v)."""
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"visibility must lie in [0, 1], got {v!r}")
-    return 2.0 * v / (3.0 - v)
 
 
 # --------------------------------------------------------------------------
@@ -265,11 +252,12 @@ def phase_ratio(left_scan: FringeScan, right_scan: FringeScan, rates: tuple) -> 
 # --------------------------------------------------------------------------
 
 
-def fit_central_fringe(scan: FringeScan, start: tuple) -> CentralFit:
+def fit_central_fringe(scan: FringeScan, start: tuple, background: float = 0.0) -> CentralFit:
     """Fit of a central-peak scan to the two-phase fringe law from the drive
     rates `start` = (omega, n): the rates (|omega|, n*|omega|) are refined
     by `_refine_rates` (n = 1, the two-tone case, stays fixed), and lam and
-    its sigma are read off the tone fit there.  A fringe whose lam-hat at
+    its sigma are read off the tone fit there, with the flat `background`
+    (counts per step) taken off its constant.  A fringe whose lam-hat at
     the drive rates is under `_FRINGE_Z` sigma is read there, unrefined.
     Raises FitError on start rates that are zero, not finite or of opposite
     sign, when a refined rate leaves `_RATE_BAND` times its start rate, and
@@ -286,7 +274,7 @@ def fit_central_fringe(scan: FringeScan, start: tuple) -> CentralFit:
         drive, mixing = abs(omega) * np.array([1.0, n]), _CENTRAL_MIXING
     rates = drive
     coef, cov, model = tone_fit(u, y, mixing @ rates)
-    lam, sigma_lam = _fringe_lambda(coef, cov)
+    lam, sigma_lam = _fringe_lambda(coef, cov, background)
     if lam >= _FRINGE_Z * sigma_lam:
         rates = _refine_rates(scan, drive, mixing)
         lo, hi = _RATE_BAND
@@ -296,7 +284,7 @@ def fit_central_fringe(scan: FringeScan, start: tuple) -> CentralFit:
                 f"left {lo}-{hi} times the drive rates {np.array2string(drive, precision=4)}"
             )
         coef, cov, model = tone_fit(u, y, mixing @ rates)
-        lam, sigma_lam = _fringe_lambda(coef, cov)
+        lam, sigma_lam = _fringe_lambda(coef, cov, background)
     lam = min(lam, 1.0)
     n_hat = float(rates[-1] / rates[0])
     rel_residual = float(np.sqrt(np.mean((model - y) ** 2)) / np.mean(y))
@@ -409,19 +397,19 @@ def bell_threshold_visibility() -> tuple:
     return lambda_crit, visibility_from_lambda(lambda_crit)
 
 
-def sigma_violation(v_net: float, sigma_v: float) -> BellResult:
-    """How many standard deviations a measured visibility exceeds v_bell."""
-    if not sigma_v > 0.0:
-        raise ValueError(f"sigma_v must be positive, got {sigma_v!r}")
-    if not 0.0 <= v_net <= 1.0:
-        raise ValueError(f"visibility must lie in [0, 1], got {v_net!r}")
+def sigma_violation(lam: float, sigma_lam: float) -> BellResult:
+    """How many standard deviations the visibility V(lam) of a fitted mixing
+    weight exceeds v_bell, with sigma_V = dV/dlam * sigma_lam."""
+    if not sigma_lam > 0.0:
+        raise ValueError(f"sigma_lam must be positive, got {sigma_lam!r}")
+    v_net = visibility_from_lambda(lam)
+    sigma_v = 6.0 / (2.0 + lam) ** 2 * sigma_lam
     lambda_crit, v_bell = bell_threshold_visibility()
-    lam_hat = lambda_from_visibility(v_net)
     return BellResult(
         v_net=float(v_net),
         sigma_v=float(sigma_v),
         v_bell=float(v_bell),
         n_sigma=float((v_net - v_bell) / sigma_v),
-        i3=float(lam_hat * optimize_cglmp().value),
+        i3=float(lam * optimize_cglmp().value),
         lambda_crit=float(lambda_crit),
     )

@@ -39,14 +39,13 @@ from . import __version__
 from .analysis import (
     FringeScan,
     bell_threshold_visibility,
-    equal_rate_visibility,
     fit_central_fringe,
-    lambda_from_visibility,
     optimize_cglmp,
     phase_ratio,
     save_scan,
     sigma_violation,
     visibility,
+    visibility_from_lambda,
 )
 from .errors import ConfigurationError, DegenerateStateError, FitError, NoFringeError
 from .protocols import BASIS_IDS, EVE_KINDS, QKD_MODES, EveModel, run_coin_toss, run_qkd
@@ -512,7 +511,8 @@ def _run_scan(config: dict, out_dir: str):
 def cmd_scan(config: dict, out_dir: str) -> list:
     """Per-channel fringe scans plus fitted fringe parameters, each fitted
     at its drive tones; the central fit and the satellite rate ratio start
-    from the drive rates."""
+    from the drive rates, and the central fit takes the channel's mean
+    off-peak background off its constant."""
     scans, backgrounds, outputs = _run_scan(config, out_dir)
     drive = config["scan_spec"]["phase_drive"]
     rate_r, rate_l = float(drive["rate_r_rad_per_s"]), float(drive["rate_l_rad_per_s"])
@@ -529,7 +529,7 @@ def cmd_scan(config: dict, out_dir: str) -> list:
         }
         if peak == "central":
             try:
-                full = fit_central_fringe(scan, (rate_r, rate_l / rate_r if rate_r else 0.0))
+                full = fit_central_fringe(scan, (rate_r, rate_l / rate_r if rate_r else 0.0), entry["background_mean"])
                 entry.update(
                     {
                         "lambda_hat": full.lambda_hat,
@@ -554,29 +554,31 @@ def cmd_scan(config: dict, out_dir: str) -> list:
 
 
 def cmd_bell(config: dict, out_dir: str) -> list:
-    """Equal-rate scan, visibility extraction and Bell-threshold verdict.
+    """Equal-rate scan, central-fringe fit and Bell-threshold verdict.
 
-    Reports V(lam) of the (0,0) channel, raw and background-corrected (net),
-    and the mean net value over the three correlated coincidence-class
-    channels; the verdict uses the net (0,0) value.
+    Each channel's lam-hat comes from `fit_central_fringe` at (omega, 1)
+    with the channel's mean off-peak background; a fit it rejects raises
+    FitError.  Reports V(lam-hat) of the (0,0) channel, raw (fitted with no
+    background) and net, and the mean net value over the three correlated
+    coincidence-class channels; the verdict uses the net (0,0) fit.
     """
     config = copy.deepcopy(config)
     drive = config["scan_spec"]["phase_drive"]
     drive["rate_l_rad_per_s"] = drive["rate_r_rad_per_s"]  # threshold needs n = 1
-    omega = abs(float(drive["rate_r_rad_per_s"]))
+    omega = float(drive["rate_r_rad_per_s"])
     channels = [("central", j, k) for j, k in ((0, 0), (1, 2), (2, 1))]
     config["scan_spec"]["channels"] = [dict(zip(("peak", "j", "k"), ch)) for ch in channels]
     scans, backgrounds, outputs = _run_scan(config, out_dir)
-    raw_visibility, _ = equal_rate_visibility(scans[channels[0]], omega)
-    net = [equal_rate_visibility(scans[ch], omega, backgrounds[ch].mean()) for ch in channels]
-    v_net, sigma_v = net[0]
+    raw = fit_central_fringe(scans[channels[0]], (omega, 1.0))
+    fits = [fit_central_fringe(scans[ch], (omega, 1.0), backgrounds[ch].mean()) for ch in channels]
+    net = [visibility_from_lambda(fit.lambda_hat) for fit in fits]
     _, v_bell = bell_threshold_visibility()
-    if v_net < v_bell / 2.0:
+    if net[0] < v_bell / 2.0:
         raise FitError(
-            f"no usable fringe: visibility {v_net:.3f} is below half the "
+            f"no usable fringe: visibility {net[0]:.3f} is below half the "
             f"Bell threshold {v_bell:.4f}; check phases and mixing weight"
         )
-    result = sigma_violation(v_net, sigma_v)
+    result = sigma_violation(fits[0].lambda_hat, fits[0].sigma_lambda)
     payload = {
         "v_net": result.v_net,
         "sigma_v": result.sigma_v,
@@ -584,11 +586,11 @@ def cmd_bell(config: dict, out_dir: str) -> list:
         "n_sigma": result.n_sigma,
         "i3": result.i3,
         "lambda_crit": result.lambda_crit,
-        "lambda_hat": lambda_from_visibility(result.v_net),
+        "lambda_hat": fits[0].lambda_hat,
         "i3_max": optimize_cglmp().value,
-        "raw_visibility": raw_visibility,
+        "raw_visibility": visibility_from_lambda(raw.lambda_hat),
         "background_mean": float(backgrounds[channels[0]].mean()),
-        "class_mean_visibility": float(np.mean([v for v, _ in net])),
+        "class_mean_visibility": float(np.mean(net)),
     }
     bell_path = os.path.join(out_dir, "bell.json")
     _write_json(payload, bell_path)

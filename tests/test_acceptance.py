@@ -19,7 +19,6 @@ from qutrit_bench.analysis import (
     bell_threshold_visibility,
     fit_central_fringe,
     i3_from_probability_table,
-    lambda_from_visibility,
     optimize_cglmp,
     phase_ratio,
     visibility,
@@ -46,7 +45,7 @@ from qutrit_bench.timetags import (
     post_select,
     simulate_run,
 )
-from test_references import central_fringe_model, local_strategy_tables
+from test_references import central_fringe_model, lambda_from_visibility, local_strategy_tables
 
 UNIT_PS = 1200
 PEAK_WEIGHTS = {"outer_right": 1 / 9, "right": 2 / 9, "central": 3 / 9, "left": 2 / 9, "outer_left": 1 / 9}

@@ -12,7 +12,6 @@ from qutrit_bench.analysis import (
     cglmp_value,
     fit_central_fringe,
     i3_from_probability_table,
-    lambda_from_visibility,
     optimize_cglmp,
     phase_ratio,
     sigma_violation,
@@ -21,7 +20,13 @@ from qutrit_bench.analysis import (
 )
 from qutrit_bench.errors import DegenerateStateError, FitError, NoFringeError
 from qutrit_bench.source import InterferometerConfig, step_distributions
-from test_references import MAXENT_PAIR, central_fringe_model, local_strategy_tables, white_noise_mixture
+from test_references import (
+    MAXENT_PAIR,
+    central_fringe_model,
+    lambda_from_visibility,
+    local_strategy_tables,
+    white_noise_mixture,
+)
 
 
 def equal_rate_scan(lam, n_points=2000, periods=2.0, total_counts=3000.0, noise_seed=None):
@@ -378,18 +383,26 @@ class TestBellThreshold:
 
 
 class TestSigmaViolation:
+    @staticmethod
+    def at_visibility(v, sigma_v):
+        """sigma_violation at the lam of visibility v, with the sigma_lam that maps to sigma_v."""
+        lam = lambda_from_visibility(v)
+        return sigma_violation(lam, sigma_v * (2.0 + lam) ** 2 / 6.0)
+
     def test_headline_numbers(self):
-        result = sigma_violation(0.979, 0.006)
+        result = self.at_visibility(0.979, 0.006)
+        assert result.v_net == pytest.approx(0.979, abs=1e-12)
+        assert result.sigma_v == pytest.approx(0.006, abs=1e-12)
         assert result.n_sigma == pytest.approx(34.0, abs=1.0)
         assert result.v_bell == pytest.approx(0.7746, abs=1e-3)
         assert result.i3 > 2.0
 
     def test_zero_at_threshold(self):
-        _, v_bell = bell_threshold_visibility()
-        assert sigma_violation(v_bell, 0.01).n_sigma == pytest.approx(0.0, abs=1e-9)
+        lambda_crit, _ = bell_threshold_visibility()
+        assert sigma_violation(lambda_crit, 0.01).n_sigma == pytest.approx(0.0, abs=1e-9)
 
     def test_below_threshold_is_negative(self):
-        result = sigma_violation(0.70, 0.006)
+        result = self.at_visibility(0.70, 0.006)
         assert result.n_sigma < 0.0
         assert result.i3 < 2.0
 

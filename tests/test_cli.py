@@ -2,6 +2,7 @@ import filecmp
 import hashlib
 import json
 import os
+import pathlib
 import shutil
 
 import jsonschema
@@ -14,6 +15,8 @@ from qutrit_bench.errors import ConfigurationError, DegenerateStateError, NoFrin
 from qutrit_bench.protocols import EVE_KINDS, EveModel
 from qutrit_bench.source import class_weights
 from qutrit_bench.timetags import PEAK_MULTIPLIER, simulate_run
+
+HEADLINE = pathlib.Path(__file__).resolve().parents[1] / "demos" / "configs" / "bell_headline_regime.json"
 
 BASE_RUN = {
     "pair_rate_hz": 2.0e5,
@@ -218,6 +221,17 @@ class TestExitCodes:
         assert manifest["seed"] == 17
         assert len(manifest["config_sha256"]) == 64
 
+    def test_bell_rejects_a_drive_too_short_to_hold_its_rate(self, tmp_path, capsys):
+        # 24 steps of 0.01 s at 2 Hz: 0.48 of a period, too little to hold the rate.
+        out = tmp_path / "out"
+        args = ["bell", "--config", HEADLINE, "--out", out, "--seed", 7]
+        assert run_cli(args + ["--override", "scan_spec.phase_drive.steps=24"]) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error_code"] == "runtime_error"
+        assert "central fringe fit rejected" in manifest["message"]
+        assert "drive rates" in manifest["message"]
+        assert manifest["message"] in capsys.readouterr().err
+
     # Configuration errors that only the command sees, after --out exists.
     @pytest.mark.parametrize(
         "experiment, interferometer, reason",
@@ -315,6 +329,26 @@ class TestScanOutputs:
         for name in ("central_00", "left_00", "right_00"):
             assert fits[name]["visibility"] < 0.3  # Poisson-noise floor only
         assert fits["central_00"]["lambda_hat"] < 0.05
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_central_fit_subtracts_the_background(self, tmp_path, seed):
+        # 6e7 pairs/s at the headline's phase step: 4,000 pairs and about 3
+        # off-peak counts a step.  Left in the constant, that background pulls
+        # lambda_hat 2.8-4.9 sigma low on these seeds.
+        overrides = [
+            "run.pair_rate_hz=6e7",
+            "scan_spec.phase_drive.dwell_s=6.667e-5",
+            "scan_spec.phase_drive.steps=240",
+            "scan_spec.phase_drive.rate_r_rad_per_s=1884.96",
+            "scan_spec.phase_drive.rate_l_rad_per_s=1884.96",
+            'scan_spec.channels=[{"peak": "central", "j": 0, "k": 0}]',
+        ]
+        out = tmp_path / "out"
+        args = ["scan", "--config", HEADLINE, "--out", out, "--seed", seed]
+        assert run_cli(args + [arg for item in overrides for arg in ("--override", item)]) == 0
+        central = json.loads((out / "fringe_fits.json").read_text())["central_00"]
+        assert central["background_mean"] > 2.0
+        assert abs(central["lambda_hat"] - 0.9688) <= 3.0 * central["lambda_sigma"]
 
     def test_largest_seed_scans(self, tmp_path):
         config = self.scan_config(seed=2**64 - 1)
@@ -655,3 +689,18 @@ class TestBellCommand:
         assert bell["v_net"] == pytest.approx(0.979, abs=0.03)
         assert bell["n_sigma"] > 0
         assert bell["i3"] > 2.0
+
+    def test_bell_and_scan_share_one_estimator(self, tmp_path):
+        darks = {"dark_rate_hz": 1.0e6}
+        run = dict(BASE_RUN, **{"lambda": 0.9688, "detectors": {"alice": darks, "bob": darks}})
+        drive = {"rate_r_rad_per_s": 4 * np.pi, "rate_l_rad_per_s": 4 * np.pi, "steps": 80, "dwell_s": 0.01}
+        config = {"run": run, "scan_spec": {"channels": [{"peak": "central", "j": 0, "k": 0}], "phase_drive": drive}}
+        cfg = write_config(tmp_path, config)
+        for experiment in ("scan", "bell"):
+            assert run_cli([experiment, "--config", cfg, "--out", tmp_path / experiment]) == 0
+        central = json.loads((tmp_path / "scan" / "fringe_fits.json").read_text())["central_00"]
+        bell = json.loads((tmp_path / "bell" / "bell.json").read_text())
+        assert bell["background_mean"] == central["background_mean"] > 0.0
+        assert bell["lambda_hat"] == central["lambda_hat"]
+        lam = bell["lambda_hat"]
+        assert bell["sigma_v"] == pytest.approx(6.0 / (2.0 + lam) ** 2 * central["lambda_sigma"], rel=0, abs=1e-12)

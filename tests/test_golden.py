@@ -1,8 +1,9 @@
 """Seeded count and protocol files stay byte-identical.
 
-Small seeded `histogram`, `bell` (24 steps) and default-channel `scan`
-(18 steps) runs of the demo configs, each checked against the sha256 of its
-count files: `histogram.csv`, `peaks.json` and every `scan_*.csv`.  The
+Small seeded `histogram`, `bell` (50 steps, one period of its 2 Hz drive)
+and default-channel `scan` (18 steps) runs of the demo configs, each
+checked against the sha256 of its count files: `histogram.csv`,
+`peaks.json` and every `scan_*.csv`.  The
 full 5 s `histogram` demo run (`histogram_realistic`, 1M pairs) crosses
 the block edges of the stream layer's draws and matching.  The
 fit outputs (`bell.json`, `fringe_fits.json`) are left out: they are fit
@@ -29,7 +30,7 @@ THREE_BASIS_ATTACK = {"kind": "intercept_resend", "basis_pool": ["computational"
 RUNS = {
     "histogram": ("histogram", "histogram_realistic.json", ("run.duration_s=0.05",)),
     "histogram_realistic": ("histogram", "histogram_realistic.json", ()),
-    "bell": ("bell", "bell_headline_regime.json", ("scan_spec.phase_drive.steps=24",)),
+    "bell": ("bell", "bell_headline_regime.json", ("scan_spec.phase_drive.steps=50",)),
     "scan": ("scan", "histogram_realistic.json", ("scan_spec.phase_drive.steps=18",)),
     "qkd": (
         "qkd",
@@ -58,14 +59,14 @@ GOLDEN = {
         "peaks.json": "8b27d32a2c42ad8afd416d27eb1f331537599f5b9e276284c0f88e1991ae5525",
     },
     ("bell", 7): {
-        "scan_central_00.csv": "c8abba505dcb3ad08e639faa6196056b1bfd09512c5932a89cfb439db3d044d6",
-        "scan_central_12.csv": "cf6ad61b7142ae2150dd315a665aa06a73faf4a04f7c4301ae106600eca06d95",
-        "scan_central_21.csv": "adf30b32432b33b940c03f063cadcb814e6c0c2af3740d21b9f9ad7700c3a0b9",
+        "scan_central_00.csv": "21939479b2584ae505a8dbfbc0f1af4cff1cc41ac5358d783f409f02ad85eac6",
+        "scan_central_12.csv": "39fcee7cd85538b8f092c866d5ac54667286a6f3cd070f21155ca2685be118b8",
+        "scan_central_21.csv": "7a0a2e49ebe109098eb38e458a4d48053fab4d0f6550d2a5f4b23f946359ac49",
     },
     ("bell", 1234567): {
-        "scan_central_00.csv": "b9f1c84619befe45a584d0c1cacdeedb480f8a042366801804c2f5d6b4192a11",
-        "scan_central_12.csv": "5360f917590ffdd0084ea109a63ca8d99e239bb346e7df956b5897689ad5c6e6",
-        "scan_central_21.csv": "3336ee62163d2b5a0c4f3fd5bc80f08fe685e418a94df23fc1930ba101e9dfd5",
+        "scan_central_00.csv": "7d9dd13bcf00895714cd0354d9b26517bf7e16439496e47cd3c00fdcea4eca32",
+        "scan_central_12.csv": "e85bf1f31490f76cb2448e3c14c25bcd877e34fbfb2a66933313af399667bf33",
+        "scan_central_21.csv": "d5fa5acd36b09dba9336eaa0856aa76e4e35484064d61d79c76423ad8bd03449",
     },
     ("scan", 7): {
         "scan_central_00.csv": "3d81e6c6e354e179cc2cfb90fa3cbcd0da4e16c9b1edb93917075bf16a49d337",

@@ -17,9 +17,10 @@ cos phi_l + cos(phi_r + phi_l))] / 27 and the satellite law
 two-rate scan (`central_fringe_model`) are the source's former second
 model; the kernel replaced them, and the physics tests of the other
 modules read them from here.  They stay here as test oracles only, as do
-the white-noise mixture, the Born probability and the 81 deterministic
-local strategies, in plain numpy, that `core` and `analysis` once held;
-the mixture and the Born probability are tested here too.
+the white-noise mixture, the Born probability, the 81 deterministic
+local strategies and the inverse visibility map lam = 2*v / (3 - v), in
+plain numpy, that `core` and `analysis` once held; the mixture and the
+Born probability are tested here too.
 `Generator.choice` is also the oracle of
 the guide-table outcome sampler, draw for draw, and `joint_distribution`
 of each step's configuration the oracle of the batched step tables.  The
@@ -236,6 +237,13 @@ def central_fringe_model(u, amplitude, lam, omega, n, phi0, phi1):
     w = omega * np.asarray(u, dtype=float)
     tones = np.cos(w + phi0) + np.cos(n * w + phi1) + np.cos((n + 1.0) * w + phi0 + phi1)
     return amplitude * (3.0 + 2.0 * lam * tones)
+
+
+def lambda_from_visibility(v):
+    """Inverse of the visibility map V = 3*lam / (2 + lam): lam = 2*v / (3 - v)."""
+    if not 0.0 <= v <= 1.0:
+        raise ValueError(f"visibility must lie in [0, 1], got {v!r}")
+    return 2.0 * v / (3.0 - v)
 
 
 _HERALD_PAIRS = {"central": ((0, 0), (1, 1), (2, 2)), **_SATELLITE_PAIRS}
