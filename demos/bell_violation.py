@@ -3,7 +3,8 @@
 1. the three-outcome Bell functional I3 of the maximally entangled pair
    has its maximum over phase-plus-coupler measurements in closed form,
    4 / (6 sqrt(3) - 9), at linear phase settings (Collins, Gisin, Linden,
-   Massar, Popescu, PRL 88, 040404 (2002));
+   Massar, Popescu, PRL 88, 040404 (2002)); the source model reaches it,
+   its central-peak table at those dial settings scored directly;
 2. white noise scales I3 linearly, so the local bound 2 fixes a critical
    mixing weight and hence a threshold fringe visibility v_bell;
 3. a fitted mixing weight and its sigma are converted into a net
@@ -16,21 +17,28 @@ import numpy as np
 
 from qutrit_bench.analysis import (
     bell_threshold_visibility,
-    cglmp_value,
+    cglmp_table,
     i3_from_probability_table,
     optimize_cglmp,
     sigma_violation,
     visibility_from_lambda,
 )
+from qutrit_bench.source import CouplerRatios, InterferometerConfig
 
 print("I3 maximum of the maximally entangled pair (closed form):")
 optimum = optimize_cglmp()
-psi = np.eye(3).reshape(9) / np.sqrt(3.0)  # (|ss> + |mm> + |ll>) / sqrt(3)
-rho = np.outer(psi, psi)
+i3_source = i3_from_probability_table(cglmp_table(InterferometerConfig(), 1.0, optimum.alice_dials, optimum.bob_dials))
 print(f"  I3 max          : {optimum.value:.6f}")
-print(f"  at its settings : {cglmp_value(rho, optimum.settings):.6f}")
-print(f"  alice phases    : {np.round(optimum.settings.alice, 4).tolist()}")
-print(f"  bob phases      : {np.round(optimum.settings.bob, 4).tolist()}")
+print(f"  source, lam = 1 : {i3_source:.6f}")
+print(f"  alice dials     : {np.round(optimum.alice_dials, 4).tolist()}")
+print(f"  bob dials       : {np.round(optimum.bob_dials, 4).tolist()}")
+
+# Unequal couplers make the central-peak state far from maximally
+# entangled: at the same dials the source stays under the local bound.
+ratios = CouplerRatios(0.6, 0.3, 0.1)
+skewed = InterferometerConfig(alice_ratios=ratios, bob_ratios=ratios)
+i3_skewed = i3_from_probability_table(cglmp_table(skewed, 0.9688, optimum.alice_dials, optimum.bob_dials))
+print(f"  couplers [0.6, 0.3, 0.1], lam = 0.9688: I3 = {i3_skewed:.5f} (no violation possible)")
 
 # A deterministic local strategy answers a fixed trit per setting: Alice a1
 # or a2, Bob b1 or b2, so each setting pair has one certain outcome.

@@ -19,8 +19,10 @@ def scan_counts(rate_ratio, steps=900, periods=3.0, seed=1):
     """Counts for the central and both satellite channels at detector pair (0,0)."""
     rng = np.random.default_rng(seed)
     u = np.linspace(0.0, periods * 2.0 * np.pi, steps)  # slow-phase coordinate
-    # Alice's dials (u, u + n*u) drive the two effective phases at rates 1 and n.
-    tables = step_distributions(InterferometerConfig(), LAM, np.stack([u, u + rate_ratio * u], axis=1))
+    # Alice's dials (u, u + n*u) drive the two effective phases at rates 1 and n;
+    # Bob's dials, the last two columns, stay at zero.
+    dials = np.column_stack([u, u + rate_ratio * u, np.zeros((steps, 2))])
+    tables = step_distributions(InterferometerConfig(), LAM, dials)
     # Mean count of a peak's (0,0) cell: its 1:2:3:2:1 weight w times
     # COINCIDENCES_PER_STEP times P(0,0 | peak) = 9 * P[class, 0, 0] / w.
     rates = 9.0 * COINCIDENCES_PER_STEP * tables[:, [2, 3, 1], 0, 0]

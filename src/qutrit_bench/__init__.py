@@ -43,11 +43,10 @@ from .timetags import (
 )
 from .analysis import (
     BellResult,
-    CglmpSettings,
     FringeFit,
     FringeScan,
     bell_threshold_visibility,
-    cglmp_value,
+    cglmp_table,
     fit_central_fringe,
     optimize_cglmp,
     phase_ratio,

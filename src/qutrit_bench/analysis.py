@@ -11,9 +11,12 @@ from the drive and is refined by Gauss-Newton on that fit: the satellite
 rate ratio n = f_left / f_right and the central fit's (omega, n).
 `fit_central_fringe` is the one central-fringe estimator; the Bell verdict
 maps its lam-hat and sigma to V and sigma_V.  Also here: the d = 3 Bell
-functional of phase-plus-coupler measurements, its closed-form maximum
-(Collins, Gisin, Linden, Massar, Popescu, PRL 88, 040404 (2002)) and the
-visibility threshold of a violation.  All plain numpy.
+test (Collins, Gisin, Linden, Massar, Popescu, PRL 88, 040404 (2002)).
+Its measurements are dial settings followed by the coupler, so its
+probability table `cglmp_table` is the central class of the source
+kernel's `step_distributions` at the four setting pairs; the Bell
+functional I3 of a table, its closed-form maximum and the visibility
+threshold of a violation complete the chain.  All plain numpy.
 """
 
 from __future__ import annotations
@@ -24,7 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStateError, FitError, NoFringeError
-from .source import tritter
+from .source import (
+    ALICE_LONG_ARM_TRIM,
+    BOB_LONG_ARM_TRIM,
+    PEAK_CLASS,
+    InterferometerConfig,
+    step_distributions,
+)
 
 _IRLS_PASSES = 4  # passes weighted by 1/model after the unweighted one
 _MODEL_FLOOR = 0.01  # of the mean count: the least model value a weight is taken from
@@ -301,48 +310,22 @@ def fit_central_fringe(scan: FringeScan, start: tuple, background: float = 0.0) 
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CglmpSettings:
-    """Two measurement phase-triples per party.
-
-    Each measurement applies the triple as per-arm phases followed by the
-    symmetric coupler; Bob's reported trit is his detector index reflected
-    mod 3, which labels the correlated coincidence classes 0..2.
-    """
-
-    alice: np.ndarray  # shape (2, 3)
-    bob: np.ndarray  # shape (2, 3)
-
-    def __post_init__(self):
-        for name in ("alice", "bob"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (2, 3) or not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} settings must be two finite phase-triples")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-def _outcome_matrix(phases: np.ndarray) -> np.ndarray:
-    """Rows map a path-basis ket to the three detector amplitudes."""
-    return tritter() @ np.diag(np.exp(1j * np.asarray(phases, dtype=float)))
-
-
 _BOB_RELABEL = np.array([(3 - k) % 3 for k in range(3)])
 
 
-def cglmp_probability_table(rho: np.ndarray, settings: CglmpSettings) -> np.ndarray:
-    """P[a, b, alice_trit, bob_trit] for the four setting combinations of a
-    two-qutrit density matrix `rho` (9 x 9, in the product basis)."""
-    if np.shape(rho) != (9, 9):
-        raise ValueError(f"Bell functional needs a 9 x 9 density matrix, got shape {np.shape(rho)}")
-    mats_a = np.array([_outcome_matrix(phases) for phases in settings.alice])
-    mats_b = np.array([_outcome_matrix(phases) for phases in settings.bob])
-    # Outcome amplitude rows <j_a, k_b| as 9-vectors, indexed [a, b, j, k].
-    rows = np.einsum("ajp,bkq->abjkpq", mats_a, mats_b).reshape(2, 2, 3, 3, 9)
-    probs = np.einsum("abjkx,xy,abjky->abjk", rows, rho, rows.conj()).real
-    table = np.empty((2, 2, 3, 3))
-    table[..., _BOB_RELABEL] = probs
-    return table
+def cglmp_table(cfg: InterferometerConfig, lam: float, alice_dials, bob_dials) -> np.ndarray:
+    """P[a, b, alice_trit, bob_trit] of the source's central peak at Alice's
+    two dial settings `alice_dials` and Bob's two `bob_dials`, (phi_m, phi_l)
+    pairs: the central class of `step_distributions` at the four setting
+    pairs, each normalised.  Bob's trit is his detector index reflected mod
+    3, which labels the correlated coincidence classes 0..2.  Raises
+    DegenerateStateError when the couplers leave the central class empty."""
+    rows = [(*alice, *bob) for alice in alice_dials for bob in bob_dials]
+    central = step_distributions(cfg, lam, rows)[:, PEAK_CLASS["central"]].reshape(2, 2, 3, 3)
+    total = central.sum(axis=(2, 3), keepdims=True)
+    if not np.all(total > 0.0):
+        raise DegenerateStateError("the couplers leave the central peak empty")
+    return (central / total)[..., _BOB_RELABEL]  # the reflection is its own inverse
 
 
 def i3_from_probability_table(table: np.ndarray) -> float:
@@ -356,15 +339,13 @@ def i3_from_probability_table(table: np.ndarray) -> float:
     return float(plus - minus)
 
 
-def cglmp_value(rho: np.ndarray, settings: CglmpSettings) -> float:
-    """Bell value I3 of `rho` at the given measurement settings."""
-    return i3_from_probability_table(cglmp_probability_table(rho, settings))
-
-
 @dataclass(frozen=True)
 class CglmpOptimum:
+    """The maximum of I3 and the dial settings, two (phi_m, phi_l) pairs per party, that reach it."""
+
     value: float
-    settings: CglmpSettings
+    alice_dials: tuple
+    bob_dials: tuple
 
 
 def optimize_cglmp() -> CglmpOptimum:
@@ -372,17 +353,12 @@ def optimize_cglmp() -> CglmpOptimum:
 
     I3max = 4 / (6*sqrt(3) - 9) = 2.8729..., reached by the linear phase
     triples (0, t, 2t) with t = 0 and pi/3 for Alice, +pi/6 and -pi/6 for
-    Bob (Collins, Gisin, Linden, Massar, Popescu, PRL 88, 040404 (2002)).
+    Bob (Collins, Gisin, Linden, Massar, Popescu, PRL 88, 040404 (2002)):
+    the dials (t, 2t - trim), which undo each party's long-arm trim.
     """
-
-    def linear(t):
-        return [0.0, t, 2.0 * t]
-
-    settings = CglmpSettings(
-        alice=[linear(0.0), linear(np.pi / 3.0)],
-        bob=[linear(np.pi / 6.0), linear(-np.pi / 6.0)],
-    )
-    return CglmpOptimum(float(4.0 / (6.0 * np.sqrt(3.0) - 9.0)), settings)
+    alice = tuple((t, 2.0 * t - ALICE_LONG_ARM_TRIM) for t in (0.0, np.pi / 3.0))
+    bob = tuple((t, 2.0 * t - BOB_LONG_ARM_TRIM) for t in (np.pi / 6.0, -np.pi / 6.0))
+    return CglmpOptimum(float(4.0 / (6.0 * np.sqrt(3.0) - 9.0)), alice, bob)
 
 
 def bell_threshold_visibility() -> tuple:

@@ -454,16 +454,18 @@ def cmd_histogram(config: dict, out_dir: str) -> list:
 _TABLE_STEPS = 32
 
 
-def _run_scan(config: dict, out_dir: str):
-    """Drive the phases step by step and collect per-channel counts.
+def _run_scan(config: dict):
+    """Per-channel scans and off-peak backgrounds of a stepped phase drive;
+    writes nothing, so a failed fit leaves no scan files.
 
     The drive replaces Alice's dial trajectory (alpha_m = rate_r * t,
     alpha_l = (rate_r + rate_l) * t, so the two effective phases advance at
-    rate_r and rate_l); Bob's dials stay at their configured values.  The
-    dials enter only through the steps' outcome tables, which come from
-    `step_distributions`, `_TABLE_STEPS` steps a call.  Step i simulates
-    under a 64-bit seed drawn from SeedSequence((seed, i)), so different
-    scan seeds share no step stream.
+    rate_r and rate_l); Bob's dials stay at their configured values, the
+    last two columns of every dial row.  The dials enter only through the
+    steps' outcome tables, which come from `step_distributions`,
+    `_TABLE_STEPS` steps a call.  Step i simulates under a 64-bit seed
+    drawn from SeedSequence((seed, i)), so different scan seeds share no
+    step stream.
     """
     run_cfg = build_run_config(config)
     spec = config["scan_spec"]
@@ -481,7 +483,8 @@ def _run_scan(config: dict, out_dir: str):
     counts = {ch: np.zeros(steps) for ch in channels}
     background = {ch: np.zeros(steps) for ch in channels}
     phi_r = rate_r * setpoints
-    dials = np.stack([phi_r, phi_r + rate_l * setpoints], axis=1)
+    bob = run_cfg.interferometer.bob
+    dials = np.stack([phi_r, phi_r + rate_l * setpoints, np.full(steps, bob.phi_m), np.full(steps, bob.phi_l)], axis=1)
     for i in range(steps):
         if i % _TABLE_STEPS == 0:
             outcome_tables = step_distributions(run_cfg.interferometer, run_cfg.lam, dials[i : i + _TABLE_STEPS])
@@ -499,13 +502,16 @@ def _run_scan(config: dict, out_dir: str):
             counts[(peak, j, k)][i] = tables[peak][j, k]
             background[(peak, j, k)][i] = flat[j, k]
 
-    scans = {ch: FringeScan(setpoints, counts[ch]) for ch in channels}
-    outputs = []
-    for (peak, j, k), scan in scans.items():
-        path = os.path.join(out_dir, f"scan_{peak}_{j}{k}.csv")
+    return {ch: FringeScan(setpoints, counts[ch]) for ch in channels}, background
+
+
+def _write_scan_outputs(scans: dict, payload: dict, out_dir: str, name: str) -> list:
+    """One `scan_<peak>_<j><k>.csv` per channel, then `payload` as `name`; returns the paths."""
+    paths = [os.path.join(out_dir, f"scan_{peak}_{j}{k}.csv") for peak, j, k in scans]
+    for scan, path in zip(scans.values(), paths):
         save_scan(scan, path)
-        outputs.append(path)
-    return scans, background, outputs
+    _write_json(payload, os.path.join(out_dir, name))
+    return paths + [os.path.join(out_dir, name)]
 
 
 def cmd_scan(config: dict, out_dir: str) -> list:
@@ -513,7 +519,7 @@ def cmd_scan(config: dict, out_dir: str) -> list:
     at its drive tones; the central fit and the satellite rate ratio start
     from the drive rates, and the central fit takes the channel's mean
     off-peak background off its constant."""
-    scans, backgrounds, outputs = _run_scan(config, out_dir)
+    scans, backgrounds = _run_scan(config)
     drive = config["scan_spec"]["phase_drive"]
     rate_r, rate_l = float(drive["rate_r_rad_per_s"]), float(drive["rate_l_rad_per_s"])
     drive_rates = {"right": (rate_r,), "left": (rate_l,), "central": (rate_r, rate_l, rate_r + rate_l)}
@@ -548,9 +554,7 @@ def cmd_scan(config: dict, out_dir: str) -> list:
             fits["satellite_rate_ratio"] = phase_ratio(left, right, (rate_l, rate_r))
         except (NoFringeError, DegenerateStateError) as exc:  # reported, not fatal
             fits["satellite_rate_ratio_error"] = str(exc)
-    fits_path = os.path.join(out_dir, "fringe_fits.json")
-    _write_json(fits, fits_path)
-    return outputs + [fits_path]
+    return _write_scan_outputs(scans, fits, out_dir, "fringe_fits.json")
 
 
 def cmd_bell(config: dict, out_dir: str) -> list:
@@ -568,7 +572,7 @@ def cmd_bell(config: dict, out_dir: str) -> list:
     omega = float(drive["rate_r_rad_per_s"])
     channels = [("central", j, k) for j, k in ((0, 0), (1, 2), (2, 1))]
     config["scan_spec"]["channels"] = [dict(zip(("peak", "j", "k"), ch)) for ch in channels]
-    scans, backgrounds, outputs = _run_scan(config, out_dir)
+    scans, backgrounds = _run_scan(config)
     raw = fit_central_fringe(scans[channels[0]], (omega, 1.0))
     fits = [fit_central_fringe(scans[ch], (omega, 1.0), backgrounds[ch].mean()) for ch in channels]
     net = [visibility_from_lambda(fit.lambda_hat) for fit in fits]
@@ -592,9 +596,7 @@ def cmd_bell(config: dict, out_dir: str) -> list:
         "background_mean": float(backgrounds[channels[0]].mean()),
         "class_mean_visibility": float(np.mean(net)),
     }
-    bell_path = os.path.join(out_dir, "bell.json")
-    _write_json(payload, bell_path)
-    return outputs + [bell_path]
+    return _write_scan_outputs(scans, payload, out_dir, "bell.json")
 
 
 def cmd_qkd(config: dict, out_dir: str) -> list:

@@ -21,11 +21,11 @@ path pairs of one class (`CLASS_PATH_PAIRS`).  It holds for any coupler
 ratios; the paper's fringe laws are its values at symmetric couplers, e.g.
 the central law P = [3 + 2*lam*(cos phi_r + cos phi_l + cos(phi_r + phi_l))] / 27.
 
-The kernel has a leading step axis of Alice dial settings (phi_m, phi_l):
-`step_distributions` gives the outcome tables of every step of a dial scan
-in one call, and `pair_amplitudes`, `class_weights` and
-`joint_distribution` are its one-row case.  Each row equals, bit for bit,
-the row computed for that step's configuration alone.
+The kernel has a leading step axis of dial rows (alpha_m, alpha_l, beta_m,
+beta_l), both parties' dials: `step_distributions` gives the outcome tables
+of every step of a dial scan in one call, and `pair_amplitudes`,
+`class_weights` and `joint_distribution` are its one-row case.  Each row
+equals, bit for bit, the row computed for that step's configuration alone.
 
 Because the output couplers are discrete-Fourier unitaries, the medium
 and long two-photon terms acquire detector-dependent offsets
@@ -156,23 +156,22 @@ class InterferometerConfig:
             raise ConfigurationError(f"unit delay must be positive, got {self.unit_delay_ns!r}")
 
 
-def _arm_amplitudes(cfg: InterferometerConfig, alice_dials=None) -> tuple:
+def _arm_amplitudes(cfg: InterferometerConfig, dials=None) -> tuple:
     """Per-arm amplitudes sqrt(p) e^{i phase} of Alice and Bob (dial + long-arm trim).
 
-    Alice's are an (S, 3) array, one row per (phi_m, phi_l) row of
-    `alice_dials` (default: her dials in `cfg`); Bob's are a 3-vector.
+    Each is an (S, 3) array, one row per (alpha_m, alpha_l, beta_m, beta_l)
+    row of `dials` (default: the one row of the dials in `cfg`).
     """
-    if alice_dials is None:
-        alice_dials = [(cfg.alice.phi_m, cfg.alice.phi_l)]
-    dials = np.asarray(alice_dials, dtype=float)
-    if dials.ndim != 2 or dials.shape[1] != 2:
-        raise ValueError(f"Alice dial settings must have shape (S, 2), got {dials.shape}")
-    phase_a = np.zeros((len(dials), 3))
-    phase_a[:, 1] = dials[:, 0]
-    phase_a[:, 2] = dials[:, 1] + ALICE_LONG_ARM_TRIM
-    phase_b = np.array([0.0, cfg.bob.phi_m, cfg.bob.phi_l + BOB_LONG_ARM_TRIM])
-    amp_a = np.sqrt(cfg.alice_ratios.as_array()) * np.exp(1j * phase_a)
-    amp_b = np.sqrt(cfg.bob_ratios.as_array()) * np.exp(1j * phase_b)
+    if dials is None:
+        dials = [(cfg.alice.phi_m, cfg.alice.phi_l, cfg.bob.phi_m, cfg.bob.phi_l)]
+    dials = np.asarray(dials, dtype=float)
+    if dials.ndim != 2 or dials.shape[1] != 4:
+        raise ValueError(f"dial settings must have shape (S, 4), got {dials.shape}")
+    phase = np.zeros((len(dials), 2, 3))  # [row, party, path]
+    phase[:, :, 1:] = dials.reshape(-1, 2, 2)
+    phase[:, :, 2] += (ALICE_LONG_ARM_TRIM, BOB_LONG_ARM_TRIM)
+    amp_a = np.sqrt(cfg.alice_ratios.as_array()) * np.exp(1j * phase[:, 0])
+    amp_b = np.sqrt(cfg.bob_ratios.as_array()) * np.exp(1j * phase[:, 1])
     return amp_a, amp_b
 
 
@@ -185,9 +184,10 @@ def _pair_amplitudes(amp_a: np.ndarray, amp_b: np.ndarray) -> np.ndarray:
     them (FMA) and round differently.
     """
     ar, ai = amp_a.real[:, :, None], amp_a.imag[:, :, None]
+    br, bi = amp_b.real[:, None, :], amp_b.imag[:, None, :]
     arms = np.empty(ar.shape[:2] + (3,), dtype=complex)
-    arms.real = ar * amp_b.real - ai * amp_b.imag
-    arms.imag = ar * amp_b.imag + ai * amp_b.real
+    arms.real = ar * br - ai * bi
+    arms.imag = ar * bi + ai * br
     return arms[..., None, None] * _COUPLER_PAIRS
 
 
@@ -255,7 +255,7 @@ def _class_weights(amp_a: np.ndarray, amp_b: np.ndarray) -> np.ndarray:
     squared with Python's float power, which rounds through libm `pow`;
     numpy's array square differs from it in about one term in a thousand.
     """
-    moduli = np.hypot(amp_a.real, amp_a.imag)[:, :, None] * np.hypot(amp_b.real, amp_b.imag)
+    moduli = np.hypot(amp_a.real, amp_a.imag)[:, :, None] * np.hypot(amp_b.real, amp_b.imag)[:, None, :]
     terms = np.array([m**2 for m in moduli.ravel().tolist()]).reshape(moduli.shape)
     return np.stack([sum(terms[:, pa, pb] for pa, pb in pairs) for pairs in CLASS_PATH_PAIRS], axis=1)
 
@@ -269,17 +269,17 @@ def class_weights(cfg: InterferometerConfig) -> np.ndarray:
     return _class_weights(*_arm_amplitudes(cfg))[0]
 
 
-def step_distributions(cfg: InterferometerConfig, lam: float, alice_dials=None) -> np.ndarray:
+def step_distributions(cfg: InterferometerConfig, lam: float, dials=None) -> np.ndarray:
     """Outcome distributions P[s, class, j, k] of the steps of a dial scan.
 
-    Row s is `joint_distribution` of `cfg` with Alice's dials set to
-    `alice_dials[s]`, a (phi_m, phi_l) pair, bit for bit: the rows share
-    one pass of the amplitude kernel instead of one call per step.  With
-    no `alice_dials` the one row is `cfg`'s own.
+    Row s is `joint_distribution` of `cfg` with both parties' dials set to
+    `dials[s]` = (alpha_m, alpha_l, beta_m, beta_l), bit for bit: the rows
+    share one pass of the amplitude kernel instead of one call per step.
+    With no `dials` the one row is `cfg`'s own.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {lam!r}")
-    amp_a, amp_b = _arm_amplitudes(cfg, alice_dials)
+    amp_a, amp_b = _arm_amplitudes(cfg, dials)
     amps = _pair_amplitudes(amp_a, amp_b)
     # Coherent sum over the indistinguishable path pairs of each dt class.
     pure = np.stack(

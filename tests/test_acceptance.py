@@ -130,8 +130,10 @@ def test_criterion_3_visibility_chain():
     lam = 0.9688
     phases = np.linspace(0.0, 4.0 * np.pi, 2400)
     rng = np.random.default_rng(190402)
-    # Alice's dials (phi, 2*phi) drive phi_r = phi_l = phi; P(0,0 | central) = 3 * P[2, 0, 0].
-    tables = step_distributions(InterferometerConfig(), lam, np.stack([phases, 2.0 * phases], axis=1))
+    # Alice's dials (phi, 2*phi) drive phi_r = phi_l = phi, Bob's stay at zero;
+    # P(0,0 | central) = 3 * P[2, 0, 0].
+    dials = np.column_stack([phases, 2.0 * phases, np.zeros((phases.size, 2))])
+    tables = step_distributions(InterferometerConfig(), lam, dials)
     counts = rng.poisson(27000.0 * 3.0 * tables[:, 2, 0, 0])
     fit = visibility(FringeScan(phases, counts), (1.0, 2.0))  # both phases advance at rate 1
     v_ok = abs(fit.visibility - 0.979) <= 0.005

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qutrit_bench.analysis import (
-    CglmpSettings,
     FringeScan,
     bell_threshold_visibility,
-    cglmp_value,
+    cglmp_table,
     fit_central_fringe,
     i3_from_probability_table,
     optimize_cglmp,
@@ -19,21 +18,20 @@ from qutrit_bench.analysis import (
     visibility_from_lambda,
 )
 from qutrit_bench.errors import DegenerateStateError, FitError, NoFringeError
-from qutrit_bench.source import InterferometerConfig, step_distributions
+from qutrit_bench.source import CouplerRatios, InterferometerConfig, step_distributions
 from test_references import (
-    MAXENT_PAIR,
     central_fringe_model,
     lambda_from_visibility,
     local_strategy_tables,
-    white_noise_mixture,
 )
 
 
 def equal_rate_scan(lam, n_points=2000, periods=2.0, total_counts=3000.0, noise_seed=None):
     """Counts from the kernel's central table with both phases driven equally:
-    Alice's dials (u, 2u) give phi_r = phi_l = u."""
+    Alice's dials (u, 2u) give phi_r = phi_l = u; Bob's stay at zero."""
     u = np.linspace(0.0, periods * 2.0 * np.pi, n_points)
-    probs = 3.0 * step_distributions(InterferometerConfig(), lam, np.stack([u, 2.0 * u], axis=1))[:, 2, 0, 0]
+    dials = np.column_stack([u, 2.0 * u, np.zeros((u.size, 2))])
+    probs = 3.0 * step_distributions(InterferometerConfig(), lam, dials)[:, 2, 0, 0]
     counts = total_counts * probs * 9.0
     if noise_seed is not None:
         counts = np.random.default_rng(noise_seed).poisson(counts).astype(float)
@@ -295,13 +293,23 @@ class TestPhaseRatio:
 MAXENT_I3 = 4.0 / (6.0 * np.sqrt(3.0) - 9.0)  # closed form of the qutrit maximum
 
 
+def random_dials(rng):
+    """Two random (phi_m, phi_l) dial pairs."""
+    return rng.uniform(0, 2 * np.pi, (2, 2))
+
+
+def kernel_i3(cfg, lam, alice_dials, bob_dials):
+    return i3_from_probability_table(cglmp_table(cfg, lam, alice_dials, bob_dials))
+
+
 class TestBellFunctional:
+    """I3 of the source kernel's central class at the CGLMP dial settings."""
+
     def test_white_noise_gives_zero(self):
-        rho = np.eye(9) / 9.0
         rng = np.random.default_rng(3)
         for _ in range(5):
-            settings = CglmpSettings(rng.uniform(0, 2 * np.pi, (2, 3)), rng.uniform(0, 2 * np.pi, (2, 3)))
-            assert cglmp_value(rho, settings) == pytest.approx(0.0, abs=1e-10)
+            i3 = kernel_i3(InterferometerConfig(), 0.0, random_dials(rng), random_dials(rng))
+            assert i3 == pytest.approx(0.0, abs=1e-10)
 
     def test_optimized_maximum(self):
         optimum = optimize_cglmp()
@@ -310,44 +318,45 @@ class TestBellFunctional:
 
     def test_optimum_settings_reach_optimum_value(self):
         optimum = optimize_cglmp()
-        rho = white_noise_mixture(MAXENT_PAIR, 1.0)
-        assert cglmp_value(rho, optimum.settings) == pytest.approx(optimum.value, abs=1e-12)
+        found = kernel_i3(InterferometerConfig(), 1.0, optimum.alice_dials, optimum.bob_dials)
+        assert found == pytest.approx(optimum.value, abs=1e-12)
 
     def test_known_linear_settings_reach_maximum(self):
-        # the equally-spaced phase settings are optimal for the maximally
-        # entangled pair: alice dials 0 and pi/3, bob pi/6 and -pi/6
-        def linear(t):
-            return [0.0, t, 2.0 * t]
-
-        settings = CglmpSettings(
-            alice=np.array([linear(0.0), linear(np.pi / 3)]),
-            bob=np.array([linear(np.pi / 6), linear(-np.pi / 6)]),
-        )
-        rho = white_noise_mixture(MAXENT_PAIR, 1.0)
-        assert cglmp_value(rho, settings) == pytest.approx(MAXENT_I3, abs=1e-9)
+        # the equally-spaced phase triples (0, t, 2t) are optimal for the
+        # maximally entangled pair: t = 0 and pi/3 for Alice, pi/6 and -pi/6
+        # for Bob, as dials (t, 2t - trim) that undo each long-arm trim
+        alice = [(0.0, 2.0 * np.pi / 3.0), (np.pi / 3.0, 4.0 * np.pi / 3.0)]
+        bob = [(np.pi / 6.0, -np.pi / 3.0), (-np.pi / 6.0, -np.pi)]
+        assert kernel_i3(InterferometerConfig(), 1.0, alice, bob) == pytest.approx(MAXENT_I3, abs=1e-9)
 
     def test_affine_in_mixing_weight(self):
         rng = np.random.default_rng(17)
         for _ in range(5):
-            settings = CglmpSettings(rng.uniform(0, 2 * np.pi, (2, 3)), rng.uniform(0, 2 * np.pi, (2, 3)))
-            pure = cglmp_value(white_noise_mixture(MAXENT_PAIR, 1.0), settings)
+            alice, bob = random_dials(rng), random_dials(rng)
+            pure = kernel_i3(InterferometerConfig(), 1.0, alice, bob)
             for lam in (0.2, 0.7):
-                mixed = cglmp_value(white_noise_mixture(MAXENT_PAIR, lam), settings)
-                assert mixed == pytest.approx(lam * pure, abs=1e-10)
+                assert kernel_i3(InterferometerConfig(), lam, alice, bob) == pytest.approx(lam * pure, abs=1e-10)
 
     def test_random_settings_never_beat_optimum(self):
         rng = np.random.default_rng(23)
-        rho = white_noise_mixture(MAXENT_PAIR, 1.0)
         best = optimize_cglmp().value
         for _ in range(200):
-            settings = CglmpSettings(rng.uniform(0, 2 * np.pi, (2, 3)), rng.uniform(0, 2 * np.pi, (2, 3)))
-            assert cglmp_value(rho, settings) <= best + 1e-9
+            assert kernel_i3(InterferometerConfig(), 1.0, random_dials(rng), random_dials(rng)) <= best + 1e-9
 
-    def test_needs_a_nine_by_nine_matrix(self):
+    def test_unequal_couplers_allow_no_violation(self):
+        # [0.6, 0.3, 0.1] couplers on both sides at the headline mixing weight
+        ratios = CouplerRatios(0.6, 0.3, 0.1)
+        cfg = InterferometerConfig(alice_ratios=ratios, bob_ratios=ratios)
         optimum = optimize_cglmp()
-        for rho in (np.eye(3) / 3.0, MAXENT_PAIR, np.eye(9)[None] / 9.0):
-            with pytest.raises(ValueError, match="9 x 9"):
-                cglmp_value(rho, optimum.settings)
+        assert kernel_i3(cfg, 0.9688, optimum.alice_dials, optimum.bob_dials) == pytest.approx(1.52686, abs=1e-5)
+
+    def test_empty_central_class_rejected(self):
+        # Alice only ever takes her short arm and Bob his long one.
+        short, long = CouplerRatios(1.0, 0.0, 0.0), CouplerRatios(0.0, 0.0, 1.0)
+        cfg = InterferometerConfig(alice_ratios=short, bob_ratios=long)
+        optimum = optimize_cglmp()
+        with pytest.raises(DegenerateStateError, match="central peak empty"):
+            cglmp_table(cfg, 0.9, optimum.alice_dials, optimum.bob_dials)
 
     def test_local_deterministic_bound(self):
         values = np.array([i3_from_probability_table(table) for table in local_strategy_tables()])

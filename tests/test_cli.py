@@ -231,6 +231,7 @@ class TestExitCodes:
         assert "central fringe fit rejected" in manifest["message"]
         assert "drive rates" in manifest["message"]
         assert manifest["message"] in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["manifest.json"]  # no scan files beside a failed run
 
     # Configuration errors that only the command sees, after --out exists.
     @pytest.mark.parametrize(
@@ -369,7 +370,7 @@ class TestScanOutputs:
         seen = []
         for seed in (5, 6):
             streams.clear()
-            cli._run_scan(cli.load_config(write_config(tmp_path, self.scan_config(seed))), tmp_path)
+            cli._run_scan(cli.load_config(write_config(tmp_path, self.scan_config(seed))))
             assert len(set(streams)) == 90
             seen.append(set(streams))
         assert not seen[0] & seen[1]

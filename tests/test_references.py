@@ -53,11 +53,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from qutrit_bench.analysis import (
-    CglmpSettings,
-    cglmp_probability_table,
-    optimize_cglmp,
-)
+from qutrit_bench.analysis import cglmp_table, optimize_cglmp
 from qutrit_bench.cli import CONFIG_SCHEMA, DEFAULT_CONFIG, _config_error, _deep_merge
 from qutrit_bench.errors import OrderingError
 from qutrit_bench import protocols, source, timetags
@@ -264,10 +260,13 @@ def _outcome_matrix(phases):
 _BOB_RELABEL = np.array([(3 - k) % 3 for k in range(3)])
 
 
-def reference_cglmp_probability_table(rho, cglmp_settings):
+def reference_cglmp_probability_table(rho, alice, bob):
+    """P[a, b, alice_trit, bob_trit] of a 9 x 9 density matrix measured with
+    Alice's phase triples `alice[a]` and Bob's `bob[b]`, each followed by
+    the coupler, one Born probability at a time."""
     table = np.zeros((2, 2, 3, 3))
-    mats_a = [_outcome_matrix(cglmp_settings.alice[a]) for a in range(2)]
-    mats_b = [_outcome_matrix(cglmp_settings.bob[b]) for b in range(2)]
+    mats_a = [_outcome_matrix(alice[a]) for a in range(2)]
+    mats_b = [_outcome_matrix(bob[b]) for b in range(2)]
     for a in range(2):
         for b in range(2):
             for j in range(3):
@@ -645,13 +644,15 @@ def test_joint_distribution_is_bit_identical_to_reference(cfg, lam):
 
 @st.composite
 def dial_scans(draw):
-    """A configuration and the Alice dial rows of a phase-driven scan of it."""
+    """A configuration and the dial rows of a phase-driven scan of it: Alice's
+    dials follow the drive, and Bob's are drawn for each row."""
     steps = draw(st.integers(1, 60))
     dwell = draw(st.sampled_from([0.01, 0.02]) | st.floats(1e-4, 1.0))
     rate_r, rate_l = (draw(st.sampled_from([0.0, 4.0 * np.pi]) | st.floats(-100.0, 100.0)) for _ in range(2))
     setpoints = np.arange(steps) * dwell
     phi_r = rate_r * setpoints
-    return draw(configs()), np.stack([phi_r, phi_r + rate_l * setpoints], axis=1)
+    bob = draw(st.lists(st.tuples(phases, phases), min_size=steps, max_size=steps))
+    return draw(configs()), np.column_stack([phi_r, phi_r + rate_l * setpoints, np.array(bob).reshape(steps, 2)])
 
 
 @settings(max_examples=200, deadline=None)
@@ -660,8 +661,8 @@ def test_step_distributions_rows_are_joint_distributions(scan, lam):
     cfg, dials = scan
     rows = step_distributions(cfg, lam, dials)
     assert rows.shape == (len(dials), 5, 3, 3)
-    for row, (alpha_m, alpha_l) in zip(rows, dials):
-        step_cfg = dataclasses.replace(cfg, alice=ArmPhases(alpha_m, alpha_l))
+    for row, (alpha_m, alpha_l, beta_m, beta_l) in zip(rows, dials):
+        step_cfg = dataclasses.replace(cfg, alice=ArmPhases(alpha_m, alpha_l), bob=ArmPhases(beta_m, beta_l))
         assert np.array_equal(row, joint_distribution(step_cfg, lam))
 
 
@@ -696,16 +697,22 @@ def test_herald_state_matches_reference(peak, detector, cfg):
 # --------------------------------------------------------------------------
 
 
+def dials_to_triples(dials, trim):
+    """Phase triples (0, phi_m, phi_l + trim) of (phi_m, phi_l) dial pairs behind a long-arm trim."""
+    return np.array([(0.0, phi_m, phi_l + trim) for phi_m, phi_l in dials])
+
+
 @settings(deadline=None)
-@given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
-def test_cglmp_table_matches_reference_loop(seed, lam):
-    rng = np.random.default_rng(seed)
-    rho = white_noise_mixture(random_ket(rng), lam)
-    angles = rng.uniform(-10.0, 10.0, (4, 3))
-    cglmp_settings = CglmpSettings(angles[:2], angles[2:])
-    table = cglmp_probability_table(rho, cglmp_settings)
-    reference = reference_cglmp_probability_table(rho, cglmp_settings)
-    assert np.max(np.abs(table - reference)) < 1e-12
+@given(st.tuples(weights, weights), st.lists(st.tuples(phases, phases), min_size=4, max_size=4), st.floats(0.0, 1.0))
+def test_cglmp_table_matches_reference_loop(couplers, dials, lam):
+    # The kernel's central class at the four setting pairs is the Born rule
+    # on its normalised central state, mixed with white noise.
+    cfg = InterferometerConfig(alice_ratios=ratios_from(couplers[0]), bob_ratios=ratios_from(couplers[1]))
+    rho = white_noise_mixture(central_state(cfg, 0, 0), lam)
+    alice = dials_to_triples(dials[:2], ALICE_LONG_ARM_TRIM)
+    bob = dials_to_triples(dials[2:], BOB_LONG_ARM_TRIM)
+    table = cglmp_table(cfg, lam, dials[:2], dials[2:])
+    assert np.max(np.abs(table - reference_cglmp_probability_table(rho, alice, bob))) < 1e-12
 
 
 def test_search_never_beats_closed_form_and_reaches_it():
@@ -716,11 +723,11 @@ def test_search_never_beats_closed_form_and_reaches_it():
 
 
 def test_search_objective_agrees_with_table_path():
-    rho = white_noise_mixture(MAXENT_PAIR, 1.0)
     optimum = optimize_cglmp()
-    flat = np.concatenate([optimum.settings.alice, optimum.settings.bob]).ravel()
-    table = cglmp_probability_table(rho, optimum.settings)
-    assert _i3_pure_maxent(flat) == pytest.approx(_i3_from_table(table), abs=1e-12)
+    alice = dials_to_triples(optimum.alice_dials, ALICE_LONG_ARM_TRIM)
+    bob = dials_to_triples(optimum.bob_dials, BOB_LONG_ARM_TRIM)
+    table = cglmp_table(InterferometerConfig(), 1.0, optimum.alice_dials, optimum.bob_dials)
+    assert _i3_pure_maxent(np.concatenate([alice, bob]).ravel()) == pytest.approx(_i3_from_table(table), abs=1e-12)
 
 
 # --------------------------------------------------------------------------

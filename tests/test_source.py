@@ -332,7 +332,7 @@ class TestFringeLaw:
         grid = np.arange(0.0, 2.0 * np.pi, 1e-3)
 
         def scan(phi_r):
-            dials = np.stack([np.full_like(grid, phi_r), phi_r + grid], axis=1)
+            dials = np.column_stack([np.full_like(grid, phi_r), phi_r + grid, np.zeros((grid.size, 2))])
             return 3.0 * step_distributions(InterferometerConfig(), 1.0, dials)[:, PEAK_CLASS["central"], 0, 0]
 
         for fixed in (0.0, 0.3, 1.0, np.pi):
