@@ -8,6 +8,9 @@ entangled-qutrit subspace.
 
 from qutrit_bench.source import InterferometerConfig
 from qutrit_bench.timetags import (
+    BINS_PER_UNIT,
+    PEAK_MULTIPLIER,
+    Histogram,
     RunConfig,
     build_histogram,
     find_coincidences,
@@ -24,14 +27,24 @@ cfg = RunConfig(
 )
 
 print(f"simulating {cfg.pair_rate_hz * cfg.duration_s:.0f} expected pairs ...")
-stream = simulate_run(cfg)
-print(f"  {len(stream)} detection tags")
+run = simulate_run(cfg)
+print(f"  {len(run)} detection tags")
 
+# The run comes as time-sorted chunks cut at gaps wider than 3 unit delays,
+# so matching and binning each chunk gives the whole run's counts.
 unit_ps = cfg.unit_delay_ps
-coincidences = find_coincidences(stream, max_delta_ps=3 * unit_ps)
-print(f"  {len(coincidences)} coincidences within +-{3 * unit_ps / 1000:.1f} ns")
+hist = Histogram(unit_ps / BINS_PER_UNIT, {})  # 12 bins of 100 ps per unit
+areas = dict.fromkeys(PEAK_MULTIPLIER, 0)
+chunks = records = 0
+for chunk in run:
+    coincidences = find_coincidences(chunk, max_delta_ps=3 * unit_ps)
+    hist += build_histogram(coincidences, unit_delay_ps=unit_ps)
+    for peak, area in peak_areas(coincidences, half_width_ps=150.0, unit_delay_ps=unit_ps).items():
+        areas[peak] += area
+    chunks += 1
+    records += len(coincidences)
+print(f"  {records} coincidences within +-{3 * unit_ps / 1000:.1f} ns, matched in {chunks} chunks")
 
-areas = peak_areas(coincidences, half_width_ps=150.0, unit_delay_ps=unit_ps)
 total = sum(areas.values())
 print("\npeak areas (expected weights 1:2:3:2:1):")
 for peak, multiplier in (
@@ -47,7 +60,6 @@ for peak, multiplier in (
         f"   fraction {area / total:.4f}"
     )
 
-hist = build_histogram(coincidences, unit_delay_ps=unit_ps)  # 12 bins of 100 ps per unit
 print("\nhistogram bins around the central peak:")
 for i in sorted(hist.bins):
     center = hist.bin_center_ps(i)

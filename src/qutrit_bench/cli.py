@@ -58,8 +58,10 @@ from .source import (
     step_distributions,
 )
 from .timetags import (
+    BINS_PER_UNIT,
     PEAK_MULTIPLIER,
     DetectorModel,
+    Histogram,
     RunConfig,
     build_histogram,
     find_coincidences,
@@ -421,11 +423,18 @@ def cmd_histogram(config: dict, out_dir: str) -> list:
     with each peak's share set against its class weight at the couplers."""
     run_cfg = build_run_config(config)
     unit_ps = run_cfg.unit_delay_ps
-    # The stream is dropped once matched, so binning runs without it.
-    coincidences = find_coincidences(simulate_run(run_cfg), max_delta_ps=3 * unit_ps)
-    histogram = build_histogram(coincidences, unit_ps)
     half_width = run_cfg.coincidence_window_ps / 2.0
-    areas = peak_areas(coincidences, half_width, unit_ps)
+    # Matched and binned a chunk at a time, so one chunk's tags and records are held.
+    histogram = Histogram(unit_ps / BINS_PER_UNIT, {})
+    areas = dict.fromkeys(PEAK_MULTIPLIER, 0)
+    records = 0
+    for chunk in simulate_run(run_cfg):
+        coincidences = find_coincidences(chunk, max_delta_ps=3 * unit_ps)
+        histogram += build_histogram(coincidences, unit_ps)
+        for peak, area in peak_areas(coincidences, half_width, unit_ps).items():
+            areas[peak] += area
+        records += len(coincidences)
+        del chunk, coincidences  # before the next chunk is made
 
     total = sum(areas.values())
     weights = class_weights(run_cfg.interferometer)  # index m + 2 for dt = m unit delays
@@ -438,7 +447,7 @@ def cmd_histogram(config: dict, out_dir: str) -> list:
     _write_json(
         {
             "areas": areas,
-            "total_coincidences": int(len(coincidences)),
+            "total_coincidences": records,
             "ideal_weights": ideal,
             "max_weight_residual": residual,
             "peak_centers_ns": {p: m * run_cfg.interferometer.unit_delay_ns for p, m in PEAK_MULTIPLIER.items()},
@@ -493,14 +502,15 @@ def _run_scan(config: dict):
             duration_s=dwell,
             seed=int(np.random.SeedSequence((run_cfg.seed, i)).generate_state(1, np.uint64)[0]),
         )
-        stream = simulate_run(step_cfg, outcome_tables[i % _TABLE_STEPS])
-        coincidences = find_coincidences(stream, max_delta_ps=3 * unit_ps)
-        flat = off_peak_background(coincidences, half_width, unit_ps)
-        # simulate_run always puts the left subspace at dt = +1 unit delay.
-        tables = {peak: post_select(coincidences, peak, half_width, unit_ps) for peak in peaks}
-        for peak, j, k in channels:
-            counts[(peak, j, k)][i] = tables[peak][j, k]
-            background[(peak, j, k)][i] = flat[j, k]
+        # A step of up to 65,536 pairs (every step of the demo configs) is one chunk.
+        for chunk in simulate_run(step_cfg, outcome_tables[i % _TABLE_STEPS]):
+            coincidences = find_coincidences(chunk, max_delta_ps=3 * unit_ps)
+            flat = off_peak_background(coincidences, half_width, unit_ps)
+            # simulate_run always puts the left subspace at dt = +1 unit delay.
+            tables = {peak: post_select(coincidences, peak, half_width, unit_ps) for peak in peaks}
+            for peak, j, k in channels:
+                counts[(peak, j, k)][i] += tables[peak][j, k]
+                background[(peak, j, k)][i] += flat[j, k]
 
     return {ch: FringeScan(setpoints, counts[ch]) for ch in channels}, background
 

@@ -3,8 +3,9 @@
 A run draws pair emissions as a Poisson process, samples each pair's
 (dt class, detector_A, detector_B) outcome from the source model's joint
 distribution, applies detector efficiency, timing jitter and dark counts,
-and emits a time-sorted tag stream.  Coincidence identification, histogram
-binning and per-peak post-selection operate on such streams.
+and emits a time-sorted tag stream in chunks.  Coincidence identification,
+histogram binning and per-peak post-selection operate on such streams, and
+a run's counts are the sums of its chunks' counts.
 
 Coincidences are found in offset passes over the merged stream of both
 parties, never in a per-party split: neighbours first, then tags two apart,
@@ -18,28 +19,43 @@ per tag, read in stream order a block at a time into three exact-size
 columns: Alice's detector, Bob's and dt = t_A - t_B, 10 bytes a record.  So
 matching holds the stream, its records, that array and a few block-sized
 temporaries; the histogram and the peak areas bin a block at a time too.
+A run's stream is one chunk at a time, so none of these is ever run-sized.
 
 All times are integer picoseconds: comparisons are exact, binning is
 reproducible, and long runs accumulate no float drift.  Identical
 configurations (including the seed) produce byte-identical streams.
 
 `simulate_run` packs each tag into one int64 key, time_ps * 8 + party * 4 +
-detector, sorts the keys once and decodes the arrays from them: time_ps =
-key >> 3 (an arithmetic shift, exact for negative times), party = bit 2 and
-detector = bits 0-1.  Equal keys are identical tags, so any sort gives the
-same stream, ordered by (time, party, detector).  The key fits an int64
-while every tag time lies within +-2**60 ps (about 13 days), so `RunConfig`
-rejects a duration, unit delay and jitter that could leave that range.
+detector, and decodes the arrays from sorted keys: time_ps = key >> 3 (an
+arithmetic shift, exact for negative times), party = bit 2 and detector =
+bits 0-1.  Equal keys are identical tags, so any sort gives the same stream,
+ordered by (time, party, detector).  The key fits an int64 while every tag
+time lies within +-2**60 ps (about 13 days), so `RunConfig` rejects a
+duration, unit delay and jitter that could leave that range.
 
-The keys live in one int64 buffer of exactly the stream's length: Alice's
-kept pair tags, then Bob's, then the dark counts.  The efficiency masks are
-drawn first, so their counts size it; each party's keys are then written
-`_BLOCK` pairs at a time, the buffer is sorted in place and becomes
-`time_ps` by an in-place shift, after its low byte has given `party` and
-`detector`.  Every per-pair draw (outcome uniforms, Alice's then Bob's
-jitter normals, Alice's then Bob's efficiency uniforms) is made in blocked
-calls, each generator called in the same order as one call per draw kind
-would be; numpy's generators give the same numbers either way.
+A run is a `TagRun`: the whole-run draws, and the stream as a sequence of
+time-sorted `TimeTagStream` chunks made from them one block of `_BLOCK`
+pairs at a time.  Only the draws that fix every block stay whole: the
+sorted emission keys, the efficiency masks (their counts give the run's
+tag count before any chunk is made) and the sorted dark-count keys.  Each
+block's pair keys are sorted together with the tags carried over from the
+block before and the dark keys that fall below its release bound.  No tag
+lies more than 2 unit delays plus ceil(64 sigma) + 1 ps before its pair's
+emission time (sigma the wider jitter; numpy's ziggurat cannot return more
+than about 13.7 sigma, r + 53 ln 2 / r with 53-bit doubles), so every key
+below the next block's first emission key less that reach is final.  A
+chunk ends only at a step between neighbours wider than 3 unit delays, the
+widest dt the five peaks reach, so matching each chunk with a window of at
+most 3 unit delays gives the whole stream's records, in order; a chunk
+that starts within that reach of the previous chunk's end would break this
+and raises OrderingError.  A run of one block is one chunk.
+
+Every per-pair draw (outcome uniforms, Alice's then Bob's jitter normals,
+Alice's then Bob's efficiency uniforms) is made in blocked calls, and each
+generator gives the numbers one call per draw kind would give.  Bob's
+normals follow all of Alice's on the one jitter generator, so a run of
+several blocks draws Bob's from a second generator moved past Alice's n
+normals; a run of one block draws each number once.
 
 Outcomes are drawn by `source.draw_cells`, the sampler of the QKD trit
 draw too, on the one-row table of the joint distribution, so a run draws
@@ -74,7 +90,7 @@ BINS_PER_UNIT = 12  # histogram bins per unit delay
 # Tag times must stay inside +-2**60 ps so the packed key fits an int64.
 _TIME_LIMIT_PS = 2**60
 
-# Pairs per block of `simulate_run`'s draws, neighbour steps per block of
+# Pairs per block of a run's draws and chunks, neighbour steps per block of
 # `find_coincidences`' offset-1 pass and gather, and records per block of the
 # binning: the temporaries of a block stay a few hundred KB however long the run.
 _BLOCK = 1 << 16
@@ -196,23 +212,136 @@ class Histogram:
     def bin_center_ps(self, index: int) -> float:
         return index * self.bin_width_ps
 
+    def __add__(self, other: Histogram) -> Histogram:
+        """Both histograms' counts (of one bin width), bin by bin: a run's
+        histogram from its chunks'."""
+        bins = dict(self.bins)
+        for i, c in other.bins.items():
+            bins[i] = bins.get(i, 0) + c
+        return Histogram(self.bin_width_ps, dict(sorted(bins.items())))
 
-def simulate_run(cfg: RunConfig, outcome_table: np.ndarray | None = None) -> TimeTagStream:
-    """Generate one acquisition run's detection stream.
+
+class TagRun:
+    """One run's detection stream, iterated as time-sorted `TimeTagStream`
+    chunks whose concatenation is the whole stream; len() is its tag count.
+
+    It holds the whole-run draws of `simulate_run`; each iteration makes
+    the chunks from them a block of pairs at a time (see the module
+    docstring) and yields the same chunks.  A chunk ends only at a step
+    wider than 3 unit delays, so `find_coincidences` on each chunk with a
+    window of at most that, concatenated, gives the whole stream's records.
+    A plain class, not a dataclass: the CLI's import does not generate one.
+    """
+
+    def __init__(self, cfg: RunConfig, outcome_table, emit_key, kept, dark_key, tags: int):
+        self.cfg = cfg
+        self.outcome_table = outcome_table  # (1, 45) rows for `draw_cells`
+        self.emit_key = emit_key  # sorted emission times * 8
+        self.kept = kept  # Alice's and Bob's efficiency masks, None for perfect detectors
+        self.dark_key = dark_key  # sorted dark-count keys
+        self.tags = tags
+
+    def __len__(self) -> int:
+        return self.tags
+
+    def __iter__(self):
+        cfg, emit_key, n = self.cfg, self.emit_key, self.emit_key.size
+        alice, bob = cfg.alice_detectors, cfg.bob_detectors
+        unit_ps = cfg.unit_delay_ps
+        gap_ps = 3 * unit_ps
+        # No tag of a pair lies more than `reach` below its emission key: numpy's
+        # normal sampler stays inside 14 sigma, and `RunConfig` allows for 64.
+        sigma_ps = max(alice.jitter_sigma_ps, bob.jitter_sigma_ps)
+        reach = 8 * (2 * unit_ps + int(np.ceil(64.0 * sigma_ps)) + 1)
+
+        outcome_rng = substream(cfg.seed, "outcome")
+        jitter = (None, None)
+        if sigma_ps > 0.0:
+            rng = substream(cfg.seed, "jitter")
+            jitter = (rng, rng)
+            if alice.jitter_sigma_ps > 0.0 and bob.jitter_sigma_ps > 0.0 and n > _BLOCK:
+                # Bob's normals follow all n of Alice's on the one generator.
+                jitter = (rng, substream(cfg.seed, "jitter"))
+                skipped = np.empty(_BLOCK)
+                for start in range(0, n, _BLOCK):
+                    jitter[1].standard_normal(out=skipped[: min(_BLOCK, n - start)])
+                del skipped
+
+        # Only the path-delay difference is physical for a CW-pumped pair; the
+        # emission time itself is undefined, so Alice carries the full offset.
+        key_part = (_OUTCOME_KEY_A, _OUTCOME_KEY_B - 8 * unit_ps * _OUTCOME_DT_UNITS)
+        carry, dark_start, last_ps = self.dark_key[:0], 0, None
+        for start in range(0, max(n, 1), _BLOCK):
+            stop = min(start + _BLOCK, n)
+            outcome = draw_cells(outcome_rng, self.outcome_table, 0, stop - start).astype(np.intp)
+            parts = [carry]
+            for party, model in enumerate((alice, bob)):
+                part = key_part[party][outcome]
+                part += emit_key[start:stop]
+                if model.jitter_sigma_ps > 0.0:
+                    part += 8 * np.rint(jitter[party].normal(0.0, model.jitter_sigma_ps, part.size)).astype(np.int64)
+                if self.kept is not None:
+                    part = part[self.kept[party][start:stop]]
+                parts.append(part)
+            del outcome, part
+            # Every key below `bound` is final: later pairs' tags lie above it.
+            bound = emit_key[stop] - reach if stop < n else np.iinfo(np.int64).max
+            dark_stop = int(self.dark_key.searchsorted(bound))
+            parts.append(self.dark_key[dark_start:dark_stop])
+            dark_start = dark_stop
+            key = np.concatenate(parts)
+            del parts
+            # Equal keys are identical tags, so the sort's stability does not matter;
+            # "stable" (timsort) is the fastest kind here: the parts are long sorted runs.
+            key.sort(kind="stable")
+            cut = key.size if stop == n else _last_gap(key[: key.searchsorted(bound)], gap_ps)
+            carry = key[cut:].copy()
+            key = key[:cut]
+            if not key.size:
+                continue
+            detector = key.astype(np.uint8)  # the key's low byte, negative times included
+            party = detector >> 2
+            party &= 1
+            detector &= 3
+            key >>= 3
+            if last_ps is not None and key[0] - last_ps <= gap_ps:
+                raise OrderingError("a chunk starts within 3 unit delays of the previous chunk's end")
+            last_ps = int(key[-1])
+            yield TimeTagStream(party, detector, key)
+            del key, party, detector  # before the next block's are made
+
+
+def _last_gap(key: np.ndarray, gap_ps: int) -> int:
+    """The position just past the last step between neighbours of the sorted
+    keys wider than `gap_ps` in time, or 0 when there is none.  It looks back
+    from the end in windows that double, so its temporaries stay small."""
+    hi, width = key.size, 64
+    while hi > 1:
+        lo = max(hi - width, 0)
+        wide = np.diff(key[lo:hi] >> 3) > gap_ps
+        if wide.any():
+            return hi - 1 - int(wide[::-1].argmax())
+        hi, width = lo + 1, 2 * width
+    return 0
+
+
+def simulate_run(cfg: RunConfig, outcome_table: np.ndarray | None = None) -> TagRun:
+    """Generate one acquisition run's detection stream, as a `TagRun`.
 
     Emission times are Poisson at `pair_rate_hz`; each pair's dt class and
     detector pair follow the source model's joint distribution at mixing
     weight `lam`; each detection survives independently with the party's
     efficiency and is smeared by Gaussian jitter; dark counts are injected
-    per detector.  Output is sorted by (time, party, detector): one sort of
-    the packed tag keys (see the module docstring).
+    per detector.  The stream is sorted by (time, party, detector), one
+    sort of the packed tag keys per block (see the module docstring).  This
+    call makes the whole-run draws; iterating the result makes the chunks.
 
     `outcome_table`, when given, is that joint distribution, P[class, j, k]
     of `joint_distribution(cfg.interferometer, cfg.lam)`, computed by the
     caller (a scan takes its steps' tables from `step_distributions`); it
-    is not checked against `cfg`.
+    is not checked against `cfg`, and a table that is not a probability
+    distribution raises ValueError when the chunks are made.
     """
-    unit_ps = cfg.unit_delay_ps
     duration_ps = int(round(cfg.duration_s * 1e12))
 
     rng = substream(cfg.seed, "emission")
@@ -224,17 +353,15 @@ def simulate_run(cfg: RunConfig, outcome_table: np.ndarray | None = None) -> Tim
     if outcome_table is None:
         outcome_table = joint_distribution(cfg.interferometer, cfg.lam)
     table = np.asarray(outcome_table, dtype=float).reshape(1, 45)
-    outcome = draw_cells(substream(cfg.seed, "outcome"), table, 0, n_pairs)
 
     # random() < 1.0 always holds, so perfect detectors skip the draws; one
     # imperfect party draws both masks, keeping Bob's draws where they were.
-    # The masks come first: their counts size the key buffer.
     alice, bob = cfg.alice_detectors, cfg.bob_detectors
     kept = None
     if alice.efficiency < 1.0 or bob.efficiency < 1.0:
         rng = substream(cfg.seed, "efficiency")
-        kept = [draw_below(rng, model.efficiency, n_pairs) for model in (alice, bob)]
-    darks = []
+        kept = tuple(draw_below(rng, model.efficiency, n_pairs) for model in (alice, bob))
+    darks = [np.empty(0, dtype=np.int64)]
     for party, model in ((0, alice), (1, bob)):
         if model.dark_rate_hz <= 0.0:
             continue
@@ -243,41 +370,10 @@ def simulate_run(cfg: RunConfig, outcome_table: np.ndarray | None = None) -> Tim
             n_dark = int(rng.poisson(model.dark_rate_hz * cfg.duration_s))
             times = rng.integers(0, duration_ps, size=n_dark, dtype=np.int64)
             darks.append(times * 8 + (4 * party + det))
+    dark_key = np.concatenate(darks)
+    dark_key.sort()
     n_kept = 2 * n_pairs if kept is None else sum(int(np.count_nonzero(mask)) for mask in kept)
-    key = np.empty(n_kept + sum(dark.size for dark in darks), dtype=np.int64)
-
-    # Only the path-delay difference is physical for a CW-pumped pair; the
-    # emission time itself is undefined, so Alice carries the full offset.
-    # Each party's kept keys go straight into the buffer, a block of pairs at
-    # a time, Alice's jitter drawn before Bob's.
-    key_part = (_OUTCOME_KEY_A, _OUTCOME_KEY_B - 8 * unit_ps * _OUTCOME_DT_UNITS)
-    if alice.jitter_sigma_ps > 0.0 or bob.jitter_sigma_ps > 0.0:
-        rng = substream(cfg.seed, "jitter")
-    end = 0
-    for party, model in enumerate((alice, bob)):
-        for start in range(0, n_pairs, _BLOCK):
-            block = slice(start, start + _BLOCK)
-            part = emit_key[block] + key_part[party][outcome[block]]
-            if model.jitter_sigma_ps > 0.0:
-                part += 8 * np.rint(rng.normal(0.0, model.jitter_sigma_ps, part.size)).astype(np.int64)
-            if kept is not None:
-                part = part[kept[party][block]]
-            key[end : end + part.size] = part
-            end += part.size
-    for dark in darks:
-        key[end : end + dark.size] = dark
-        end += dark.size
-    del emit_key, outcome, kept, darks  # freed before the sort takes its buffer
-
-    # Equal keys are identical tags, so the sort's stability does not matter;
-    # "stable" (timsort) is the fastest kind here: the pair parts are long sorted runs.
-    key.sort(kind="stable")
-    detector = key.astype(np.uint8)  # the key's low byte, negative times included
-    party = detector >> 2
-    party &= 1
-    detector &= 3
-    key >>= 3
-    return TimeTagStream(party, detector, key)
+    return TagRun(cfg, table, emit_key, kept, dark_key, n_kept + dark_key.size)
 
 
 def _run_flags(t: np.ndarray, party: np.ndarray, max_delta_ps) -> tuple:

@@ -45,7 +45,7 @@ from qutrit_bench.timetags import (
     post_select,
     simulate_run,
 )
-from test_references import central_fringe_model, lambda_from_visibility, local_strategy_tables
+from test_references import central_fringe_model, lambda_from_visibility, local_strategy_tables, whole_stream
 
 UNIT_PS = 1200
 PEAK_WEIGHTS = {"outer_right": 1 / 9, "right": 2 / 9, "central": 3 / 9, "left": 2 / 9, "outer_left": 1 / 9}
@@ -66,7 +66,7 @@ def test_criterion_1_five_peak_histogram():
         interferometer=InterferometerConfig(),
         lam=1.0,
     )
-    stream = simulate_run(cfg)
+    stream = whole_stream(simulate_run(cfg))
     coincidences = find_coincidences(stream, max_delta_ps=3 * UNIT_PS)
     areas = peak_areas(coincidences, 150.0, UNIT_PS)
     total = sum(areas.values())
@@ -105,7 +105,7 @@ def test_criterion_2_fringe_law():
             interferometer=itf,
             lam=lam,
         )
-        coincidences = find_coincidences(simulate_run(cfg), 3 * UNIT_PS)
+        coincidences = find_coincidences(whole_stream(simulate_run(cfg)), 3 * UNIT_PS)
         counts = post_select(coincidences, "central", 150.0, UNIT_PS).ravel()
         _, p_value = stats.chisquare(counts, f_exp=counts.sum() * expected_p)
         if p_value > 0.001:

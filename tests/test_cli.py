@@ -15,6 +15,7 @@ from qutrit_bench.errors import ConfigurationError, DegenerateStateError, NoFrin
 from qutrit_bench.protocols import EVE_KINDS, EveModel
 from qutrit_bench.source import class_weights
 from qutrit_bench.timetags import PEAK_MULTIPLIER, simulate_run
+from test_references import whole_stream
 
 HEADLINE = pathlib.Path(__file__).resolve().parents[1] / "demos" / "configs" / "bell_headline_regime.json"
 
@@ -362,9 +363,10 @@ class TestScanOutputs:
         streams = []
 
         def recording_simulate_run(run_cfg, outcome_table=None):
-            stream = simulate_run(run_cfg, outcome_table)
+            run = simulate_run(run_cfg, outcome_table)
+            stream = whole_stream(run)
             streams.append(stream.time_ps[stream.party == 0].tobytes())
-            return stream
+            return run
 
         monkeypatch.setattr(cli, "simulate_run", recording_simulate_run)
         seen = []

@@ -28,12 +28,14 @@ oracle tests of `simulate_run`, its outcome draw, `find_coincidences` and
 the binning run again with blocks of 7 pairs, steps or records, and the
 shared draws of `source` with blocks of 7 uniforms, so that small examples
 cross the block edges of the draws, the neighbour pass, the gather and the
-binning.  The blocked Bernoulli draw is checked against the one
-`rng.random(n) < p` call it stands for.  The built-in config validator is
-checked against the jsonschema validator and `best_match` choice it
-replaced.
+binning; there, a run's chunks are checked against the whole stream they
+concatenate to, and chunk-wise matching against the whole stream's.  The
+blocked Bernoulli draw is checked against the one `rng.random(n) < p` call
+it stands for.  The built-in config validator is checked against the
+jsonschema validator and `best_match` choice it replaced.
 """
 
+import collections
 import contextlib
 import copy
 import csv
@@ -79,7 +81,9 @@ from qutrit_bench.source import (
 from qutrit_bench.timetags import (
     CoincidenceSet,
     DetectorModel,
+    Histogram,
     RunConfig,
+    TagRun,
     TimeTagStream,
     build_histogram,
     find_coincidences,
@@ -735,6 +739,17 @@ def test_search_objective_agrees_with_table_path():
 # --------------------------------------------------------------------------
 
 
+def whole_stream(run):
+    """The chunks of a `simulate_run` result, concatenated into one stream."""
+    chunks = list(run)
+    return TimeTagStream(
+        *(
+            np.concatenate([np.empty(0, dtype)] + [getattr(chunk, name) for chunk in chunks])
+            for name, dtype in (("party", np.uint8), ("detector", np.uint8), ("time_ps", np.int64))
+        )
+    )
+
+
 def assert_same_stream(found, reference):
     for name in ("party", "detector", "time_ps"):
         got, want = getattr(found, name), getattr(reference, name)
@@ -776,14 +791,14 @@ def run_configs(draw):
 @settings(max_examples=400, deadline=None)
 @given(run_configs())
 def test_simulate_run_matches_lexsort_reference(cfg):
-    assert_same_stream(simulate_run(cfg), reference_simulate_run(cfg))
+    assert_same_stream(whole_stream(simulate_run(cfg)), reference_simulate_run(cfg))
 
 
 @settings(max_examples=100, deadline=None)
 @given(run_configs())
 def test_simulate_run_with_its_outcome_table_is_unchanged(cfg):
     table = joint_distribution(cfg.interferometer, cfg.lam)
-    assert_same_stream(simulate_run(cfg, table), simulate_run(cfg))
+    assert_same_stream(whole_stream(simulate_run(cfg, table)), whole_stream(simulate_run(cfg)))
 
 
 @st.composite
@@ -842,10 +857,48 @@ def test_blocked_bernoulli_draw_equals_one_call(n, seed, data):
 
 @settings(max_examples=200, deadline=None)
 @given(run_configs())
+# 3,000 pairs 1 ns apart with 10 ns of jitter: a pair's tags spread over
+# about 9 blocks of 7 pairs and the release bound trails by about 90, while
+# steps wider than 3 unit delays (0.9 ns) cut the stream into some 300 chunks.
+@example(
+    RunConfig(
+        pair_rate_hz=1e9,
+        duration_s=3e-6,
+        seed=29,
+        coincidence_window_ps=100.0,
+        interferometer=InterferometerConfig(unit_delay_ns=0.3),
+        alice_detectors=DetectorModel(efficiency=0.9, dark_rate_hz=3e7, jitter_sigma_ps=10_000.0),
+        bob_detectors=DetectorModel(efficiency=0.8, dark_rate_hz=1e7, jitter_sigma_ps=4_000.0),
+    )
+)
 def test_simulate_run_matches_lexsort_reference_across_block_edges(cfg):
+    reach = 3 * cfg.unit_delay_ps
     with blocks_of_seven():
-        found = simulate_run(cfg)
-    assert_same_stream(found, reference_simulate_run(cfg))
+        run = simulate_run(cfg)
+        chunks = list(run)
+        found = [find_coincidences(chunk, reach) for chunk in chunks]
+    reference = reference_simulate_run(cfg)
+    assert len(run) == len(reference)
+    assert_same_stream(whole_stream(chunks), reference)
+    # Chunks are cut only at steps wider than the widest dt of the five
+    # peaks, so matched chunk by chunk the records are the whole stream's.
+    assert all(len(chunk) for chunk in chunks)
+    for before, after in zip(chunks, chunks[1:]):
+        assert after.time_ps[0] - before.time_ps[-1] > reach
+    columns = (("alice_detector", np.uint8), ("bob_detector", np.uint8), ("delta_t_ps", np.int64))
+    records = CoincidenceSet(
+        *(np.concatenate([np.empty(0, dtype)] + [getattr(part, name) for part in found]) for name, dtype in columns)
+    )
+    assert_same_coincidences(records, reference_find_coincidences(reference, reach))
+
+
+def test_a_chunk_that_starts_before_the_last_one_ended_raises():
+    # Emission keys out of order break the release bound: the second half's
+    # tags come after chunks of the first half's later tags.
+    run = simulate_run(RunConfig(pair_rate_hz=1e8, duration_s=1e-5, seed=3))
+    keys = np.concatenate([run.emit_key[500:], run.emit_key[:500]])
+    with blocks_of_seven(), pytest.raises(OrderingError, match="previous chunk"):
+        list(TagRun(run.cfg, run.outcome_table, keys, run.kept, run.dark_key, len(run)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -877,7 +930,7 @@ def test_invalid_outcome_tables_raise(p, fault, cell, factor, position):
     with pytest.raises(ValueError):
         np.random.default_rng(0).choice(45, size=10, p=table)
     with pytest.raises(ValueError):
-        simulate_run(RunConfig(pair_rate_hz=1e4, duration_s=1e-3, seed=0), table.reshape(5, 3, 3))
+        whole_stream(simulate_run(RunConfig(pair_rate_hz=1e4, duration_s=1e-3, seed=0), table.reshape(5, 3, 3)))
     # One bad row among valid ones raises, though no draw reads it.
     tables = np.insert(np.tile(p, (3, 1)), position, table, axis=0)
     with pytest.raises(ValueError):
@@ -894,7 +947,7 @@ def test_simulate_run_matches_reference_near_the_time_limit():
         alice_detectors=detectors,
         bob_detectors=detectors,
     )
-    stream = simulate_run(cfg)
+    stream = whole_stream(simulate_run(cfg))
     assert stream.time_ps.max() > 2**59
     assert_same_stream(stream, reference_simulate_run(cfg))
 
@@ -993,7 +1046,7 @@ def realistic_config(duration_s=0.5):
 def realistic_stream(duration_s=0.5):
     """The stream of `realistic_config(duration_s)`, and its window."""
     cfg = realistic_config(duration_s)
-    return simulate_run(cfg), 3 * cfg.unit_delay_ps
+    return whole_stream(simulate_run(cfg)), 3 * cfg.unit_delay_ps
 
 
 def traced_peak(call, *args):
@@ -1038,30 +1091,70 @@ def test_find_coincidences_memory_is_bounded():
     assert peak < 2_200_000
 
 
+def whole_run_draws(run):
+    """Bytes of the draws a `TagRun` holds: emission keys, efficiency masks and dark keys."""
+    return run.emit_key.nbytes + sum(mask.nbytes for mask in run.kept) + run.dark_key.nbytes
+
+
 def test_simulate_run_memory_is_bounded_at_full_size():
-    # The full 5 s demo run: 1.7M tags, a 17 MB stream.  Emission keys (8 MB),
-    # outcomes (1 MB), kept masks (2 MB) and the key buffer (14 MB) peak at
-    # 1.6 times the stream; a fresh array at each step took 3.6 times.  The
-    # in-place sort's buffer, at most half the keys, is malloc'd by numpy
-    # outside tracemalloc's view and comes after the masks and emissions are freed.
-    stream, peak = traced_peak(simulate_run, realistic_config(5.0))
-    assert len(stream) > 1_700_000
-    assert peak < 2 * nbytes(stream, ("party", "detector", "time_ps"))
+    # The full 5 s demo run: 1.7M tags in 16 chunks.  The whole-run draws
+    # are 10.1 MB: emission keys (8.0 MB), kept masks (2.0 MB) and dark keys
+    # (0.1 MB); making the chunks, one held at a time, peaks 2.56 MB above
+    # them (12.7 MB in all).  The whole stream built at once peaked at
+    # 25.9 MB, 1.5 times its 17 MB, with its 14 MB key buffer.
+    def make_every_chunk(cfg):
+        run = simulate_run(cfg)
+        tags = 0
+        for chunk in run:
+            tags += len(chunk)
+            del chunk  # before the next chunk is made
+        return run, tags
+
+    (run, tags), peak = traced_peak(make_every_chunk, realistic_config(5.0))
+    assert tags == len(run) > 1_700_000
+    assert peak < whole_run_draws(run) + 3_000_000
 
 
 def test_find_coincidences_memory_is_bounded_at_full_size():
-    # 1.7M tags give 723k records of three columns (7.2 MB).  Gathered block
-    # by block into exact-size columns from a 1.7 MB array of one offset byte
-    # per tag, the matcher peaks at 9.6 MB, against a bound of 9.9 MB.  With
-    # the Alice time as a fourth column the records were 13 MB and the peak
-    # 1.16 times them; a mask of runs of two with the picks merged in by
-    # block peaked at 1.18 times those records, full-size position arrays
-    # with the picks inserted at 1.48 times, a fresh array at each step at 3.4.
-    stream, max_delta_ps = realistic_stream(5.0)
-    found, peak = traced_peak(find_coincidences, stream, max_delta_ps)
-    assert len(found) > 700_000
-    # The records, one offset byte per tag and 1 MB of block temporaries.
-    assert peak < nbytes(found, ("alice_detector", "bob_detector", "delta_t_ps")) + len(stream) + 1_000_000
+    # Each of the 16 chunks of the full run (up to 113k tags) gives up to
+    # 48k records of three columns (0.48 MB).  Gathered block by block into
+    # exact-size columns from an array of one offset byte per tag, the
+    # matcher peaks 0.57 MB above those records and that array (1.15 MB in
+    # all).  On the whole 1.7M-tag stream it peaked at 9.6 MB.
+    cfg = realistic_config(5.0)
+    max_delta_ps = 3 * cfg.unit_delay_ps
+    records = 0
+    for chunk in simulate_run(cfg):
+        found, peak = traced_peak(find_coincidences, chunk, max_delta_ps)
+        records += len(found)
+        # The records, one offset byte per tag and 1 MB of block temporaries.
+        assert peak < nbytes(found, ("alice_detector", "bob_detector", "delta_t_ps")) + len(chunk) + 1_000_000
+    assert records > 700_000
+
+
+def test_histogram_path_memory_is_bounded_at_full_size():
+    # Simulate, match and bin the full run a chunk at a time, as `histogram`
+    # does: the peak is 2.56 MB above the 10.1 MB of whole-run draws, while
+    # a chunk is made.  With the whole stream, the matcher alone peaked at
+    # 26.2 MB (the 17 MB stream held beside its records).
+    cfg = realistic_config(5.0)
+    unit = cfg.unit_delay_ps
+
+    def histogram_path():
+        run = simulate_run(cfg)
+        histogram, areas, records = Histogram(unit / 12, {}), collections.Counter(), 0
+        for chunk in run:
+            found = find_coincidences(chunk, 3 * unit)
+            histogram += build_histogram(found, unit)
+            areas.update(peak_areas(found, 150.0, unit))
+            records += len(found)
+            del chunk, found  # before the next chunk is made
+        return run, histogram, areas, records
+
+    (run, histogram, areas, records), peak = traced_peak(histogram_path)
+    assert sum(histogram.bins.values()) == records > 700_000
+    assert sum(areas.values()) > 0.9 * records
+    assert peak < whole_run_draws(run) + 3_000_000
 
 
 def test_binning_memory_is_bounded_at_full_size():

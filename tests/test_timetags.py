@@ -20,6 +20,7 @@ from qutrit_bench.timetags import (
     post_select,
     simulate_run,
 )
+from test_references import whole_stream
 
 UNIT_PS = 1200
 
@@ -38,7 +39,7 @@ def ideal_config(**kwargs) -> RunConfig:
 
 
 def run_and_match(cfg: RunConfig) -> CoincidenceSet:
-    stream = simulate_run(cfg)
+    stream = whole_stream(simulate_run(cfg))
     return find_coincidences(stream, max_delta_ps=3 * UNIT_PS)
 
 
@@ -74,8 +75,8 @@ class TestConfigValidation:
 class TestSimulateRun:
     def test_deterministic_for_same_seed(self):
         cfg = ideal_config(duration_s=0.1)
-        first = simulate_run(cfg)
-        second = simulate_run(cfg)
+        first = whole_stream(simulate_run(cfg))
+        second = whole_stream(simulate_run(cfg))
         assert np.array_equal(first.party, second.party)
         assert np.array_equal(first.detector, second.detector)
         assert np.array_equal(first.time_ps, second.time_ps)
@@ -87,8 +88,8 @@ class TestSimulateRun:
         assert h1 == h2
 
     def test_seed_changes_stream(self):
-        a = simulate_run(ideal_config(duration_s=0.1, seed=1))
-        b = simulate_run(ideal_config(duration_s=0.1, seed=2))
+        a = whole_stream(simulate_run(ideal_config(duration_s=0.1, seed=1)))
+        b = whole_stream(simulate_run(ideal_config(duration_s=0.1, seed=2)))
         assert len(a) != len(b) or not np.array_equal(a.time_ps, b.time_ps)
 
     def test_vanishing_rate_gives_empty_stream(self):
@@ -96,7 +97,7 @@ class TestSimulateRun:
         assert len(simulate_run(cfg)) == 0
 
     def test_stream_is_time_sorted(self):
-        stream = simulate_run(ideal_config(duration_s=0.1, seed=3))
+        stream = whole_stream(simulate_run(ideal_config(duration_s=0.1, seed=3)))
         assert np.all(np.diff(stream.time_ps) >= 0)
 
     def test_central_zero_phase_detector_fraction(self):
@@ -305,7 +306,7 @@ class TestCsvExports:
         from qutrit_bench.timetags import write_histogram_csv
 
         cfg = ideal_config(duration_s=0.02, seed=51)
-        coincidences = find_coincidences(simulate_run(cfg), 3 * UNIT_PS)
+        coincidences = find_coincidences(whole_stream(simulate_run(cfg)), 3 * UNIT_PS)
         hist = build_histogram(coincidences, UNIT_PS)
 
         hist_path = tmp_path / "histogram.csv"
