@@ -111,17 +111,24 @@ class QkdSummary:
 def qber_thresholds() -> dict:
     """Security thresholds the measured trit error rate is compared against.
 
-    Individual attacks: 21.13% for the 2-basis qutrit protocol (closed form
-    (1 - 1/sqrt(3))/2) and 22.67% for the 4-basis one.  Coherent attacks:
-    11% for qubits (reference) rising to roughly 16% for qutrits; the
-    stored 0.1596 comes from the cited security analysis and should be
-    displayed as approximate.
+    Individual attacks: (1 - 1/sqrt(3))/2 = 21.13% for the 2-basis qutrit
+    protocol and 22.67% (quoted) for the 4-basis one.  Coherent attacks: the
+    error rate D at which the key rate log2(d) - 2 [h(D) + D log2(d - 1)] of
+    d-level BB84 reaches zero, h the binary entropy (Cerf et al., PRL 88,
+    127902 (2002)): 11.00% for qubits (reference) and 15.95% for qutrits.
     """
+    # Both roots at once, bisected on [0.01, 0.5] down to neighbouring doubles.
+    d, lo, hi = np.array([2.0, 3.0]), np.full(2, 0.01), np.full(2, 0.5)
+    for _ in range(64):
+        mid = (lo + hi) / 2.0
+        rate = np.log2(d) + 2.0 * (mid * np.log2(mid / (d - 1.0)) + (1.0 - mid) * np.log2(1.0 - mid))
+        lo, hi = np.where(rate > 0.0, mid, lo), np.where(rate > 0.0, hi, mid)
+    qubit, qutrit = hi.tolist()
     return {
-        "qutrit_2basis_individual": 0.2113,
+        "qutrit_2basis_individual": (1.0 - 1.0 / np.sqrt(3.0)) / 2.0,
         "qutrit_4basis_individual": 0.2267,
-        "qubit_coherent_reference": 0.11,
-        "qutrit_coherent": 0.1596,
+        "qubit_coherent_reference": qubit,
+        "qutrit_coherent": qutrit,
     }
 
 

@@ -50,12 +50,11 @@ most 3 unit delays gives the whole stream's records, in order; a chunk
 that starts within that reach of the previous chunk's end would break this
 and raises OrderingError.  A run of one block is one chunk.
 
-Every per-pair draw (outcome uniforms, Alice's then Bob's jitter normals,
-Alice's then Bob's efficiency uniforms) is made in blocked calls, and each
-generator gives the numbers one call per draw kind would give.  Bob's
-normals follow all of Alice's on the one jitter generator, so a run of
-several blocks draws Bob's from a second generator moved past Alice's n
-normals; a run of one block draws each number once.
+Pair draws (emission, outcome) come from the run's generator of that kind,
+and each party's draws (jitter, efficiency, dark counts) from its own
+`substream(seed, kind, (party,))`, so one party's detectors never move the
+other's numbers.  Each draw is made in blocked calls that give the numbers
+one call would give.
 
 Outcomes are drawn by `source.draw_cells`, the sampler of the QKD trit
 draw too, on the one-row table of the joint distribution, so a run draws
@@ -107,10 +106,10 @@ class DetectorModel:
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
             raise ConfigurationError(f"efficiency must lie in [0, 1], got {self.efficiency!r}")
-        if self.dark_rate_hz < 0.0:
-            raise ConfigurationError(f"dark rate must be >= 0, got {self.dark_rate_hz!r}")
-        if self.jitter_sigma_ps < 0.0:
-            raise ConfigurationError(f"jitter sigma must be >= 0, got {self.jitter_sigma_ps!r}")
+        if not 0.0 <= self.dark_rate_hz < np.inf:
+            raise ConfigurationError(f"dark rate must be finite and >= 0, got {self.dark_rate_hz!r}")
+        if not 0.0 <= self.jitter_sigma_ps < np.inf:
+            raise ConfigurationError(f"jitter sigma must be finite and >= 0, got {self.jitter_sigma_ps!r}")
 
 
 @dataclass(frozen=True)
@@ -127,11 +126,11 @@ class RunConfig:
     bob_detectors: DetectorModel = DetectorModel()
 
     def __post_init__(self):
-        if not self.pair_rate_hz > 0.0:
-            raise ConfigurationError(f"pair rate must be positive, got {self.pair_rate_hz!r}")
+        if not 0.0 < self.pair_rate_hz < np.inf:
+            raise ConfigurationError(f"pair rate must be positive and finite, got {self.pair_rate_hz!r}")
         if not self.duration_s > 0.0:
             raise ConfigurationError(f"duration must be positive, got {self.duration_s!r}")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ConfigurationError("seed must fit an unsigned 64-bit integer")
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigurationError(f"mixing weight must lie in [0, 1], got {self.lam!r}")
@@ -213,8 +212,10 @@ class Histogram:
         return index * self.bin_width_ps
 
     def __add__(self, other: Histogram) -> Histogram:
-        """Both histograms' counts (of one bin width), bin by bin: a run's
-        histogram from its chunks'."""
+        """Both histograms' counts, bin by bin: a run's histogram from its
+        chunks'.  Unequal bin widths raise ValueError."""
+        if other.bin_width_ps != self.bin_width_ps:
+            raise ValueError(f"bin widths differ: {self.bin_width_ps!r} and {other.bin_width_ps!r} ps")
         bins = dict(self.bins)
         for i, c in other.bins.items():
             bins[i] = bins.get(i, 0) + c
@@ -237,7 +238,7 @@ class TagRun:
         self.cfg = cfg
         self.outcome_table = outcome_table  # (1, 45) rows for `draw_cells`
         self.emit_key = emit_key  # sorted emission times * 8
-        self.kept = kept  # Alice's and Bob's efficiency masks, None for perfect detectors
+        self.kept = kept  # Alice's and Bob's efficiency masks, None for a perfect party
         self.dark_key = dark_key  # sorted dark-count keys
         self.tags = tags
 
@@ -246,26 +247,19 @@ class TagRun:
 
     def __iter__(self):
         cfg, emit_key, n = self.cfg, self.emit_key, self.emit_key.size
-        alice, bob = cfg.alice_detectors, cfg.bob_detectors
+        models = (cfg.alice_detectors, cfg.bob_detectors)
         unit_ps = cfg.unit_delay_ps
         gap_ps = 3 * unit_ps
         # No tag of a pair lies more than `reach` below its emission key: numpy's
         # normal sampler stays inside 14 sigma, and `RunConfig` allows for 64.
-        sigma_ps = max(alice.jitter_sigma_ps, bob.jitter_sigma_ps)
+        sigma_ps = max(model.jitter_sigma_ps for model in models)
         reach = 8 * (2 * unit_ps + int(np.ceil(64.0 * sigma_ps)) + 1)
 
         outcome_rng = substream(cfg.seed, "outcome")
-        jitter = (None, None)
-        if sigma_ps > 0.0:
-            rng = substream(cfg.seed, "jitter")
-            jitter = (rng, rng)
-            if alice.jitter_sigma_ps > 0.0 and bob.jitter_sigma_ps > 0.0 and n > _BLOCK:
-                # Bob's normals follow all n of Alice's on the one generator.
-                jitter = (rng, substream(cfg.seed, "jitter"))
-                skipped = np.empty(_BLOCK)
-                for start in range(0, n, _BLOCK):
-                    jitter[1].standard_normal(out=skipped[: min(_BLOCK, n - start)])
-                del skipped
+        jitter = [
+            substream(cfg.seed, "jitter", (party,)) if model.jitter_sigma_ps > 0.0 else None
+            for party, model in enumerate(models)
+        ]
 
         # Only the path-delay difference is physical for a CW-pumped pair; the
         # emission time itself is undefined, so Alice carries the full offset.
@@ -275,13 +269,13 @@ class TagRun:
             stop = min(start + _BLOCK, n)
             outcome = draw_cells(outcome_rng, self.outcome_table, 0, stop - start).astype(np.intp)
             parts = [carry]
-            for party, model in enumerate((alice, bob)):
-                part = key_part[party][outcome]
+            for model, key_of, rng, kept in zip(models, key_part, jitter, self.kept):
+                part = key_of[outcome]
                 part += emit_key[start:stop]
-                if model.jitter_sigma_ps > 0.0:
-                    part += 8 * np.rint(jitter[party].normal(0.0, model.jitter_sigma_ps, part.size)).astype(np.int64)
-                if self.kept is not None:
-                    part = part[self.kept[party][start:stop]]
+                if rng is not None:
+                    part += 8 * np.rint(rng.normal(0.0, model.jitter_sigma_ps, part.size)).astype(np.int64)
+                if kept is not None:
+                    part = part[kept[start:stop]]
                 parts.append(part)
             del outcome, part
             # Every key below `bound` is final: later pairs' tags lie above it.
@@ -331,10 +325,12 @@ def simulate_run(cfg: RunConfig, outcome_table: np.ndarray | None = None) -> Tag
     Emission times are Poisson at `pair_rate_hz`; each pair's dt class and
     detector pair follow the source model's joint distribution at mixing
     weight `lam`; each detection survives independently with the party's
-    efficiency and is smeared by Gaussian jitter; dark counts are injected
-    per detector.  The stream is sorted by (time, party, detector), one
-    sort of the packed tag keys per block (see the module docstring).  This
-    call makes the whole-run draws; iterating the result makes the chunks.
+    efficiency and is smeared by Gaussian jitter; a party's darks are one
+    Poisson count at 3 times its per-detector rate, each on a uniform
+    detector.  Each party draws from its own generators (see the module
+    docstring).  The stream is sorted by (time, party, detector), one sort
+    of the packed tag keys per block.  This call makes the whole-run draws;
+    iterating the result makes the chunks.
 
     `outcome_table`, when given, is that joint distribution, P[class, j, k]
     of `joint_distribution(cfg.interferometer, cfg.lam)`, computed by the
@@ -354,26 +350,22 @@ def simulate_run(cfg: RunConfig, outcome_table: np.ndarray | None = None) -> Tag
         outcome_table = joint_distribution(cfg.interferometer, cfg.lam)
     table = np.asarray(outcome_table, dtype=float).reshape(1, 45)
 
-    # random() < 1.0 always holds, so perfect detectors skip the draws; one
-    # imperfect party draws both masks, keeping Bob's draws where they were.
-    alice, bob = cfg.alice_detectors, cfg.bob_detectors
-    kept = None
-    if alice.efficiency < 1.0 or bob.efficiency < 1.0:
-        rng = substream(cfg.seed, "efficiency")
-        kept = tuple(draw_below(rng, model.efficiency, n_pairs) for model in (alice, bob))
-    darks = [np.empty(0, dtype=np.int64)]
-    for party, model in ((0, alice), (1, bob)):
-        if model.dark_rate_hz <= 0.0:
-            continue
-        for det in range(3):
-            rng = substream(cfg.seed, "dark", (party, det))
-            n_dark = int(rng.poisson(model.dark_rate_hz * cfg.duration_s))
-            times = rng.integers(0, duration_ps, size=n_dark, dtype=np.int64)
-            darks.append(times * 8 + (4 * party + det))
+    # random() < 1.0 always holds, so a perfect party draws no mask.  A party's
+    # three detectors' darks are one Poisson count, each with a uniform detector.
+    kept, darks = [None, None], [np.empty(0, dtype=np.int64)]
+    for party, model in enumerate((cfg.alice_detectors, cfg.bob_detectors)):
+        if model.efficiency < 1.0:
+            kept[party] = draw_below(substream(cfg.seed, "efficiency", (party,)), model.efficiency, n_pairs)
+        if model.dark_rate_hz > 0.0:
+            rng = substream(cfg.seed, "dark", (party,))
+            n_dark = int(rng.poisson(3.0 * model.dark_rate_hz * cfg.duration_s))
+            key = rng.integers(0, duration_ps, size=n_dark, dtype=np.int64) << 3
+            key += rng.integers(0, 3, size=n_dark) + 4 * party
+            darks.append(key)
     dark_key = np.concatenate(darks)
     dark_key.sort()
-    n_kept = 2 * n_pairs if kept is None else sum(int(np.count_nonzero(mask)) for mask in kept)
-    return TagRun(cfg, table, emit_key, kept, dark_key, n_kept + dark_key.size)
+    n_kept = sum(n_pairs if mask is None else int(np.count_nonzero(mask)) for mask in kept)
+    return TagRun(cfg, table, emit_key, tuple(kept), dark_key, n_kept + dark_key.size)
 
 
 def _run_flags(t: np.ndarray, party: np.ndarray, max_delta_ps) -> tuple:

@@ -273,13 +273,24 @@ class TestQkd:
             EveModel.intercept_resend(())
 
 
+def binary_entropy(d):
+    return -d * np.log2(d) - (1.0 - d) * np.log2(1.0 - d)
+
+
 class TestQberThresholds:
     def test_values(self):
         thresholds = qber_thresholds()
         assert thresholds["qutrit_2basis_individual"] == pytest.approx(0.2113, abs=1e-4)
         assert thresholds["qutrit_4basis_individual"] == pytest.approx(0.2267, abs=1e-4)
         assert thresholds["qubit_coherent_reference"] == pytest.approx(0.11, abs=1e-4)
-        assert thresholds["qutrit_coherent"] == pytest.approx(0.1596, abs=1e-4)
+        # The key rate log2(d) - 2 [h(D) + D log2(d - 1)] of d-level BB84 reaches zero.
+        d = thresholds["qutrit_coherent"]
+        assert 2.0 * (binary_entropy(d) + d) == pytest.approx(np.log2(3.0), abs=1e-12)
+        assert 2.0 * binary_entropy(thresholds["qubit_coherent_reference"]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_qber_above_the_coherent_root_is_insecure(self):
+        # A QBER is secure below its threshold; the root is 0.159461.
+        assert not 0.1595 < qber_thresholds()["qutrit_coherent"]
 
     def test_two_basis_closed_form(self):
         # cross-check: (1 - 1/sqrt(3))/2 = 0.21132...

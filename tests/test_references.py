@@ -333,7 +333,10 @@ def reference_cglmp_search(n_starts, tol=1e-6, seed=1905):
 
 
 def reference_simulate_run(cfg):
-    """Per-party arrays, every efficiency mask drawn, one `lexsort` at the end."""
+    """Per-party arrays, every efficiency mask drawn, one `lexsort` at the end.
+
+    The pair draws come from one generator each, a party's jitter,
+    efficiency and dark draws from one generator per party each."""
 
     def substream(stream, extra=()):
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(cfg.seed), stream) + extra)))
@@ -355,15 +358,15 @@ def reference_simulate_run(cfg):
     t_a = emit_ps.copy()
     t_b = emit_ps - dt_units.astype(np.int64) * unit_ps
 
-    rng = substream(2)
     if cfg.alice_detectors.jitter_sigma_ps > 0.0:
-        t_a = t_a + np.rint(rng.normal(0.0, cfg.alice_detectors.jitter_sigma_ps, n_pairs)).astype(np.int64)
+        normals = substream(2, (0,)).normal(0.0, cfg.alice_detectors.jitter_sigma_ps, n_pairs)
+        t_a = t_a + np.rint(normals).astype(np.int64)
     if cfg.bob_detectors.jitter_sigma_ps > 0.0:
-        t_b = t_b + np.rint(rng.normal(0.0, cfg.bob_detectors.jitter_sigma_ps, n_pairs)).astype(np.int64)
+        normals = substream(2, (1,)).normal(0.0, cfg.bob_detectors.jitter_sigma_ps, n_pairs)
+        t_b = t_b + np.rint(normals).astype(np.int64)
 
-    rng = substream(3)
-    keep_a = rng.random(n_pairs) < cfg.alice_detectors.efficiency
-    keep_b = rng.random(n_pairs) < cfg.bob_detectors.efficiency
+    keep_a = substream(3, (0,)).random(n_pairs) < cfg.alice_detectors.efficiency
+    keep_b = substream(3, (1,)).random(n_pairs) < cfg.bob_detectors.efficiency
 
     parts = [
         (np.zeros(keep_a.sum(), dtype=np.uint8), det_a[keep_a].astype(np.uint8), t_a[keep_a]),
@@ -372,13 +375,12 @@ def reference_simulate_run(cfg):
     for party, model in ((0, cfg.alice_detectors), (1, cfg.bob_detectors)):
         if model.dark_rate_hz <= 0.0:
             continue
-        for det in range(3):
-            rng = substream(4, (party, det))
-            n_dark = int(rng.poisson(model.dark_rate_hz * cfg.duration_s))
-            times = rng.integers(0, duration_ps, size=n_dark, dtype=np.int64)
-            parts.append(
-                (np.full(n_dark, party, dtype=np.uint8), np.full(n_dark, det, dtype=np.uint8), times)
-            )
+        # Three detectors' independent Poisson darks: one count, uniform detectors.
+        rng = substream(4, (party,))
+        n_dark = int(rng.poisson(3.0 * model.dark_rate_hz * cfg.duration_s))
+        times = rng.integers(0, duration_ps, size=n_dark, dtype=np.int64)
+        detectors = rng.integers(0, 3, size=n_dark).astype(np.uint8)
+        parts.append((np.full(n_dark, party, dtype=np.uint8), detectors, times))
 
     party = np.concatenate([p for p, _, _ in parts])
     detector = np.concatenate([d for _, d, _ in parts])
@@ -1093,7 +1095,7 @@ def test_find_coincidences_memory_is_bounded():
 
 def whole_run_draws(run):
     """Bytes of the draws a `TagRun` holds: emission keys, efficiency masks and dark keys."""
-    return run.emit_key.nbytes + sum(mask.nbytes for mask in run.kept) + run.dark_key.nbytes
+    return run.emit_key.nbytes + sum(mask.nbytes for mask in run.kept if mask is not None) + run.dark_key.nbytes
 
 
 def test_simulate_run_memory_is_bounded_at_full_size():

@@ -1,16 +1,20 @@
+import dataclasses
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qutrit_bench import timetags
 from qutrit_bench.errors import ConfigurationError, OrderingError
 from qutrit_bench.source import ArmPhases, InterferometerConfig
 from qutrit_bench.timetags import (
     CoincidenceSet,
     DetectorModel,
+    Histogram,
     RunConfig,
     TimeTagStream,
     build_histogram,
@@ -20,7 +24,7 @@ from qutrit_bench.timetags import (
     post_select,
     simulate_run,
 )
-from test_references import whole_stream
+from test_references import blocks_of_seven, whole_stream
 
 UNIT_PS = 1200
 
@@ -71,6 +75,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             DetectorModel(dark_rate_hz=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: DetectorModel(efficiency=v),
+            lambda v: DetectorModel(dark_rate_hz=v),
+            lambda v: DetectorModel(jitter_sigma_ps=v),
+            lambda v: ideal_config(pair_rate_hz=v),
+            lambda v: ideal_config(duration_s=v),
+            lambda v: ideal_config(lam=v),
+            lambda v: ideal_config(coincidence_window_ps=v),
+            lambda v: ideal_config(seed=v),
+        ],
+        ids=["efficiency", "dark_rate", "jitter", "pair_rate", "duration", "lam", "window", "seed"],
+    )
+    def test_non_finite_values_rejected(self, make, value):
+        with pytest.raises(ConfigurationError):
+            make(value)
+
 
 class TestSimulateRun:
     def test_deterministic_for_same_seed(self):
@@ -95,6 +118,49 @@ class TestSimulateRun:
     def test_vanishing_rate_gives_empty_stream(self):
         cfg = ideal_config(pair_rate_hz=1e-8, duration_s=0.01)
         assert len(simulate_run(cfg)) == 0
+
+    REALISTIC = DetectorModel(efficiency=0.8, dark_rate_hz=2e5, jitter_sigma_ps=50.0)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(efficiency=1.0),
+            dict(efficiency=0.5),
+            dict(dark_rate_hz=0.0),
+            dict(dark_rate_hz=5e5),
+            dict(jitter_sigma_ps=0.0),
+            dict(jitter_sigma_ps=200.0),
+        ],
+        ids=lambda change: "-".join(f"{k}={v}" for k, v in change.items()),
+    )
+    @pytest.mark.parametrize("party", [0, 1], ids=["alice_changed", "bob_changed"])
+    def test_parties_draw_independently(self, party, change):
+        # Each party's jitter, efficiency and darks come from its own generators.
+        # 1,000 pairs in blocks of 7 cross many block edges.
+        def other_party_tags(alice, bob):
+            cfg = ideal_config(pair_rate_hz=1e7, duration_s=1e-4, alice_detectors=alice, bob_detectors=bob)
+            with blocks_of_seven():
+                stream = whole_stream(simulate_run(cfg))
+            mine = stream.party == 1 - party
+            return stream.detector[mine], stream.time_ps[mine]
+
+        models = [self.REALISTIC, self.REALISTIC]
+        before = other_party_tags(*models)
+        models[party] = dataclasses.replace(self.REALISTIC, **change)
+        after = other_party_tags(*models)
+        assert before[1].size > 700
+        assert all(np.array_equal(b, a) for b, a in zip(before, after))
+
+    @pytest.mark.parametrize(
+        "model, generators", [(DetectorModel(), 2), (REALISTIC, 8)], ids=["ideal", "realistic"]
+    )
+    def test_generators_per_run(self, model, generators):
+        # Emission and outcome, then per imperfect party one jitter, one
+        # efficiency and one dark-count generator.
+        cfg = ideal_config(duration_s=0.02, alice_detectors=model, bob_detectors=model)
+        with mock.patch.object(timetags, "substream", wraps=timetags.substream) as substream:
+            list(simulate_run(cfg))
+        assert substream.call_count == generators
 
     def test_stream_is_time_sorted(self):
         stream = whole_stream(simulate_run(ideal_config(duration_s=0.1, seed=3)))
@@ -250,6 +316,10 @@ class TestHistogram:
         empty = np.zeros(2, dtype=np.uint8)
         with pytest.raises(ValueError, match="int64"):
             build_histogram(CoincidenceSet(empty, empty, dt), UNIT_PS)
+
+    def test_sum_of_unequal_bin_widths_rejected(self):
+        with pytest.raises(ValueError, match="bin widths"):
+            Histogram(100.0, {0: 1}) + Histogram(50.0, {0: 2})
 
     def test_unit_delay_must_be_a_positive_integer(self):
         coincidences = run_and_match(ideal_config(duration_s=0.01))
