@@ -463,38 +463,19 @@ def cmd_histogram(config: dict, out_dir: str) -> list:
 _TABLE_STEPS = 32
 
 
-def _run_scan(config: dict):
-    """Per-channel scans and off-peak backgrounds of a stepped phase drive;
-    writes nothing, so a failed fit leaves no scan files.
-
-    The drive replaces Alice's dial trajectory (alpha_m = rate_r * t,
-    alpha_l = (rate_r + rate_l) * t, so the two effective phases advance at
-    rate_r and rate_l); Bob's dials stay at their configured values, the
-    last two columns of every dial row.  The dials enter only through the
-    steps' outcome tables, which come from `step_distributions`,
-    `_TABLE_STEPS` steps a call.  Step i simulates under a 64-bit seed
-    drawn from SeedSequence((seed, i)), so different scan seeds share no
-    step stream.
+def _run_scan(run_cfg: RunConfig, dials: np.ndarray, dwell: float):
+    """The count tables C[i, class, j, k] and off-peak backgrounds B[i, j, k]
+    of a scan that dwells `dwell` seconds at each (S, 4) dial row
+    (alpha_m, alpha_l, beta_m, beta_l).  The dials enter only through the
+    steps' outcome tables, from `step_distributions`, `_TABLE_STEPS` steps
+    a call.  Step i simulates under a 64-bit seed drawn from
+    SeedSequence((seed, i)), so different scan seeds share no step stream.
     """
-    run_cfg = build_run_config(config)
-    spec = config["scan_spec"]
-    drive = spec["phase_drive"]
-    channels = [(c["peak"], c["j"], c["k"]) for c in spec["channels"]]
-    peaks = dict.fromkeys(peak for peak, _, _ in channels)
-    steps = int(drive["steps"])
-    dwell = float(drive["dwell_s"])
-    rate_r = float(drive["rate_r_rad_per_s"])
-    rate_l = float(drive["rate_l_rad_per_s"])
-
     unit_ps = run_cfg.unit_delay_ps
     half_width = run_cfg.coincidence_window_ps / 2.0
-    setpoints = np.arange(steps) * dwell
-    counts = {ch: np.zeros(steps) for ch in channels}
-    background = {ch: np.zeros(steps) for ch in channels}
-    phi_r = rate_r * setpoints
-    bob = run_cfg.interferometer.bob
-    dials = np.stack([phi_r, phi_r + rate_l * setpoints, np.full(steps, bob.phi_m), np.full(steps, bob.phi_l)], axis=1)
-    for i in range(steps):
+    counts = np.zeros((len(dials), 5, 3, 3), dtype=np.int64)
+    background = np.zeros((len(dials), 3, 3), dtype=np.int64)
+    for i in range(len(dials)):
         if i % _TABLE_STEPS == 0:
             outcome_tables = step_distributions(run_cfg.interferometer, run_cfg.lam, dials[i : i + _TABLE_STEPS])
         step_cfg = dataclasses.replace(
@@ -505,14 +486,31 @@ def _run_scan(config: dict):
         # A step of up to 65,536 pairs (every step of the demo configs) is one chunk.
         for chunk in simulate_run(step_cfg, outcome_tables[i % _TABLE_STEPS]):
             coincidences = find_coincidences(chunk, max_delta_ps=3 * unit_ps)
-            flat = off_peak_background(coincidences, half_width, unit_ps)
-            # simulate_run always puts the left subspace at dt = +1 unit delay.
-            tables = {peak: post_select(coincidences, peak, half_width, unit_ps) for peak in peaks}
-            for peak, j, k in channels:
-                counts[(peak, j, k)][i] += tables[peak][j, k]
-                background[(peak, j, k)][i] += flat[j, k]
+            counts[i] += post_select(coincidences, half_width, unit_ps)
+            background[i] += off_peak_background(coincidences, half_width, unit_ps)
+    return counts, background
 
-    return {ch: FringeScan(setpoints, counts[ch]) for ch in channels}, background
+
+def _drive_scan(config: dict, rate_l: float, channels):
+    """One `FringeScan` per distinct (peak, j, k) channel of the config's
+    stepped phase drive, and the steps' off-peak backgrounds B[i, j, k];
+    writes nothing, so a failed fit leaves no scan files.
+
+    The drive sets Alice's dials (alpha_m = rate_r * t, alpha_l =
+    (rate_r + rate_l) * t, so the two effective phases advance at rate_r
+    and rate_l); Bob's stay at their configured values.
+    """
+    run_cfg = build_run_config(config)
+    drive = config["scan_spec"]["phase_drive"]
+    steps, dwell = int(drive["steps"]), float(drive["dwell_s"])
+    setpoints = np.arange(steps) * dwell
+    phi_r = float(drive["rate_r_rad_per_s"]) * setpoints
+    bob = run_cfg.interferometer.bob
+    dials = np.stack([phi_r, phi_r + rate_l * setpoints, np.full(steps, bob.phi_m), np.full(steps, bob.phi_l)], axis=1)
+    counts, background = _run_scan(run_cfg, dials, dwell)
+    # simulate_run always puts the left subspace at dt = +1 unit delay.
+    scans = {(peak, j, k): FringeScan(setpoints, counts[:, PEAK_CLASS[peak], j, k]) for peak, j, k in channels}
+    return scans, background
 
 
 def _write_scan_outputs(scans: dict, payload: dict, out_dir: str, name: str) -> list:
@@ -529,9 +527,10 @@ def cmd_scan(config: dict, out_dir: str) -> list:
     at its drive tones; the central fit and the satellite rate ratio start
     from the drive rates, and the central fit takes the channel's mean
     off-peak background off its constant."""
-    scans, backgrounds = _run_scan(config)
     drive = config["scan_spec"]["phase_drive"]
     rate_r, rate_l = float(drive["rate_r_rad_per_s"]), float(drive["rate_l_rad_per_s"])
+    channels = [(c["peak"], c["j"], c["k"]) for c in config["scan_spec"]["channels"]]
+    scans, background = _drive_scan(config, rate_l, channels)
     drive_rates = {"right": (rate_r,), "left": (rate_l,), "central": (rate_r, rate_l, rate_r + rate_l)}
     fits = {}
     for (peak, j, k), scan in scans.items():
@@ -541,7 +540,7 @@ def cmd_scan(config: dict, out_dir: str) -> list:
             "i_max": fit.i_max,
             "i_min": fit.i_min,
             "visibility": fit.visibility,
-            "background_mean": float(np.mean(backgrounds[(peak, j, k)])),
+            "background_mean": float(np.mean(background[:, j, k])),
         }
         if peak == "central":
             try:
@@ -576,15 +575,11 @@ def cmd_bell(config: dict, out_dir: str) -> list:
     background) and net, and the mean net value over the three correlated
     coincidence-class channels; the verdict uses the net (0,0) fit.
     """
-    config = copy.deepcopy(config)
-    drive = config["scan_spec"]["phase_drive"]
-    drive["rate_l_rad_per_s"] = drive["rate_r_rad_per_s"]  # threshold needs n = 1
-    omega = float(drive["rate_r_rad_per_s"])
+    omega = float(config["scan_spec"]["phase_drive"]["rate_r_rad_per_s"])
     channels = [("central", j, k) for j, k in ((0, 0), (1, 2), (2, 1))]
-    config["scan_spec"]["channels"] = [dict(zip(("peak", "j", "k"), ch)) for ch in channels]
-    scans, backgrounds = _run_scan(config)
+    scans, background = _drive_scan(config, omega, channels)  # the threshold needs n = 1
     raw = fit_central_fringe(scans[channels[0]], (omega, 1.0))
-    fits = [fit_central_fringe(scans[ch], (omega, 1.0), backgrounds[ch].mean()) for ch in channels]
+    fits = [fit_central_fringe(scans[peak, j, k], (omega, 1.0), background[:, j, k].mean()) for peak, j, k in channels]
     net = [visibility_from_lambda(fit.lambda_hat) for fit in fits]
     _, v_bell = bell_threshold_visibility()
     if net[0] < v_bell / 2.0:
@@ -603,7 +598,7 @@ def cmd_bell(config: dict, out_dir: str) -> list:
         "lambda_hat": fits[0].lambda_hat,
         "i3_max": optimize_cglmp().value,
         "raw_visibility": visibility_from_lambda(raw.lambda_hat),
-        "background_mean": float(backgrounds[channels[0]].mean()),
+        "background_mean": float(background[:, 0, 0].mean()),
         "class_mean_visibility": float(np.mean(net)),
     }
     return _write_scan_outputs(scans, payload, out_dir, "bell.json")

@@ -4,8 +4,9 @@ A run draws pair emissions as a Poisson process, samples each pair's
 (dt class, detector_A, detector_B) outcome from the source model's joint
 distribution, applies detector efficiency, timing jitter and dark counts,
 and emits a time-sorted tag stream in chunks.  Coincidence identification,
-histogram binning and per-peak post-selection operate on such streams, and
-a run's counts are the sums of its chunks' counts.
+histogram binning and post-selection into the five peaks' count table
+C[class, j, k] operate on such streams, and a run's counts are the sums of
+its chunks' counts.
 
 Coincidences are found in offset passes over the merged stream of both
 parties, never in a per-party split: neighbours first, then tags two apart,
@@ -18,7 +19,7 @@ other candidate goes through the nearest-first greedy loop (see
 per tag, read in stream order a block at a time into three exact-size
 columns: Alice's detector, Bob's and dt = t_A - t_B, 10 bytes a record.  So
 matching holds the stream, its records, that array and a few block-sized
-temporaries; the histogram and the peak areas bin a block at a time too.
+temporaries; the histogram and the count table bin a block at a time too.
 A run's stream is one chunk at a time, so none of these is ever run-sized.
 
 All times are integer picoseconds: comparisons are exact, binning is
@@ -89,6 +90,9 @@ BINS_PER_UNIT = 12  # histogram bins per unit delay
 # Tag times must stay inside +-2**60 ps so the packed key fits an int64.
 _TIME_LIMIT_PS = 2**60
 
+# The largest mean numpy's Poisson sampler draws: int64 max less 10 sqrt of it.
+_POISSON_MAX = float(np.iinfo(np.int64).max) - 10.0 * np.sqrt(np.iinfo(np.int64).max)
+
 # Pairs per block of a run's draws and chunks, neighbour steps per block of
 # `find_coincidences`' offset-1 pass and gather, and records per block of the
 # binning: the temporaries of a block stay a few hundred KB however long the run.
@@ -148,6 +152,12 @@ class RunConfig:
                 "duration, unit delay and jitter let tag times leave +-2**60 ps "
                 f"(about {_TIME_LIMIT_PS / 1e12 / 86400:.1f} days)"
             )
+        # A party's darks are one Poisson count at 3 times its per-detector rate.
+        darks_hz = 3.0 * max(self.alice_detectors.dark_rate_hz, self.bob_detectors.dark_rate_hz)
+        for name, rate_hz in (("pair", self.pair_rate_hz), ("dark", darks_hz)):
+            mean = rate_hz * self.duration_s
+            if not mean <= _POISSON_MAX:
+                raise ConfigurationError(f"{name} count mean {mean:.3g} is beyond numpy's largest Poisson mean")
 
     @property
     def unit_delay_ps(self) -> int:
@@ -529,32 +539,41 @@ def build_histogram(coincidences: CoincidenceSet, unit_delay_ps: int) -> Histogr
     return Histogram(unit_delay_ps / BINS_PER_UNIT, dict(sorted(counts.items())))
 
 
-def window_counts(coincidences: CoincidenceSet, center_ps: float, half_width_ps: float) -> np.ndarray:
-    """3x3 detector-pair counts of records with |dt - center| <= half_width."""
-    mask = np.abs(coincidences.delta_t_ps - center_ps) <= half_width_ps
-    cells = coincidences.alice_detector[mask].astype(int) * 3 + coincidences.bob_detector[mask]
-    return np.bincount(cells, minlength=9).reshape(3, 3)
+def post_select(coincidences: CoincidenceSet, half_width_ps: float, unit_delay_ps: int) -> np.ndarray:
+    """The count table C[class, j, k]: records whose dt lies within
+    +-half_width of the peak of dt class 0..4 (dt = -2..+2 unit delays, as
+    in `joint_distribution`'s P[class, j, k]), by Alice's detector j and
+    Bob's detector k; int64, shape (5, 3, 3).
 
-
-def _check_peak_half_width(half_width_ps: float, unit_delay_ps: int):
+    One pass, `_BLOCK` records at a time: each record takes its nearest peak
+    by integer rounding and counts in that class if it lies within
+    `half_width_ps` of it, all in one `bincount` over (class, j, k) whose
+    46th cell takes the records outside every window.  Windows narrower
+    than half the unit delay are disjoint, so a record counts at most once.
+    """
     if not 0.0 < half_width_ps < unit_delay_ps / 2.0:
         raise ConfigurationError(
             f"half width must lie in (0, {unit_delay_ps / 2:.0f}) ps so windows cannot overlap"
         )
-
-
-def post_select(
-    coincidences: CoincidenceSet,
-    peak: str,
-    half_width_ps: float,
-    unit_delay_ps: int,
-) -> np.ndarray:
-    """3x3 table of counts whose dt lies within +-half_width of a peak center."""
-    if peak not in PEAK_MULTIPLIER:
-        raise ConfigurationError(f"unknown peak {peak!r}; expected one of {sorted(PEAK_MULTIPLIER)}")
-    _check_peak_half_width(half_width_ps, unit_delay_ps)
-    center = PEAK_MULTIPLIER[peak] * unit_delay_ps
-    return window_counts(coincidences, center, half_width_ps)
+    dt = coincidences.delta_t_ps
+    counts = np.zeros(46, dtype=np.int64)
+    for start in range(0, dt.size, _BLOCK):
+        block = dt[start : start + _BLOCK]
+        cell = block + unit_delay_ps // 2
+        cell //= unit_delay_ps  # the nearest peak, in unit delays
+        off = cell * unit_delay_ps
+        np.subtract(block, off, out=off)
+        outside = np.abs(off, out=off) > half_width_ps
+        outside |= np.abs(cell, out=off) > 2
+        del off
+        cell += 2
+        cell *= 9
+        detectors = coincidences.alice_detector[start : start + _BLOCK] * np.uint8(3)
+        detectors += coincidences.bob_detector[start : start + _BLOCK]
+        cell += detectors
+        np.copyto(cell, 45, where=outside)
+        counts += np.bincount(cell, minlength=46)
+    return counts[:45].reshape(5, 3, 3)
 
 
 def off_peak_background(
@@ -570,33 +589,15 @@ def off_peak_background(
             f"background half width must lie in (0, {unit_delay_ps / 4:.0f}) ps "
             "to stay clear of the neighboring peak windows"
         )
-    return window_counts(coincidences, 0.5 * unit_delay_ps, half_width_ps)
+    mask = np.abs(coincidences.delta_t_ps - 0.5 * unit_delay_ps) <= half_width_ps
+    cells = coincidences.alice_detector[mask].astype(int) * 3 + coincidences.bob_detector[mask]
+    return np.bincount(cells, minlength=9).reshape(3, 3)
 
 
-def peak_areas(
-    coincidences: CoincidenceSet, half_width_ps: float, unit_delay_ps: int
-) -> dict:
-    """Total counts inside each of the five peak windows.
-
-    One pass, `_BLOCK` records at a time: each record takes its nearest peak
-    index by integer rounding and counts if it lies within `half_width_ps`
-    of that peak.  Windows narrower than half the unit delay are disjoint,
-    so this equals `post_select(...).sum()` for each peak.
-    """
-    _check_peak_half_width(half_width_ps, unit_delay_ps)
-    dt = coincidences.delta_t_ps
-    counts = np.zeros(5, dtype=np.int64)
-    for start in range(0, dt.size, _BLOCK):
-        block = dt[start : start + _BLOCK]
-        nearest = block + unit_delay_ps // 2
-        nearest //= unit_delay_ps
-        off = nearest * unit_delay_ps
-        np.subtract(block, off, out=off)
-        inside = np.abs(off, out=off) <= half_width_ps
-        inside &= np.abs(nearest, out=off) <= 2
-        del off
-        nearest += 2
-        counts += np.bincount(nearest[inside], minlength=5)
+def peak_areas(coincidences: CoincidenceSet, half_width_ps: float, unit_delay_ps: int) -> dict:
+    """Total counts inside each of the five peak windows, keyed by peak name:
+    `post_select`'s table summed over the detectors."""
+    counts = post_select(coincidences, half_width_ps, unit_delay_ps).sum(axis=(1, 2))
     return {peak: int(counts[m + 2]) for peak, m in PEAK_MULTIPLIER.items()}
 
 

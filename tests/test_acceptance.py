@@ -31,6 +31,7 @@ from qutrit_bench.protocols import (
     run_qkd,
 )
 from qutrit_bench.source import (
+    PEAK_CLASS,
     ArmPhases,
     InterferometerConfig,
     herald_state,
@@ -106,7 +107,7 @@ def test_criterion_2_fringe_law():
             lam=lam,
         )
         coincidences = find_coincidences(whole_stream(simulate_run(cfg)), 3 * UNIT_PS)
-        counts = post_select(coincidences, "central", 150.0, UNIT_PS).ravel()
+        counts = post_select(coincidences, 150.0, UNIT_PS)[PEAK_CLASS["central"]].ravel()
         _, p_value = stats.chisquare(counts, f_exp=counts.sum() * expected_p)
         if p_value > 0.001:
             passes += 1

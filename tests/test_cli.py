@@ -103,6 +103,16 @@ class TestExitCodes:
         assert run_cli(["histogram", "--config", cfg, "--out", tmp_path / "out"]) == 2
         assert "2**60 ps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "run", [{"pair_rate_hz": 1e300}, {"detectors": {"bob": {"dark_rate_hz": 1e300}}}], ids=["pairs", "darks"]
+    )
+    def test_poisson_mean_numpy_cannot_draw_exits_2(self, tmp_path, capsys, run):
+        cfg = write_config(tmp_path, {"experiment": "histogram", "run": dict(BASE_RUN, **run)})
+        assert run_cli(["histogram", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert "error_code=config_error" in err
+        assert "beyond numpy's largest Poisson mean" in err
+
     def test_seed_beyond_64_bits_exits_2(self, tmp_path, capsys):
         # Every command rejects the seed while loading its config, before --out exists.
         cfg = write_config(tmp_path, {"experiment": "qkd", "run": BASE_RUN, "protocol_spec": {"rounds": 2000}})
@@ -372,10 +382,22 @@ class TestScanOutputs:
         seen = []
         for seed in (5, 6):
             streams.clear()
-            cli._run_scan(cli.load_config(write_config(tmp_path, self.scan_config(seed))))
+            run_cfg = cli.build_run_config(cli.load_config(write_config(tmp_path, self.scan_config(seed))))
+            cli._run_scan(run_cfg, np.zeros((90, 4)), 0.01)
             assert len(set(streams)) == 90
             seen.append(set(streams))
         assert not seen[0] & seen[1]
+
+    def test_a_twice_listed_channel_writes_what_one_listing_does(self, tmp_path):
+        config = self.scan_config(seed=3)
+        config["run"]["pair_rate_hz"] = 4.0e5
+        config["scan_spec"]["phase_drive"].update(steps=20, dwell_s=0.005)
+        for times in (1, 2):
+            config["scan_spec"]["channels"] = [{"peak": "left", "j": 0, "k": 0}] * times
+            cfg = write_config(tmp_path, config, name=f"{times}.json")
+            assert run_cli(["scan", "--config", cfg, "--out", tmp_path / str(times)]) == 0
+        for name in ("scan_left_00.csv", "fringe_fits.json"):
+            assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
 
     def test_manifest_lists_outputs(self, tmp_path):
         cfg = write_config(tmp_path, self.scan_config())

@@ -1,7 +1,7 @@
 """Seeded count and protocol files stay byte-identical.
 
 Small seeded `histogram`, `bell` (50 steps, one period of its 2 Hz drive)
-and default-channel `scan` (18 steps) runs of the demo configs, each
+and `scan` (18 steps) runs of the demo configs, each
 checked against the sha256 of its count files: `histogram.csv`,
 `peaks.json` and every `scan_*.csv`.  The
 full 5 s `histogram` demo run (`histogram_realistic`, 1M pairs) crosses
@@ -12,6 +12,10 @@ intercept-resend attacker over three bases and its round trace, and a
 20,000-round `toss` run, are checked on every data file: `qkd_summary.json`,
 `qkd_rounds.csv` and `toss_summary.json`.  A change that moves a hash on
 purpose says why in CHANGES.md and retakes the table.
+
+The `scan` row reads the default channels, the (0,0) cell of each of the
+three peaks; the `scan_cells` row reads an off-diagonal cell of each, with
+Bob's dials and Alice's couplers off their defaults.
 
 The `histogram`, `histogram_realistic` and `scan` rows were retaken when
 each party came to draw its jitter, efficiency and dark counts from its own
@@ -30,6 +34,10 @@ from qutrit_bench.cli import main
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "demos" / "configs"
 
+# Off-diagonal cells of three peaks, at Bob dials and Alice couplers off their
+# defaults: they pin the order of a step's (class, j, k) count table.
+CELL_CHANNELS = [{"peak": "central", "j": 1, "k": 2}, {"peak": "left", "j": 2, "k": 1}, {"peak": "right", "j": 1, "k": 0}]
+
 THREE_BASIS_ATTACK = {"kind": "intercept_resend", "basis_pool": ["computational", "fourier0", "fourier2"]}
 
 # name: (experiment, config, overrides)
@@ -38,6 +46,16 @@ RUNS = {
     "histogram_realistic": ("histogram", "histogram_realistic.json", ()),
     "bell": ("bell", "bell_headline_regime.json", ("scan_spec.phase_drive.steps=50",)),
     "scan": ("scan", "histogram_realistic.json", ("scan_spec.phase_drive.steps=18",)),
+    "scan_cells": (
+        "scan",
+        "histogram_realistic.json",
+        (
+            "scan_spec.phase_drive.steps=18",
+            "scan_spec.channels=" + json.dumps(CELL_CHANNELS),
+            "run.interferometer.bob_phases_rad=[0.7, -1.3]",
+            "run.interferometer.alice_ratios=[0.5, 0.3, 0.2]",
+        ),
+    ),
     "qkd": (
         "qkd",
         "bell_headline_regime.json",
@@ -83,6 +101,16 @@ GOLDEN = {
         "scan_central_00.csv": "5db7419ffbd9228a00190fe156bfb78fbae6f453a1ee6a1ee50a18eaa9d389f2",
         "scan_left_00.csv": "0e5a34546be01ea6d071cbcf1d5b4c3df417410e703f11a105b2d565554a3ba4",
         "scan_right_00.csv": "284462185c41fb554ab5d46d2432592a66a6d246536136048b95d489d01ea1cc",
+    },
+    ("scan_cells", 7): {
+        "scan_central_12.csv": "446699de442dbe20194d9fe74eb247b087a5f08e5ac273ec3499485a92e566bc",
+        "scan_left_21.csv": "51d4896315f5ba2b72d90fff93f4ccc89e8cb56f19f711073cd5a8f695a7be7c",
+        "scan_right_10.csv": "137121fbee6a462d229772d25c11cbca57570f1927883bbbaa45d3329b2330da",
+    },
+    ("scan_cells", 1234567): {
+        "scan_central_12.csv": "a92dc27199a049817db7d35a3b9b15728bf67ee4aec48b8f5e8694260613242a",
+        "scan_left_21.csv": "b2ed290792ed0e3360276a47e4105a8e1a928c1497685ccb151f5874859699a7",
+        "scan_right_10.csv": "7c3854802999fc1f52e5d69d654ccfbe9655856bd3dd1b48ba7fe986dc5f8046",
     },
     ("qkd", 7): {
         "qkd_summary.json": "9daa0338b00141fb42db05a6113f31aa886d04c8ed13218bd47a65fc46028471",

@@ -1,6 +1,6 @@
 """The amplitude kernel, the closed-form Bell maximum, the coincidence
-matcher, the peak areas, the QKD trace writer and the config validator
-against references.
+matcher, the peak count table and areas, the QKD trace writer and the
+config validator against references.
 
 The reference functions below are frozen copies of the implementations
 these replaced: the hand-written amplitude sums of `joint_distribution`,
@@ -8,9 +8,10 @@ the peak-state and herald constructors, the per-element CGLMP probability
 loop, the multi-start search for the CGLMP maximum, the `lexsort` stream
 assembly and `rng.choice` outcome draw of `simulate_run`, the greedy
 matching loop over every candidate pair of `find_coincidences`, the
-one-shot `np.unique` binning of `build_histogram`, the five-window
-`peak_areas`, the row-by-row `csv.writer` QKD trace and the eight
-gathered compares of the QKD trit draw.  The closed-form fringe
+one-shot `np.unique` binning of `build_histogram`, the per-peak
+abs-mask `post_select` and the five-window `peak_areas` built on it (the
+oracles of the one-pass count table), the row-by-row `csv.writer` QKD trace
+and the eight gathered compares of the QKD trit draw.  The closed-form fringe
 laws of symmetric couplers, the central law [3 + 2*lam*(cos phi_r +
 cos phi_l + cos(phi_r + phi_l))] / 27 and the satellite law
 [1 + lam*cos theta] / 9 with their phases, and the central fringe of a
@@ -79,6 +80,7 @@ from qutrit_bench.source import (
     tritter,
 )
 from qutrit_bench.timetags import (
+    PEAK_MULTIPLIER,
     CoincidenceSet,
     DetectorModel,
     Histogram,
@@ -429,6 +431,9 @@ def reference_find_coincidences(stream, max_delta_ps):
     return CoincidenceSet(d_a[a_sel], d_b[b_sel], (t_a[a_sel] - t_b[b_sel]).astype(np.int64))
 
 
+FIVE_PEAKS = ("outer_right", "right", "central", "left", "outer_left")  # dt = -2..+2 unit delays
+
+
 def reference_histogram_bins(coincidences, unit_delay_ps):
     """Every record's bin index (24 dt + unit) // (2 unit) counted by one `np.unique`."""
     idx = (24 * coincidences.delta_t_ps + unit_delay_ps) // (2 * unit_delay_ps)
@@ -436,11 +441,27 @@ def reference_histogram_bins(coincidences, unit_delay_ps):
     return {int(i): int(c) for i, c in zip(uniq, counts)}
 
 
+def reference_post_select(coincidences, peak, half_width_ps, unit_delay_ps):
+    """3x3 detector-pair counts of records with |dt - center| <= half_width
+    at one peak's center, by one abs-mask over every record."""
+    center = PEAK_MULTIPLIER[peak] * unit_delay_ps
+    mask = np.abs(coincidences.delta_t_ps - center) <= half_width_ps
+    cells = coincidences.alice_detector[mask].astype(int) * 3 + coincidences.bob_detector[mask]
+    return np.bincount(cells, minlength=9).reshape(3, 3)
+
+
+def reference_count_table(coincidences, half_width_ps, unit_delay_ps):
+    """The five peaks' windows stacked by class, dt = -2..+2 unit delays."""
+    return np.stack(
+        [reference_post_select(coincidences, peak, half_width_ps, unit_delay_ps) for peak in FIVE_PEAKS]
+    )
+
+
 def reference_peak_areas(coincidences, half_width_ps, unit_delay_ps):
     """One window scan per peak."""
     return {
-        peak: int(post_select(coincidences, peak, half_width_ps, unit_delay_ps).sum())
-        for peak in ("outer_right", "right", "central", "left", "outer_left")
+        peak: int(reference_post_select(coincidences, peak, half_width_ps, unit_delay_ps).sum())
+        for peak in FIVE_PEAKS
     }
 
 
@@ -1206,6 +1227,9 @@ def test_peak_areas_match_five_window_reference(records):
     coincidences, half_width, unit = records
     got = peak_areas(coincidences, half_width, unit)
     assert list(got.items()) == list(reference_peak_areas(coincidences, half_width, unit).items())
+    table = post_select(coincidences, half_width, unit)
+    assert table.dtype == np.int64
+    np.testing.assert_array_equal(table, reference_count_table(coincidences, half_width, unit))
 
 
 @settings(max_examples=300, deadline=None)
@@ -1215,8 +1239,10 @@ def test_binning_matches_references_across_block_edges(records):
     with blocks_of_seven():
         histogram = build_histogram(coincidences, unit)
         areas = peak_areas(coincidences, half_width, unit)
+        table = post_select(coincidences, half_width, unit)
     assert list(histogram.bins.items()) == list(reference_histogram_bins(coincidences, unit).items())
     assert list(areas.items()) == list(reference_peak_areas(coincidences, half_width, unit).items())
+    np.testing.assert_array_equal(table, reference_count_table(coincidences, half_width, unit))
 
 
 # --------------------------------------------------------------------------

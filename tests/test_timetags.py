@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qutrit_bench import timetags
 from qutrit_bench.errors import ConfigurationError, OrderingError
-from qutrit_bench.source import ArmPhases, InterferometerConfig
+from qutrit_bench.source import PEAK_CLASS, ArmPhases, InterferometerConfig
 from qutrit_bench.timetags import (
     CoincidenceSet,
     DetectorModel,
@@ -94,6 +94,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             make(value)
 
+    def test_poisson_means_stop_where_numpy_stops(self):
+        # The bound is the largest mean numpy's Poisson sampler draws.
+        rng = np.random.default_rng(1)
+        assert rng.poisson(timetags._POISSON_MAX) > 0
+        with pytest.raises(ValueError):
+            rng.poisson(np.nextafter(timetags._POISSON_MAX, np.inf))
+        # 1 s runs: a party's dark-count mean is 3 times its per-detector rate.
+        ideal_config(pair_rate_hz=timetags._POISSON_MAX)
+        ideal_config(alice_detectors=DetectorModel(dark_rate_hz=timetags._POISSON_MAX / 4.0))
+        for make in (
+            lambda: ideal_config(pair_rate_hz=float(np.nextafter(timetags._POISSON_MAX, np.inf))),
+            lambda: ideal_config(bob_detectors=DetectorModel(dark_rate_hz=timetags._POISSON_MAX / 2.0)),
+        ):
+            with pytest.raises(ConfigurationError, match="Poisson mean"):
+                make()
+
 
 class TestSimulateRun:
     def test_deterministic_for_same_seed(self):
@@ -169,7 +185,7 @@ class TestSimulateRun:
     def test_central_zero_phase_detector_fraction(self):
         # at zero phases the (0,0) cell takes 1/3 of the central peak
         cfg = ideal_config(duration_s=0.5, seed=12)
-        counts = post_select(run_and_match(cfg), "central", 150.0, UNIT_PS)
+        counts = post_select(run_and_match(cfg), 150.0, UNIT_PS)[PEAK_CLASS["central"]]
         total = counts.sum()
         frac = counts[0, 0] / total
         sigma = np.sqrt((1 / 3) * (2 / 3) / total)
@@ -332,36 +348,44 @@ class TestPostSelect:
     def test_overlapping_windows_rejected(self):
         cfg = ideal_config(duration_s=0.01)
         with pytest.raises(ConfigurationError):
-            post_select(run_and_match(cfg), "central", 700.0, UNIT_PS)
+            post_select(run_and_match(cfg), 700.0, UNIT_PS)
 
-    def test_unknown_peak_rejected(self):
-        cfg = ideal_config(duration_s=0.01)
-        with pytest.raises(ConfigurationError):
-            post_select(run_and_match(cfg), "middle", 150.0, UNIT_PS)
+    def test_table_is_indexed_by_class_then_detectors(self):
+        # dt = m unit delays is class m + 2; a record off every window counts nowhere.
+        records = CoincidenceSet(
+            np.array([2, 0, 1, 1], dtype=np.uint8),
+            np.array([1, 2, 0, 0], dtype=np.uint8),
+            np.array([UNIT_PS + 40, -2 * UNIT_PS, -UNIT_PS - 150, UNIT_PS // 2], dtype=np.int64),
+        )
+        table = post_select(records, 150.0, UNIT_PS)
+        assert table.shape == (5, 3, 3) and table.dtype == np.int64
+        assert {tuple(cell) for cell in np.argwhere(table)} == {(3, 2, 1), (0, 0, 2), (1, 1, 0)}
+        assert table.sum() == 3
 
     def test_zero_phases_concentrate_on_cyclic_class(self):
         cfg = ideal_config(duration_s=0.5, seed=17)
-        counts = post_select(run_and_match(cfg), "central", 150.0, UNIT_PS)
+        counts = post_select(run_and_match(cfg), 150.0, UNIT_PS)[PEAK_CLASS["central"]]
         on_class = counts[0, 0] + counts[1, 2] + counts[2, 1]
         assert counts.sum() > 1000
         assert on_class == counts.sum()  # off-class cells are dark-count free here
 
     def test_white_noise_gives_flat_cells(self):
         cfg = ideal_config(duration_s=0.5, seed=19, lam=0.0)
-        counts = post_select(run_and_match(cfg), "central", 150.0, UNIT_PS)
+        counts = post_select(run_and_match(cfg), 150.0, UNIT_PS)[PEAK_CLASS["central"]]
         total = counts.sum()
         sigma = np.sqrt(total * (1 / 9) * (8 / 9))
         assert np.max(np.abs(counts - total / 9)) < 3.5 * sigma
 
     def test_satellite_cells_match_analytic_law(self):
-        from qutrit_bench.source import PEAK_CLASS, joint_distribution
+        from qutrit_bench.source import joint_distribution
 
         itf = InterferometerConfig(alice=ArmPhases(0.4, 1.1), bob=ArmPhases(-0.3, 0.2))
         cfg = ideal_config(duration_s=1.0, seed=23, interferometer=itf)
         coincidences = run_and_match(cfg)
         dist = joint_distribution(itf, 1.0)
+        table = post_select(coincidences, 150.0, UNIT_PS)
         for side in ("left", "right"):
-            counts = post_select(coincidences, side, 150.0, UNIT_PS)
+            counts = table[PEAK_CLASS[side]]
             total = counts.sum()
             law = dist[PEAK_CLASS[side]] / dist[PEAK_CLASS[side]].sum()  # P(j, k | side)
             for j in range(3):
