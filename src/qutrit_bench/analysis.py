@@ -198,6 +198,13 @@ _EQUAL_RATE_MIXING = np.array([[1.0], [2.0]])
 _SATELLITE_MIXING = np.array([[1.0]])
 
 
+def _check_points(scan: FringeScan, mixing: np.ndarray, error: type):
+    """Raise `error` unless the scan has more points than the fit's 2T + 1 tone coefficients and rates."""
+    free = 2 * len(mixing) + 1 + mixing.shape[1]
+    if not scan.setpoints.size > free:
+        raise error(f"a fit of {free} free parameters needs more scan points than that, got {scan.setpoints.size}")
+
+
 def _refine_rates(scan: FringeScan, rates: np.ndarray, mixing: np.ndarray) -> np.ndarray:
     """Gauss-Newton with step halving on the rates of the tones mixing @ rates,
     from `rates` and weighted by the tone fit there, the tone coefficients
@@ -239,7 +246,8 @@ def phase_ratio(left_scan: FringeScan, right_scan: FringeScan, rates: tuple) -> 
 
     Both scans must share their setpoints (recorded simultaneously).  A zero
     or non-finite drive rate, and a scan whose tone fit at its refined rate
-    has V < 0.05 (no fringe), raise NoFringeError.
+    has V < 0.05 (no fringe), raise NoFringeError; scans of no more points
+    than a satellite fit's four free parameters raise DegenerateStateError.
     """
     if left_scan.setpoints.shape != right_scan.setpoints.shape or not np.allclose(
         left_scan.setpoints, right_scan.setpoints
@@ -249,6 +257,7 @@ def phase_ratio(left_scan: FringeScan, right_scan: FringeScan, rates: tuple) -> 
     for name, scan, rate in zip(("left", "right"), (left_scan, right_scan), rates):
         if not 0.0 < abs(rate) < math.inf:
             raise NoFringeError(f"{name} drive rate {rate:.4g} is not a finite nonzero rate")
+        _check_points(scan, _SATELLITE_MIXING, DegenerateStateError)
         rate = float(_refine_rates(scan, np.array([abs(rate)]), _SATELLITE_MIXING)[0])
         if visibility(scan, (rate,)).visibility < 0.05:
             raise NoFringeError(f"{name} scan shows no detectable fringe (V < 0.05)")
@@ -269,8 +278,9 @@ def fit_central_fringe(scan: FringeScan, start: tuple, background: float = 0.0) 
     (counts per step) taken off its constant.  A fringe whose lam-hat at
     the drive rates is under `_FRINGE_Z` sigma is read there, unrefined.
     Raises FitError on start rates that are zero, not finite or of opposite
-    sign, when a refined rate leaves `_RATE_BAND` times its start rate, and
-    when the relative RMS residual exceeds 0.2."""
+    sign, on a scan of no more points than the fit has free parameters (6
+    at n = 1, 9 otherwise), when a refined rate leaves `_RATE_BAND` times
+    its start rate, and when the relative RMS residual exceeds 0.2."""
     omega, n = start
     if not (0.0 < abs(omega) < math.inf and 0.0 < n < math.inf):
         raise FitError(
@@ -281,6 +291,7 @@ def fit_central_fringe(scan: FringeScan, start: tuple, background: float = 0.0) 
         drive, mixing = np.array([abs(omega)]), _EQUAL_RATE_MIXING
     else:
         drive, mixing = abs(omega) * np.array([1.0, n]), _CENTRAL_MIXING
+    _check_points(scan, mixing, FitError)
     rates = drive
     coef, cov, model = tone_fit(u, y, mixing @ rates)
     lam, sigma_lam = _fringe_lambda(coef, cov, background)

@@ -374,11 +374,12 @@ def build_interferometer(config: dict) -> InterferometerConfig:
     )
 
 
-def build_run_config(config: dict) -> RunConfig:
+def build_run_config(config: dict, duration_s: float = None) -> RunConfig:
+    """The run of `run`, `duration_s` seconds long, or `run.duration_s` when that is None."""
     run = config["run"]
     return RunConfig(
         pair_rate_hz=float(run["pair_rate_hz"]),
-        duration_s=float(run["duration_s"]),
+        duration_s=float(run["duration_s"] if duration_s is None else duration_s),
         seed=int(run["seed"]),
         coincidence_window_ps=float(run["coincidence_window_ps"]),
         lam=float(run["lambda"]),
@@ -457,60 +458,53 @@ def cmd_histogram(config: dict, out_dir: str) -> list:
     return [hist_path, peaks_path]
 
 
-# Scan steps per call of the outcome-table kernel.  All 240 steps of a bell
-# scan in one call hold 86 KB of tables through the step loop, which raised
-# the run's peak RSS by about 0.1 MB; 32 rows a call keep nearly all the gain.
-_TABLE_STEPS = 32
-
-
-def _run_scan(run_cfg: RunConfig, dials: np.ndarray, dwell: float):
+def _run_scan(run_cfg: RunConfig, dials: np.ndarray):
     """The count tables C[i, class, j, k] and off-peak backgrounds B[i, j, k]
-    of a scan that dwells `dwell` seconds at each (S, 4) dial row
+    of a scan whose step i is a `run_cfg` run at the (S, 4) dial row i
     (alpha_m, alpha_l, beta_m, beta_l).  The dials enter only through the
-    steps' outcome tables, from `step_distributions`, `_TABLE_STEPS` steps
-    a call.  Step i simulates under a 64-bit seed drawn from
-    SeedSequence((seed, i)), so different scan seeds share no step stream.
+    steps' outcome tables, all from one `step_distributions` call.  Step i
+    simulates under a 64-bit seed drawn from SeedSequence((seed, i)), so
+    different scan seeds share no step stream.
     """
     unit_ps = run_cfg.unit_delay_ps
     half_width = run_cfg.coincidence_window_ps / 2.0
     counts = np.zeros((len(dials), 5, 3, 3), dtype=np.int64)
     background = np.zeros((len(dials), 3, 3), dtype=np.int64)
-    for i in range(len(dials)):
-        if i % _TABLE_STEPS == 0:
-            outcome_tables = step_distributions(run_cfg.interferometer, run_cfg.lam, dials[i : i + _TABLE_STEPS])
-        step_cfg = dataclasses.replace(
-            run_cfg,
-            duration_s=dwell,
-            seed=int(np.random.SeedSequence((run_cfg.seed, i)).generate_state(1, np.uint64)[0]),
-        )
+    for i, table in enumerate(step_distributions(run_cfg.interferometer, run_cfg.lam, dials)):
+        seed = np.random.SeedSequence((run_cfg.seed, i)).generate_state(1, np.uint64)[0]
         # A step of up to 65,536 pairs (every step of the demo configs) is one chunk.
-        for chunk in simulate_run(step_cfg, outcome_tables[i % _TABLE_STEPS]):
+        for chunk in simulate_run(dataclasses.replace(run_cfg, seed=int(seed)), table):
             coincidences = find_coincidences(chunk, max_delta_ps=3 * unit_ps)
             counts[i] += post_select(coincidences, half_width, unit_ps)
             background[i] += off_peak_background(coincidences, half_width, unit_ps)
     return counts, background
 
 
-def _drive_scan(config: dict, rate_l: float, channels):
-    """One `FringeScan` per distinct (peak, j, k) channel of the config's
-    stepped phase drive, and the steps' off-peak backgrounds B[i, j, k];
-    writes nothing, so a failed fit leaves no scan files.
+def _drive_scan(config: dict, channels, equal_rates: bool = False):
+    """The scan of the config's stepped phase drive, the one reader of
+    `scan_spec.phase_drive`: one `FringeScan` per distinct (peak, j, k)
+    channel, the steps' off-peak backgrounds B[i, j, k] and the drive rates
+    (rate_r, rate_l).  Writes nothing, so a failed fit leaves no scan files.
 
-    The drive sets Alice's dials (alpha_m = rate_r * t, alpha_l =
-    (rate_r + rate_l) * t, so the two effective phases advance at rate_r
-    and rate_l); Bob's stay at their configured values.
+    Each step is one run `dwell_s` long; `run.duration_s` is not read.  The
+    drive sets Alice's dials (alpha_m = rate_r * t, alpha_l = (rate_r +
+    rate_l) * t, so the two effective phases advance at rate_r and rate_l);
+    Bob's stay at their configured values.  `equal_rates` drives rate_l at
+    rate_r, whatever `rate_l_rad_per_s` says.
     """
-    run_cfg = build_run_config(config)
     drive = config["scan_spec"]["phase_drive"]
     steps, dwell = int(drive["steps"]), float(drive["dwell_s"])
+    rate_r = float(drive["rate_r_rad_per_s"])
+    rate_l = rate_r if equal_rates else float(drive["rate_l_rad_per_s"])
+    run_cfg = build_run_config(config, duration_s=dwell)
     setpoints = np.arange(steps) * dwell
-    phi_r = float(drive["rate_r_rad_per_s"]) * setpoints
+    phi_r = rate_r * setpoints
     bob = run_cfg.interferometer.bob
     dials = np.stack([phi_r, phi_r + rate_l * setpoints, np.full(steps, bob.phi_m), np.full(steps, bob.phi_l)], axis=1)
-    counts, background = _run_scan(run_cfg, dials, dwell)
+    counts, background = _run_scan(run_cfg, dials)
     # simulate_run always puts the left subspace at dt = +1 unit delay.
     scans = {(peak, j, k): FringeScan(setpoints, counts[:, PEAK_CLASS[peak], j, k]) for peak, j, k in channels}
-    return scans, background
+    return scans, background, (rate_r, rate_l)
 
 
 def _write_scan_outputs(scans: dict, payload: dict, out_dir: str, name: str) -> list:
@@ -527,14 +521,11 @@ def cmd_scan(config: dict, out_dir: str) -> list:
     at its drive tones; the central fit and the satellite rate ratio start
     from the drive rates, and the central fit takes the channel's mean
     off-peak background off its constant."""
-    drive = config["scan_spec"]["phase_drive"]
-    rate_r, rate_l = float(drive["rate_r_rad_per_s"]), float(drive["rate_l_rad_per_s"])
     channels = [(c["peak"], c["j"], c["k"]) for c in config["scan_spec"]["channels"]]
-    scans, background = _drive_scan(config, rate_l, channels)
+    scans, background, (rate_r, rate_l) = _drive_scan(config, channels)
     drive_rates = {"right": (rate_r,), "left": (rate_l,), "central": (rate_r, rate_l, rate_r + rate_l)}
     fits = {}
     for (peak, j, k), scan in scans.items():
-        name = f"{peak}_{j}{k}"
         fit = visibility(scan, sorted({abs(rate) for rate in drive_rates[peak]} - {0.0}))
         entry = {
             "i_max": fit.i_max,
@@ -546,16 +537,11 @@ def cmd_scan(config: dict, out_dir: str) -> list:
             try:
                 full = fit_central_fringe(scan, (rate_r, rate_l / rate_r if rate_r else 0.0), entry["background_mean"])
                 entry.update(
-                    {
-                        "lambda_hat": full.lambda_hat,
-                        "lambda_sigma": full.sigma_lambda,
-                        "n_hat": full.n_hat,
-                        "residual": full.residual,
-                    }
+                    lambda_hat=full.lambda_hat, lambda_sigma=full.sigma_lambda, n_hat=full.n_hat, residual=full.residual
                 )
             except FitError as exc:
                 entry["fit_error"] = str(exc)
-        fits[name] = entry
+        fits[f"{peak}_{j}{k}"] = entry
     left = next((s for ch, s in scans.items() if ch[0] == "left"), None)
     right = next((s for ch, s in scans.items() if ch[0] == "right"), None)
     if left is not None and right is not None:
@@ -569,15 +555,17 @@ def cmd_scan(config: dict, out_dir: str) -> list:
 def cmd_bell(config: dict, out_dir: str) -> list:
     """Equal-rate scan, central-fringe fit and Bell-threshold verdict.
 
-    Each channel's lam-hat comes from `fit_central_fringe` at (omega, 1)
-    with the channel's mean off-peak background; a fit it rejects raises
-    FitError.  Reports V(lam-hat) of the (0,0) channel, raw (fitted with no
-    background) and net, and the mean net value over the three correlated
-    coincidence-class channels; the verdict uses the net (0,0) fit.
+    The scan drives both phases at omega = `rate_r_rad_per_s` and reads the
+    correlated central channels (0,0), (1,2) and (2,1), whatever
+    `rate_l_rad_per_s` and `scan_spec.channels` say.  Each channel's lam-hat
+    comes from `fit_central_fringe` at (omega, 1) with the channel's mean
+    off-peak background; a fit it rejects raises FitError.  Reports
+    V(lam-hat) of the (0,0) channel, raw (fitted with no background) and
+    net, and the mean net value over the three channels; the verdict uses
+    the net (0,0) fit.
     """
-    omega = float(config["scan_spec"]["phase_drive"]["rate_r_rad_per_s"])
     channels = [("central", j, k) for j, k in ((0, 0), (1, 2), (2, 1))]
-    scans, background = _drive_scan(config, omega, channels)  # the threshold needs n = 1
+    scans, background, (omega, _) = _drive_scan(config, channels, equal_rates=True)  # the threshold needs n = 1
     raw = fit_central_fringe(scans[channels[0]], (omega, 1.0))
     fits = [fit_central_fringe(scans[peak, j, k], (omega, 1.0), background[:, j, k].mean()) for peak, j, k in channels]
     net = [visibility_from_lambda(fit.lambda_hat) for fit in fits]

@@ -178,6 +178,15 @@ class TestCentralFringeFit:
             with pytest.raises(FitError, match="finite nonzero drive rates"):
                 fit_central_fringe(self.synthetic(1.0, 0.9), start)
 
+    @pytest.mark.parametrize("n, free", [(1.0, 6), (3.0, 9)])
+    def test_a_scan_needs_more_points_than_free_parameters(self, n, free):
+        # 2T + 1 tone coefficients and the refined rates: two tones and one
+        # rate at n = 1, three tones and two rates otherwise.
+        with pytest.raises(FitError, match=f"{free} free parameters"):
+            fit_central_fringe(self.synthetic(n, 0.9, n_points=free), self.start(n))
+        fit = fit_central_fringe(self.synthetic(n, 0.9, n_points=free + 1), self.start(n))
+        assert fit.lambda_hat == pytest.approx(0.9, abs=1e-9)
+
     def test_sigma_lambda_matches_the_seed_spread(self):
         # 100 seeds: the sample sd has a standard error of about 7%.
         scans = [self.synthetic(3.0, 0.9, amp=20.0, seed=seed) for seed in range(100)]
@@ -262,6 +271,14 @@ class TestPhaseRatio:
             warnings.simplefilter("error")
             with pytest.raises(NoFringeError, match="not a finite nonzero rate"):
                 phase_ratio(scan, scan, rates)
+
+    def test_a_scan_needs_more_points_than_free_parameters(self):
+        # Three tone coefficients and the refined rate.
+        short = self.satellite_scan(1.0, n_points=4)
+        with pytest.raises(DegenerateStateError, match="4 free parameters"):
+            phase_ratio(short, short, self.rates(1.0, 1.0))
+        scan = self.satellite_scan(1.0, n_points=5)
+        assert phase_ratio(scan, scan, self.rates(1.0, 1.0)) == pytest.approx(1.0, abs=1e-9)
 
     def test_sign_of_a_drive_rate_is_not_seen(self):
         left, right = self.satellite_scan(2.0), self.satellite_scan(4.0)

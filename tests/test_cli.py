@@ -368,6 +368,20 @@ class TestScanOutputs:
         cfg = write_config(tmp_path, config)
         assert run_cli(["scan", "--config", cfg, "--out", tmp_path / "out"]) == 0
 
+    @pytest.mark.parametrize("config, steps", [(None, 2), (HEADLINE, 4)], ids=["defaults", "headline"])
+    def test_too_few_points_report_errors_not_fits(self, tmp_path, config, steps):
+        # 2 and 4 points against the central fit's 6 free parameters at n = 1
+        # and a satellite fit's 4.
+        cfg = config or write_config(tmp_path, {"experiment": "scan"})
+        out = tmp_path / "out"
+        args = ["scan", "--config", cfg, "--out", out, "--seed", 2]
+        assert run_cli(args + ["--override", f"scan_spec.phase_drive.steps={steps}"]) == 0
+        fits = json.loads((out / "fringe_fits.json").read_text())
+        assert "lambda_hat" not in fits["central_00"]
+        assert "6 free parameters" in fits["central_00"]["fit_error"]
+        assert "satellite_rate_ratio" not in fits
+        assert "4 free parameters" in fits["satellite_rate_ratio_error"]
+
     def test_neighbouring_seeds_share_no_step_stream(self, tmp_path, monkeypatch):
         # With ideal detectors Alice's tag times are the step's emission times.
         streams = []
@@ -382,8 +396,8 @@ class TestScanOutputs:
         seen = []
         for seed in (5, 6):
             streams.clear()
-            run_cfg = cli.build_run_config(cli.load_config(write_config(tmp_path, self.scan_config(seed))))
-            cli._run_scan(run_cfg, np.zeros((90, 4)), 0.01)
+            config = cli.load_config(write_config(tmp_path, self.scan_config(seed)))
+            cli._run_scan(cli.build_run_config(config, duration_s=0.01), np.zeros((90, 4)))
             assert len(set(streams)) == 90
             seen.append(set(streams))
         assert not seen[0] & seen[1]
@@ -654,6 +668,21 @@ class TestProtocolCommands:
             assert (tmp_path / "override" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
         histogram = write_config(tmp_path, {"experiment": "histogram", "run": BASE_RUN}, "histogram.json")
         assert run_cli(["histogram", "--config", histogram, "--out", tmp_path / "h", "--override", override]) == 2
+
+    @pytest.mark.parametrize("experiment", ["scan", "bell"])
+    def test_scans_ignore_the_run_duration(self, tmp_path, experiment):
+        # A scan step lasts dwell_s: a run.duration_s the histogram rejects
+        # (tag times past +-2**60 ps) leaves the scan's data files as they are.
+        drive = {"rate_r_rad_per_s": 4 * np.pi, "rate_l_rad_per_s": 4 * np.pi, "steps": 50, "dwell_s": 0.01}
+        cfg = write_config(tmp_path, {"run": BASE_RUN, "scan_spec": {"phase_drive": drive}})
+        override = "run.duration_s=2e6"
+        assert run_cli([experiment, "--config", cfg, "--out", tmp_path / "plain"]) == 0
+        assert run_cli([experiment, "--config", cfg, "--out", tmp_path / "override", "--override", override]) == 0
+        data = sorted(path.name for path in (tmp_path / "plain").iterdir() if path.name != "manifest.json")
+        assert ("bell.json" if experiment == "bell" else "fringe_fits.json") in data
+        for name in data:
+            assert (tmp_path / "override" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+        assert run_cli(["histogram", "--config", cfg, "--out", tmp_path / "h", "--override", override]) == 2
 
 
 class TestBellCommand:
